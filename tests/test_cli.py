@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -89,6 +90,30 @@ class TestSurface:
         assert files1 == files2 == ["surface_alpha0.3.csv", "surface_alpha0.7.csv"]
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("fmt,psd,digests", [
+        ("csv", False, {
+            "surface_alpha0.3.csv": "a4f0a95defce95ef8844d9f791c5b89063233fa9c0b60bff2e7c94e456eb5bc2",
+            "surface_alpha0.7.csv": "5559216c890f52e257691a81d3311c44ccfb080032075ce619a0ce5c2d986161"}),
+        ("csv", True, {
+            "surface_alpha0.3.csv": "12c8d9acc146a8fa5baa830b153fdcf79fd2b7b5af344ecd9620ba12a3cfd784",
+            "surface_alpha0.7.csv": "d57f90e84c0781f5b2c4b491a7a1325f306bb768993254dfa6c86d5b500e56eb"}),
+        ("json", False, {
+            "surface_alpha0.3.json": "401fa4f8a53c6df1fd63bbb690d3484e8561a0013b16a6ce7a7b063a1dd9a765",
+            "surface_alpha0.7.json": "fd094f456a00cc2d46d0743c77e3d3b730fe86af0a3ed37d972256cd21ff669c"}),
+        ("json", True, {
+            "surface_alpha0.3.json": "09a091b3f4424ce0f269cb14a7d4b6736c7c38a9782990182d28fbdc2d6835bc",
+            "surface_alpha0.7.json": "ca5ae62ed479d485afd17e8aa16d887d3cc4fb0c0cbe4a02d14127501fc85d35"}),
+    ])
+    def test_pinned_bytes(self, tmp_path, fmt, psd, digests):
+        # the grid reaches below the physical window (j < 1/6), so the
+        # unpruned files carry Unphysical rows and --enforce-psd drops them
+        out = tmp_path / "out"
+        args = ["surface", "--alpha", "0.3,0.7", "--j-min", "0.01", "--j-max", "0.5",
+                "--j-step", "0.01", "--t-points", "13", "--format", fmt, "--out", str(out)]
+        assert main([*args, *(["--enforce-psd"] if psd else [])]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == digests
 
     def test_csv_schema_and_rowcount(self, tmp_path):
         out = tmp_path / "out"
