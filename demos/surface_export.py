@@ -14,7 +14,7 @@ alpha = float(sys.argv[1]) if len(sys.argv) > 1 else 0.5
 
 js = np.round(np.arange(0.05, 0.501, 0.025), 12)
 ts = np.linspace(0.0, np.pi / 2, 33)
-rows = discord_surface(InputState.from_alpha(alpha), js, ts)
+discord, physical = discord_surface(InputState.from_alpha(alpha), js, ts)
 
 print("=" * 70)
 print(f"Unminimized discord D(j, t) for alpha = {alpha}")
@@ -23,16 +23,11 @@ print("rows: j (down); columns: t in [0, pi/2] (right); '.' marks rows where")
 print("the state is not positive semidefinite (kept finite for plotting)\n")
 
 shades = " .:-=+*#%@"
-by_j = {}
-for row in rows:
-    by_j.setdefault(row.j, []).append(row)
-dmax = max(abs(r.discord) for r in rows)
-for j in js:
-    line = ""
-    for r in by_j[float(j)]:
-        level = int(min(abs(r.discord) / dmax, 0.999) * len(shades))
-        line += shades[level]
-    tag = "" if by_j[float(j)][0].physical else "   (unphysical)"
+dmax = np.abs(discord).max()
+levels = (np.minimum(np.abs(discord) / dmax, 0.999) * len(shades)).astype(int)
+for j, row, phys in zip(js, levels, physical):
+    line = "".join(shades[level] for level in row)
+    tag = "" if phys else "   (unphysical)"
     print(f" j={j:5.3f} |{line}|{tag}")
 
 print(f"\nmax |D| on the grid: {dmax:.4f} bits")

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 reference-table mismatch,
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -18,12 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hermat
-from .cloner import (InputState, build_output_state, check_machine_constraints,
-                     clone_fidelity, valid_j_range)
+from .cloner import (InputState, build_output_batch, build_output_state,
+                     check_machine_constraints, clone_fidelity, valid_j_range)
 from .discord import (MeasurementBasis, conditional_entropy_curve, discord_at,
                       discord_min, discord_surface, mutual_info_i, mutual_info_j)
 from .errors import DomainError
-from .separability import classify, scan_grid, separable_intervals, w3_closed, w4_closed
+from .separability import (classify, ppt_data, scan_grid, separable_intervals, w3_closed,
+                           w4_closed, w_direct)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,6 +33,10 @@ EXIT_MISMATCH = 3
 EXIT_IO = 4
 
 CSV_HEADER = "alpha,j,t,discord,w3,w4,min_ppt_eig,physical,classification"
+FIELDS = CSV_HEADER.split(",")
+FLOAT_FIELDS = FIELDS[:7]
+# the float fields at 12 significant digits, then physical and classification
+CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s"
 
 # Separability windows the table1 command checks against, per input alpha;
 # None marks rows with no separable machine parameter at all.
@@ -70,6 +76,9 @@ class RunConfig:
         for a in self.alpha_list:
             if not 0.0 <= a <= 1.0:
                 raise ConfigError(f"alpha {a} outside [0, 1]")
+        if not all(math.isfinite(x) for x in (self.j_min, self.j_max, self.j_step)):
+            raise ConfigError(f"j grid bounds and step must be finite, got "
+                              f"[{self.j_min}, {self.j_max}] step {self.j_step}")
         if not (0.0 <= self.j_min <= self.j_max <= 0.5):
             raise ConfigError(
                 f"need 0 <= j_min <= j_max <= 0.5, got [{self.j_min}, {self.j_max}]")
@@ -167,72 +176,45 @@ def _jnum(x):
     return None if x is None else float(format(x, ".12g"))
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One serialized grid sample; fields are recomputable from (alpha, j, t)."""
-    alpha: float
-    j: float
-    t: float | None
-    discord: float
-    w3: float
-    w4: float
-    min_ppt_eig: float
-    physical: bool
-    classification: str
+def records_to_csv(columns):
+    """CSV text of surface_records columns, one CSV_ROW line per row."""
+    physical = ["true" if p else "false" for p in columns["physical"].tolist()]
+    rows = zip(*(columns[k].tolist() for k in FLOAT_FIELDS), physical,
+               columns["classification"].tolist())
+    return "\n".join([CSV_HEADER, *(CSV_ROW % row for row in rows)]) + "\n"
 
 
-def records_to_csv(records):
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            _fmt(r.alpha), _fmt(r.j), _fmt(r.t), _fmt(r.discord),
-            _fmt(r.w3), _fmt(r.w4), _fmt(r.min_ppt_eig),
-            _fmt(r.physical), r.classification,
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def records_to_json(records):
-    payload = [{
-        "alpha": _jnum(r.alpha), "j": _jnum(r.j), "t": _jnum(r.t),
-        "discord": _jnum(r.discord), "w3": _jnum(r.w3), "w4": _jnum(r.w4),
-        "min_ppt_eig": _jnum(r.min_ppt_eig), "physical": r.physical,
-        "classification": r.classification,
-    } for r in records]
+def records_to_json(columns):
+    """JSON text of surface_records columns: a list of one object per row."""
+    floats = ([_jnum(x) for x in columns[k].tolist()] for k in FLOAT_FIELDS)
+    rows = zip(*floats, columns["physical"].tolist(), columns["classification"].tolist())
+    payload = [dict(zip(FIELDS, row)) for row in rows]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def surface_records(alpha, cfg):
-    """SweepRecords for one alpha over the configured (j, t) grid, sorted."""
+    """Columns for one alpha over the configured (j, t) grid, row-major in (j, t).
+
+    Returns a dict of equal-length arrays keyed by the CSV_HEADER fields;
+    with enforce_psd the rows at unphysical j are dropped.
+    """
     state = InputState.from_alpha(alpha)
-    j_grid = cfg.j_grid()
+    j_grid, t_grid = cfg.j_grid(), cfg.t_grid()
     if j_grid.size == 0:
         raise ConfigError("empty j grid")
-    rows = discord_surface(state, j_grid, cfg.t_grid())
-    # per-j separability data, shared across the t rows
-    per_j = {}
-    for j in j_grid:
-        rho = build_output_state(state, float(j))
-        sigma = hermat.partial_transpose_b(rho)
-        min_ppt = float(hermat.eig_sym4(sigma)[-1])
-        w3 = hermat.principal_minor(sigma, 3)
-        w4 = hermat.principal_minor(sigma, 4)
-        per_j[float(j)] = (w3, w4, min_ppt)
-    records = []
-    for row in rows:
-        if cfg.enforce_psd and not row.physical:
-            continue
-        w3, w4, min_ppt = per_j[row.j]
-        if not row.physical:
-            classification = "Unphysical"
-        else:
-            classification = "Separable" if min_ppt >= hermat.STATE_EIG_FLOOR else "Entangled"
-        records.append(SweepRecord(
-            alpha=alpha, j=row.j, t=row.t, discord=row.discord,
-            w3=w3, w4=w4, min_ppt_eig=min_ppt,
-            physical=row.physical, classification=classification,
-        ))
-    return records
+    discord, physical = discord_surface(state, j_grid, t_grid)
+    w3, w4, min_ppt = ppt_data(build_output_batch(state, j_grid))
+    # object dtype, so the repeated rows share the per-j label strings
+    classification = np.where(
+        physical, np.where(min_ppt >= hermat.STATE_EIG_FLOOR, "Separable", "Entangled"),
+        "Unphysical").astype(object)
+    keep = physical if cfg.enforce_psd else np.ones_like(physical)
+    per_j = {"alpha": np.full(j_grid.shape, float(alpha)), "j": j_grid, "w3": w3, "w4": w4,
+             "min_ppt_eig": min_ppt, "physical": physical, "classification": classification}
+    columns = {k: np.repeat(v[keep], t_grid.size) for k, v in per_j.items()}
+    columns["t"] = np.tile(t_grid, int(keep.sum()))
+    columns["discord"] = discord[keep].ravel()
+    return columns
 
 
 def run_surface(cfg, out_stream=None):
@@ -241,13 +223,14 @@ def run_surface(cfg, out_stream=None):
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for alpha in cfg.alpha_list:
-        records = surface_records(alpha, cfg)
-        text = records_to_csv(records) if cfg.output_format == "csv" else records_to_json(records)
+        columns = surface_records(alpha, cfg)
+        text = records_to_csv(columns) if cfg.output_format == "csv" else records_to_json(columns)
         path = os.path.join(out_dir, f"surface_alpha{_fmt(alpha)}.{cfg.output_format}")
         with open(path, "w") as fh:
             fh.write(text)
-        written.append((alpha, path, len(records)))
-        print(f"alpha={_fmt(alpha)}: wrote {len(records)} rows -> {path}", file=out_stream)
+        n_rows = len(columns["j"])
+        written.append((alpha, path, n_rows))
+        print(f"alpha={_fmt(alpha)}: wrote {n_rows} rows -> {path}", file=out_stream)
     return written
 
 
@@ -523,7 +506,7 @@ def run_selftest(cfg, out_stream=None):
     for _ in range(500):
         alpha, j = random_state_pair()
         rho = build_output_state(alpha, j)
-        w3d, w4d = (hermat.principal_minor(hermat.partial_transpose_b(rho), k) for k in (3, 4))
+        w3d, w4d = w_direct(rho)
         ok &= abs(w3_closed(alpha, j) - w3d) <= 1e-12
         ok &= abs(w4_closed(alpha, j) - w4d) <= 1e-12
     check("closed-form determinants match direct minors", bool(ok))

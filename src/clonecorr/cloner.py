@@ -92,28 +92,18 @@ def build_output_state(state, machine):
     (alpha and j). j outside [0, 1/2] raises DomainError; positivity of the
     result is alpha-dependent and deliberately not enforced here -- scans
     cover non-positive parameter regions too. Use valid_j_range for the
-    physical window.
+    physical window. The one-element case of build_output_batch.
     """
-    st, mp = _as_input(state), _as_machine(machine)
-    if not 0.0 <= mp.j <= 0.5:
-        raise DomainError(f"machine parameter j={mp.j} outside [0, 1/2]")
-    a, b, j = st.alpha, st.beta, mp.j
-    n = 1.0 - 2.0 * j
-    c = a * b * n / 2.0
-    return np.array([
-        [a * a * n, c, c, 0.0],
-        [c, j, j, c],
-        [c, j, j, c],
-        [0.0, c, c, b * b * n],
-    ])
+    return build_output_batch(state, _as_machine(machine).j)
 
 
 def build_output_batch(state, js):
-    """Stack of output states, shape (len(js), 4, 4), for an array of j values."""
+    """Stack of output states, shape np.shape(js) + (4, 4), for an array of j values."""
     st = _as_input(state)
     js = np.asarray(js, dtype=float)
-    if js.size and (js.min() < 0.0 or js.max() > 0.5):
-        raise DomainError("machine parameters must lie in [0, 1/2]")
+    bad = js[~((js >= 0.0) & (js <= 0.5))]
+    if bad.size:
+        raise DomainError(f"machine parameter j={bad.flat[0]} outside [0, 1/2]")
     a, b = st.alpha, st.beta
     n = 1.0 - 2.0 * js
     c = a * b * n / 2.0
@@ -124,7 +114,7 @@ def build_output_batch(state, js):
         [c, js, js, c],
         [z, c, c, b * b * n],
     ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def reduced_clone(rho, which="b"):

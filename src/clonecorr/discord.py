@@ -11,7 +11,12 @@ family: a dense grid in t on [0, pi/2) (the projector pair has period
 pi/2), then golden-section refinement around the best grid point. By
 default phi is held at 0; scan_phase=True extends the grid to
 phi in [0, pi), which for asymmetric inputs finds genuinely lower minima
-(the output's y-axis correlation is invisible to the real family).
+(the output's y-axis correlation is invisible to the real family), so the
+default value is an upper bound on the projective discord.
+
+discord_surface evaluates the unminimized discord on a whole (j, t) grid
+as arrays: one batch of output states, one batched spectrum and one
+conditional-entropy call over the (j, t) grid.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermat
-from .cloner import _as_input, build_output_state
+from .cloner import build_output_batch
 from .errors import DomainError
 from .search import golden_min
 
@@ -85,8 +90,9 @@ def _as_basis(basis):
 def _outcome_quadratics(rho, u, v):
     """Compressed block entries <m, e| rho |n, e> for e = (u, v).
 
-    u, v may be arrays (vectorized over measurement angles). Returns
-    (q00, q01, q11) with q00/q11 real; q10 is conj(q01) by Hermiticity.
+    u, v may be arrays (vectorized over measurement angles) and rho a
+    stack (..., 4, 4) that broadcasts against them. Returns (q00, q01, q11)
+    with q00/q11 real; q10 is conj(q01) by Hermiticity.
     """
     vc = np.conj(v)
     uu = u * u
@@ -96,8 +102,8 @@ def _outcome_quadratics(rho, u, v):
 
     def q(mm, nn):
         i, k = 2 * mm, 2 * nn
-        return (uu * rho[i, k] + uv * rho[i, k + 1]
-                + uvc * rho[i + 1, k] + vv * rho[i + 1, k + 1])
+        return (uu * rho[..., i, k] + uv * rho[..., i, k + 1]
+                + uvc * rho[..., i + 1, k] + vv * rho[..., i + 1, k + 1])
 
     return np.real(q(0, 0)), q(0, 1), np.real(q(1, 1))
 
@@ -114,14 +120,16 @@ def _outcome_vectors(ts, phi):
 def conditional_entropy_curve(rho, ts, phi=0.0):
     """H(a | measure b at angle t) for an array of angles, in bits.
 
-    Degenerate branches contribute 0; conditional spectra are clipped to
-    their positive part, which leaves valid states untouched and keeps the
-    value finite when rho is not positive semidefinite (unphysical sweep
-    regions).
+    rho may be one state or a stack of shape (..., 4, 4); the result has
+    shape (..., len(ts)). The arithmetic is elementwise, so each entry
+    equals the single-state value. Degenerate branches contribute 0;
+    conditional spectra are clipped to their positive part, which leaves
+    valid states untouched and keeps the value finite when rho is not
+    positive semidefinite (unphysical sweep regions).
     """
-    rho = np.asarray(rho, dtype=float)
+    rho = np.asarray(rho, dtype=float)[..., None, :, :]
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    total = np.zeros_like(ts)
+    total = np.zeros(rho.shape[:-3] + ts.shape)
     for u, v in _outcome_vectors(ts, phi):
         q00, q01, q11 = _outcome_quadratics(rho, u, v)
         p = q00 + q11
@@ -256,36 +264,23 @@ def discord_min(rho, grid_points=721, refine_tol=1e-9, scan_phase=False):
     )
 
 
-@dataclass(frozen=True)
-class SurfaceRow:
-    """One (j, t) sample of the unminimized discord surface."""
-    j: float
-    t: float
-    discord: float
-    physical: bool
-
-
 def discord_surface(state, j_grid, t_grid):
-    """Unminimized discord at every (j, t) grid point, row-major in (j, t).
+    """Unminimized discord at every (j, t) grid point.
 
-    Rows at machine parameters where the output state is not positive
-    semidefinite are emitted with physical=False; their joint entropy uses
-    the positive part of the spectrum so the surface stays finite there.
+    Returns (discord, physical): discord has shape (len(j_grid),
+    len(t_grid)) and physical, shape (len(j_grid),), flags the machine
+    parameters where the output state is positive semidefinite. At the
+    other j the joint entropy uses the positive part of the spectrum, so
+    the surface stays finite there.
     """
-    st = _as_input(state)
     j_grid = np.atleast_1d(np.asarray(j_grid, dtype=float))
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if j_grid.size == 0 or t_grid.size == 0:
         raise DomainError("j and t grids must be nonempty")
-    rows = []
-    for j in j_grid:
-        rho = build_output_state(st, float(j))
-        spectrum = hermat.eig_sym4(rho)
-        physical = bool(spectrum[-1] >= hermat.STATE_EIG_FLOOR)
-        hab = float(hermat.plogp(np.clip(spectrum, 0.0, None)).sum())
-        hb = hermat.vn_entropy(hermat.eig_herm2(hermat.partial_trace(rho, "b")))
-        curve = conditional_entropy_curve(rho, t_grid, 0.0)
-        for t, h in zip(t_grid, curve):
-            rows.append(SurfaceRow(j=float(j), t=float(t),
-                                   discord=float(hb - hab + h), physical=physical))
-    return rows
+    rhos = build_output_batch(state, j_grid)
+    spectra = hermat.jacobi_eigvals(rhos)
+    physical = spectra[:, -1] >= hermat.STATE_EIG_FLOOR
+    hab = hermat.plogp(spectra).sum(axis=-1)
+    hb = hermat.plogp(hermat.eig_herm2(hermat.partial_trace(rhos, "b"))).sum(axis=-1)
+    curve = conditional_entropy_curve(rhos, t_grid, 0.0)
+    return (hb - hab)[:, None] + curve, physical

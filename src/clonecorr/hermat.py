@@ -3,7 +3,9 @@
 Everything is fixed-size: 2x2 Hermitian (complex allowed) and 4x4 real
 symmetric. Eigenvalues come from the 2x2 closed form and from cyclic Jacobi
 sweeps for 4x4; determinants are direct cofactor expansions. The Jacobi
-routine operates on batches so parameter scans stay cheap.
+routine, the 2x2 closed form, the partial trace and transpose and the
+cofactor determinants operate on (..., n, n) batches so parameter scans
+stay cheap.
 
 Basis convention for two-qubit operators: |00>, |01>, |10>, |11>, first
 index = clone a, second = clone b.
@@ -25,22 +27,23 @@ _JACOBI_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def eig_herm2(m):
-    """Both eigenvalues of a 2x2 Hermitian matrix, descending.
+    """Both eigenvalues of 2x2 Hermitian matrices, descending.
 
     Closed form tr/2 +- hypot((m00 - m11)/2, |m01|); exact for 2x2 and
-    free of cancellation in the discriminant.
+    free of cancellation in the discriminant. Accepts batches of shape
+    (..., 2, 2) and returns (..., 2).
     """
     m = np.asarray(m)
-    if m.shape != (2, 2):
-        raise InvalidStateError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if (abs(np.imag(m[0, 0])) > HERM_ATOL or abs(np.imag(m[1, 1])) > HERM_ATOL
-            or abs(m[0, 1] - np.conj(m[1, 0])) > HERM_ATOL):
+    if m.shape[-2:] != (2, 2):
+        raise InvalidStateError(f"expected (..., 2, 2), got shape {m.shape}")
+    d0, d1, off = m[..., 0, 0], m[..., 1, 1], m[..., 0, 1]
+    if (np.any(np.abs(np.imag(d0)) > HERM_ATOL) or np.any(np.abs(np.imag(d1)) > HERM_ATOL)
+            or np.any(np.abs(off - np.conj(m[..., 1, 0])) > HERM_ATOL)):
         raise InvalidStateError("matrix is not Hermitian")
-    a = float(np.real(m[0, 0]))
-    b = float(np.real(m[1, 1]))
+    a, b = np.real(d0), np.real(d1)
     half_tr = 0.5 * (a + b)
-    rad = np.hypot(0.5 * (a - b), abs(m[0, 1]))
-    return np.array([half_tr + rad, half_tr - rad])
+    rad = np.hypot(0.5 * (a - b), np.abs(off))
+    return np.stack([half_tr + rad, half_tr - rad], axis=-1)
 
 
 def jacobi_eigvals(mats, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
@@ -146,20 +149,20 @@ def vn_entropy(spectrum):
 
 
 def partial_trace(m, keep):
-    """Reduce a two-qubit operator to one qubit.
+    """Reduce two-qubit operators to one qubit; accepts batches (..., 4, 4).
 
     keep="a" sums over the b indices: out(m, n) = sum_mu in(m mu, n mu).
     keep="b" sums over the a indices: out(mu, nu) = sum_m in(m mu, m nu).
     Trace is preserved.
     """
     m = np.asarray(m)
-    if m.shape != (4, 4):
-        raise InvalidStateError(f"expected a 4x4 matrix, got shape {m.shape}")
-    r = m.reshape(2, 2, 2, 2)
+    if m.shape[-2:] != (4, 4):
+        raise InvalidStateError(f"expected (..., 4, 4), got shape {m.shape}")
+    r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     if keep == "a":
-        return np.einsum("abcb->ac", r)
+        return np.einsum("...abcb->...ac", r)
     if keep == "b":
-        return np.einsum("abac->bc", r)
+        return np.einsum("...abac->...bc", r)
     raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
 
 

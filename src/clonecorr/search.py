@@ -8,8 +8,9 @@ INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def golden_min(f, lo, hi, tol=1e-9):
     """Golden-section minimum of f on [lo, hi].
 
-    Shrinks the bracket until it is narrower than tol and returns
-    (x, f(x)) at the bracket midpoint. Assumes f is unimodal on the
+    Shrinks the bracket until it is narrower than tol and returns the
+    lowest (x, f(x)) among the bracket midpoint and the two interior
+    points, preferring the midpoint on ties. Assumes f is unimodal on the
     bracket; callers provide one tight enough for that to hold.
     """
     a, b = float(lo), float(hi)
@@ -28,7 +29,7 @@ def golden_min(f, lo, hi, tol=1e-9):
             d = a + INVPHI * (b - a)
             fd = f(d)
     x = 0.5 * (a + b)
-    return x, f(x)
+    return min((x, f(x)), (c, fc), (d, fd), key=lambda point: point[1])
 
 
 def bisect_boundary(pred, x_false, x_true, tol=1e-6):

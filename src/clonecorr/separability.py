@@ -10,7 +10,10 @@ determinants of that matrix,
 
 give an equivalent shortcut test (both nonnegative <=> separable) whose
 agreement with the spectral check is evaluated on every call and surfaced
-in the verdict rather than assumed.
+in the verdict rather than assumed. ppt_data computes W3, W4 (as cofactor
+determinants) and the minimum PPT eigenvalue for a whole stack of states;
+every caller here goes through it, and w3_closed/w4_closed keep the
+formulas above as cross-checks.
 """
 
 from dataclasses import dataclass
@@ -64,10 +67,23 @@ def w4_closed(state, machine):
     return 0.5 * (a2 * b2 * j * n * n * (6.0 * j - 1.0) - 2.0 * j ** 4)
 
 
+def ppt_data(rhos):
+    """(W3, W4, minimum PPT eigenvalue) for each state of a (..., 4, 4) stack.
+
+    W3 and W4 are the leading 3x3 and full determinants of the partial
+    transpose by cofactor expansion; the eigenvalue comes from one batched
+    Jacobi call. Each result has the stack's batch shape (0-d for a single
+    4x4 state).
+    """
+    sigmas = hermat.partial_transpose_b(rhos)
+    return (hermat._det3(sigmas[..., :3, :3]), hermat._det4(sigmas),
+            hermat.jacobi_eigvals(sigmas)[..., -1])
+
+
 def w_direct(rho):
     """(W3, W4) computed directly as minors of the partially transposed matrix."""
-    sigma = hermat.partial_transpose_b(rho)
-    return hermat.principal_minor(sigma, 3), hermat.principal_minor(sigma, 4)
+    w3, w4, _ = ppt_data(hermat._require_real_symmetric(rho))
+    return float(w3), float(w4)
 
 
 def classify(state, machine):
@@ -88,10 +104,7 @@ def classify(state, machine):
             f"minimum eigenvalue {min_eig:.6e}")
         exc.min_eigenvalue = float(min_eig)
         raise exc
-    sigma = hermat.partial_transpose_b(rho)
-    min_ppt = float(hermat.eig_sym4(sigma)[-1])
-    w3 = hermat.principal_minor(sigma, 3)
-    w4 = hermat.principal_minor(sigma, 4)
+    w3, w4, min_ppt = (float(x) for x in ppt_data(rho))
     separable = min_ppt >= hermat.STATE_EIG_FLOOR
     det_separable = w3 >= 0.0 and w4 >= 0.0
     return SeparabilityVerdict(
@@ -117,14 +130,7 @@ def scan_grid(state, scan_step=1e-4):
     js = js[(js >= lo) & (js <= hi)]
     if js.size == 0:
         return js, js, js, js
-    a2 = st.alpha ** 2
-    b2 = st.beta ** 2
-    n = 1.0 - 2.0 * js
-    w3s = (a2 * js * n / 2.0) * (2.0 * js - b2 * n)
-    w4s = 0.5 * (a2 * b2 * js * n * n * (6.0 * js - 1.0) - 2.0 * js ** 4)
-    sigmas = hermat.partial_transpose_b(build_output_batch(st, js))
-    min_ppt = hermat.jacobi_eigvals(sigmas)[:, -1]
-    return js, w3s, w4s, min_ppt
+    return (js, *ppt_data(build_output_batch(st, js)))
 
 
 def separable_intervals(state, scan_step=1e-4, tol=1e-6):
@@ -145,12 +151,8 @@ def separable_intervals(state, scan_step=1e-4, tol=1e-6):
     sep = (w3s >= 0.0) & (w4s >= 0.0) & (min_ppt >= hermat.STATE_EIG_FLOOR)
 
     def is_separable(j):
-        rho = build_output_state(st, j)
-        sigma = hermat.partial_transpose_b(rho)
-        g = min(hermat.principal_minor(sigma, 3),
-                hermat.principal_minor(sigma, 4),
-                hermat.eig_sym4(sigma)[-1] - hermat.STATE_EIG_FLOOR)
-        return g >= 0.0
+        w3, w4, min_ppt = ppt_data(build_output_state(st, j))
+        return min(w3, w4, min_ppt - hermat.STATE_EIG_FLOOR) >= 0.0
 
     intervals = []
     i = 0

@@ -70,6 +70,16 @@ class TestConfig:
         assert cfg.j_step == 0.02      # flag wins
         assert cfg.t_points == 5       # file value survives
 
+    @pytest.mark.parametrize("flag,value", [("--j-step", "nan"), ("--j-step", "inf"),
+                                            ("--j-min", "nan"), ("--j-max", "inf")])
+    def test_non_finite_grid_exits_2(self, tmp_path, capsys, flag, value):
+        with pytest.raises(ConfigError):
+            RunConfig(**{flag[2:].replace("-", "_"): float(value)}).validate()
+        rc = main(["surface", flag, value, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("j_min = 0.4\nj_max = 0.1\n")

@@ -65,9 +65,11 @@ class TestBuildOutputState:
         assert np.array_equal(a, b)
 
     def test_rejects_j_outside_domain(self):
-        for j in (-0.01, 0.51, 0.6):
+        for j in (-0.01, 0.51, 0.6, float("nan")):
             with pytest.raises(DomainError):
                 build_output_state(0.5, j)
+            with pytest.raises(DomainError):
+                build_output_batch(0.5, [0.2, j])
 
     def test_batch_matches_scalar(self):
         js = np.array([0.0, 0.1, 1 / 6, 0.37, 0.5])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from clonecorr import (InputState, MeasurementBasis, build_output_state,
+from clonecorr import (InputState, MeasurementBasis, build_output_batch, build_output_state,
                        conditional_entropy, conditional_entropy_curve, discord_at,
-                       discord_min, discord_surface, measure_b, mutual_info_i,
-                       mutual_info_j, swap_qubits, vn_entropy)
+                       discord_min, discord_surface, eig_herm2, eig_sym4, measure_b,
+                       mutual_info_i, mutual_info_j, partial_trace, swap_qubits, vn_entropy)
+from clonecorr.hermat import plogp
 from clonecorr.errors import DomainError, InvalidStateError
 from oracles import (bell_phi_plus, conditional_entropy_projector, discord_grid_oracle,
                      random_product_state)
@@ -107,6 +108,14 @@ class TestConditionalEntropy:
             t = rng.uniform(0, np.pi)
             curve = conditional_entropy_curve(rho, [t, t + np.pi / 2])
             assert abs(curve[0] - curve[1]) <= 1e-12
+
+    def test_stack_matches_single_states(self):
+        rhos = build_output_batch(0.7, [[0.1, 0.2, 0.3], [0.35, 0.4, 0.5]])
+        ts = np.linspace(0.0, np.pi / 2, 11)
+        curves = conditional_entropy_curve(rhos, ts, 0.3)
+        assert curves.shape == (2, 3, 11)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(curves[idx], conditional_entropy_curve(rhos[idx], ts, 0.3))
 
     def test_continuity_in_t(self):
         rng = np.random.default_rng(27)
@@ -237,23 +246,38 @@ class TestDiscordMin:
 class TestDiscordSurface:
     def test_single_point_grid_equals_discord_at(self):
         state = InputState.from_alpha(0.6)
-        rows = discord_surface(state, [0.2], [0.4])
-        assert len(rows) == 1
+        discord, physical = discord_surface(state, [0.2], [0.4])
+        assert discord.shape == (1, 1) and physical.shape == (1,)
         rho = build_output_state(0.6, 0.2)
-        assert rows[0].discord == pytest.approx(
+        assert discord[0, 0] == pytest.approx(
             discord_at(rho, MeasurementBasis(0.4)), abs=1e-12)
-        assert rows[0].physical
+        assert physical[0]
+
+    def test_grid_matches_per_j_loop_bitwise(self):
+        # reference: the per-j loop, one spectrum and one entropy curve per j
+        state = InputState.from_alpha(0.3)
+        js = np.round(np.arange(0.01, 0.5001, 0.01), 12)
+        ts = np.linspace(0.0, np.pi / 2, 13)
+        discord, physical = discord_surface(state, js, ts)
+        assert discord.shape == (len(js), len(ts))
+        for row, phys, j in zip(discord, physical, js):
+            rho = build_output_state(state, float(j))
+            spectrum = eig_sym4(rho)
+            hab = float(plogp(np.clip(spectrum, 0.0, None)).sum())
+            hb = vn_entropy(eig_herm2(partial_trace(rho, "b")))
+            assert np.array_equal(row, hb - hab + conditional_entropy_curve(rho, ts, 0.0))
+            assert phys == (spectrum[-1] >= -1e-10)
 
     def test_unphysical_rows_flagged_and_finite(self):
         js = np.round(np.arange(0.1, 0.46, 0.05), 12)
         ts = np.linspace(0.0, np.pi / 2, 7)
-        rows = discord_surface(InputState.from_alpha(0.5), js, ts)
-        assert len(rows) == len(js) * len(ts)
-        assert all(np.isfinite(r.discord) for r in rows)
-        flags = {r.j: r.physical for r in rows}
+        discord, physical = discord_surface(InputState.from_alpha(0.5), js, ts)
+        assert discord.shape == (len(js), len(ts))
+        assert np.isfinite(discord).all()
+        flags = dict(zip(js.tolist(), physical.tolist()))
         assert not flags[0.1] and not flags[0.15]   # below the physical window
         assert flags[0.2] and flags[0.45]
-        assert all(r.discord > 0 for r in rows if r.physical)
+        assert (discord[physical] > 0).all()
 
     def test_alpha_beta_relabeling(self):
         # mirrored input gives the same surface with t relabeled to pi/2 - t
@@ -261,12 +285,10 @@ class TestDiscordSurface:
         mirrored = np.sqrt(1 - alpha ** 2)
         js = [0.2, 0.3, 0.45]
         ts = np.linspace(0.0, np.pi / 2, 9)
-        rows = discord_surface(InputState.from_alpha(alpha), js, ts)
-        rows_m = discord_surface(InputState.from_alpha(mirrored), js, ts[::-1])
-        for r, rm in zip(rows, rows_m):
-            assert r.j == rm.j
-            assert r.t == pytest.approx(np.pi / 2 - rm.t, abs=1e-15)
-            assert r.discord == pytest.approx(rm.discord, abs=1e-10)
+        discord, _ = discord_surface(InputState.from_alpha(alpha), js, ts)
+        discord_m, _ = discord_surface(InputState.from_alpha(mirrored), js, ts[::-1])
+        np.testing.assert_allclose(ts, np.pi / 2 - ts[::-1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(discord, discord_m, rtol=0, atol=1e-10)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(DomainError):

@@ -35,6 +35,19 @@ class TestEigHerm2:
         with pytest.raises(InvalidStateError):
             eig_herm2(np.array([[1j, 0.0], [0.0, 0.0]]))
 
+    def test_batch_matches_single(self):
+        rng = np.random.default_rng(33)
+        stack = np.stack([random_herm2(rng) for _ in range(6)]).reshape(3, 2, 2, 2)
+        batch = eig_herm2(stack)
+        assert batch.shape == (3, 2, 2)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(batch[idx], eig_herm2(stack[idx]))
+
+    def test_rejects_non_hermitian_batch_member(self):
+        stack = np.stack([np.eye(2) / 2, np.array([[0.5, 0.1], [0.0, 0.5]])])
+        with pytest.raises(InvalidStateError):
+            eig_herm2(stack)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(InvalidStateError):
             eig_herm2(np.eye(3))
@@ -166,6 +179,15 @@ class TestPartialTrace:
     def test_rejects_bad_selector(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(4) / 4, "c")
+
+    def test_batch_matches_single(self):
+        rng = np.random.default_rng(31)
+        stack = np.stack([random_sym4(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        for keep in ("a", "b"):
+            batch = partial_trace(stack, keep)
+            assert batch.shape == (2, 3, 2, 2)
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(batch[idx], partial_trace(stack[idx], keep))
 
 
 class TestPartialTransposeB:

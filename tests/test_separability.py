@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from clonecorr import (JInterval, build_output_batch, build_output_state, classify,
-                       eig_sym4, jacobi_eigvals, partial_transpose_b, separable_intervals,
-                       w3_closed, w4_closed, w_direct)
+                       eig_sym4, jacobi_eigvals, partial_transpose_b, ppt_data,
+                       principal_minor, separable_intervals, w3_closed, w4_closed, w_direct)
 from clonecorr.errors import DomainError
 from clonecorr.separability import scan_grid
 from oracles import bell_phi_plus
@@ -71,6 +71,28 @@ class TestWDirect:
             w3, w4 = w_direct(build_output_state(alpha, j))
             assert abs(w3 - w3_closed(alpha, j)) <= 1e-12
             assert abs(w4 - w4_closed(alpha, j)) <= 1e-12
+
+
+class TestPptData:
+    def test_stack_matches_minors_and_spectrum_per_state(self):
+        # reference: principal minors and the spectrum of each state on its own
+        js = np.round(np.arange(0.0, 0.5001, 0.025), 12)
+        rhos = build_output_batch(0.7, js)
+        w3, w4, min_ppt = ppt_data(rhos)
+        assert w3.shape == w4.shape == min_ppt.shape == js.shape
+        for k, rho in enumerate(rhos):
+            sigma = partial_transpose_b(rho)
+            assert w3[k] == principal_minor(sigma, 3)
+            assert w4[k] == principal_minor(sigma, 4)
+            assert min_ppt[k] == eig_sym4(sigma)[-1]
+            assert abs(w3[k] - w3_closed(0.7, js[k])) <= 1e-15
+            assert abs(w4[k] - w4_closed(0.7, js[k])) <= 1e-15
+
+    def test_single_state_gives_scalars(self):
+        w3, w4, min_ppt = ppt_data(build_output_state(0.6, 0.2))
+        assert w3.shape == w4.shape == min_ppt.shape == ()
+        assert abs(w3 - 3.456e-4) <= 1e-12 and abs(w4 - 5.888e-5) <= 1e-12
+        assert min_ppt >= -1e-10
 
 
 class TestClassify:
