@@ -49,6 +49,10 @@ REFERENCE_INTERVALS = {
 }
 REFERENCE_TOL = 0.002
 
+# Largest (j, t) grid, in rows per alpha, that a run may request; validate()
+# checks it from the grid arithmetic before anything is allocated.
+MAX_GRID_ROWS = 10**7
+
 DISCORD_BANNER = (
     "*** DISCORDANT BUT SEPARABLE: nonclassical correlation without entanglement ***")
 
@@ -64,7 +68,6 @@ class RunConfig:
     j_max: float = 0.50
     j_step: float = 0.005
     t_points: int = 91
-    scan_phase: bool = False
     output_format: str = "csv"
     output_path: str | None = None
     enforce_psd: bool = False
@@ -86,6 +89,11 @@ class RunConfig:
             raise ConfigError(f"j_step must be positive, got {self.j_step}")
         if self.t_points < 1:
             raise ConfigError(f"t_points must be >= 1, got {self.t_points}")
+        # the np.arange length behind j_grid() is ceil(n_j)
+        n_j = (self.j_max + self.j_step / 2 - self.j_min) / self.j_step
+        if n_j > MAX_GRID_ROWS or math.ceil(n_j) * self.t_points > MAX_GRID_ROWS:
+            raise ConfigError(f"(j, t) grid of about {n_j * self.t_points:.3g} rows exceeds "
+                              f"{MAX_GRID_ROWS} rows per alpha")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
         return self
@@ -113,7 +121,7 @@ def load_config_file(path):
         "alpha_list": lambda v: [float(x) for x in v.replace(",", " ").split()],
         "j_min": float, "j_max": float, "j_step": float,
         "t_points": int, "seed": int,
-        "scan_phase": _parse_bool, "enforce_psd": _parse_bool,
+        "enforce_psd": _parse_bool,
         "output_format": str, "output_path": str,
     }
     out = {}
@@ -149,7 +157,6 @@ def build_config(args):
         "j_max": getattr(args, "j_max", None),
         "j_step": getattr(args, "j_step", None),
         "t_points": getattr(args, "t_points", None),
-        "scan_phase": getattr(args, "scan_phase", None),
         "output_format": getattr(args, "format", None),
         "output_path": getattr(args, "out", None),
         "enforce_psd": getattr(args, "enforce_psd", None),
@@ -532,7 +539,6 @@ def _add_common_flags(p):
     p.add_argument("--j-max", type=float, dest="j_max")
     p.add_argument("--j-step", type=float, dest="j_step")
     p.add_argument("--t-points", type=int, dest="t_points")
-    p.add_argument("--scan-phase", action="store_true", default=None, dest="scan_phase")
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--out", help="output directory (surface) or file (table1)")
     p.add_argument("--enforce-psd", action="store_true", default=None, dest="enforce_psd",

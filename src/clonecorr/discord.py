@@ -14,11 +14,16 @@ phi in [0, pi), which for asymmetric inputs finds genuinely lower minima
 (the output's y-axis correlation is invisible to the real family), so the
 default value is an upper bound on the projective discord.
 
+conditional_entropy_curve is elementwise in (state, t, phi): phi may be an
+array that broadcasts against the angles, so the (t, phi) grid of the phase
+scan is evaluated a few phase rows per call rather than one call per phase.
+
 discord_surface evaluates the unminimized discord on a whole (j, t) grid
 as arrays: one batch of output states, one batched spectrum and one
 conditional-entropy call over the (j, t) grid.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +35,10 @@ from .search import golden_min
 
 # outcome probabilities at or below this are degenerate and contribute 0
 DEGENERATE_P = 1e-12
+# phase rows per conditional_entropy_curve call in the scan_phase grid; larger
+# blocks save little time and grow the temporaries (about 15 arrays of
+# _PHASE_BLOCK x grid_points complex entries)
+_PHASE_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -109,27 +118,31 @@ def _outcome_quadratics(rho, u, v):
 
 
 def _outcome_vectors(ts, phi):
-    ts = np.asarray(ts, dtype=float)
     c, s = np.cos(ts), np.sin(ts)
-    if phi == 0.0:
+    if np.ndim(phi) == 0 and phi == 0.0:
         return ((c, s), (s, -c))
-    ph = np.exp(1j * phi)
+    ph = np.exp(1j * np.asarray(phi))
     return ((c, s * ph), (s, -c * ph))
 
 
 def conditional_entropy_curve(rho, ts, phi=0.0):
-    """H(a | measure b at angle t) for an array of angles, in bits.
+    """H(a | measure b at angles (t, phi)) for arrays of angles, in bits.
 
-    rho may be one state or a stack of shape (..., 4, 4); the result has
-    shape (..., len(ts)). The arithmetic is elementwise, so each entry
-    equals the single-state value. Degenerate branches contribute 0;
-    conditional spectra are clipped to their positive part, which leaves
-    valid states untouched and keeps the value finite when rho is not
-    positive semidefinite (unphysical sweep regions).
+    rho may be one state or a stack of shape (..., 4, 4); phi may be a
+    scalar or an array that broadcasts against ts. The result has shape
+    rho.shape[:-2] + np.broadcast_shapes(ts.shape, np.shape(phi)), with a
+    scalar t treated as shape (1,). The arithmetic is elementwise, so each
+    entry equals the single-state, single-angle value bit for bit.
+    Degenerate branches contribute 0; conditional spectra are clipped to
+    their positive part, which leaves valid states untouched and keeps the
+    value finite when rho is not positive semidefinite (unphysical sweep
+    regions).
     """
-    rho = np.asarray(rho, dtype=float)[..., None, :, :]
+    rho = np.asarray(rho, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    total = np.zeros(rho.shape[:-3] + ts.shape)
+    angles = np.broadcast_shapes(ts.shape, np.shape(phi))
+    total = np.zeros(rho.shape[:-2] + angles)
+    rho = rho.reshape(rho.shape[:-2] + (1,) * len(angles) + rho.shape[-2:])
     for u, v in _outcome_vectors(ts, phi):
         q00, q01, q11 = _outcome_quadratics(rho, u, v)
         p = q00 + q11
@@ -208,12 +221,17 @@ def discord_min(rho, grid_points=721, refine_tol=1e-9, scan_phase=False):
     Dense grid of grid_points angles over t in [0, pi/2) guards against the
     conditional entropy's local minima; golden-section then refines around
     the best grid point to refine_tol. With scan_phase the grid extends to
-    phi in [0, pi) at the same density and the refinement alternates
-    between the two angles.
+    phi in [0, pi) at the same density, evaluated a few phase rows per
+    conditional_entropy_curve call; the best grid point is the first phase
+    row that strictly improves on the rows before it, at the first t of
+    that row's minimum. The refinement then alternates between the two
+    angles.
     """
     spectrum = hermat.validate_state(rho)
     if grid_points < 64:
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
+    if not (math.isfinite(refine_tol) and refine_tol > 0):
+        raise DomainError(f"refine_tol must be finite and positive, got {refine_tol}")
     rho = np.asarray(rho, dtype=float)
 
     ha = hermat.vn_entropy(hermat.eig_herm2(hermat.partial_trace(rho, "a")))
@@ -230,11 +248,16 @@ def discord_min(rho, grid_points=721, refine_tol=1e-9, scan_phase=False):
         phis = np.linspace(0.0, np.pi, grid_points, endpoint=False)
         dphi = np.pi / grid_points
         best_t, best_phi, best_h = 0.0, 0.0, np.inf
-        for phi in phis:
-            curve = conditional_entropy_curve(rho, ts, phi)
-            i = int(np.argmin(curve))
-            if curve[i] < best_h:
-                best_t, best_phi, best_h = float(ts[i]), float(phi), float(curve[i])
+        for k in range(0, grid_points, _PHASE_BLOCK):
+            block = phis[k:k + _PHASE_BLOCK, None]
+            # ts at the block's full shape, so np.size(ts) counts the (t, phi)
+            # pairs evaluated (the benchmark tracer's angle count)
+            curves = conditional_entropy_curve(
+                rho, np.broadcast_to(ts, (len(block), grid_points)), block)
+            # flat argmin: the block's first minimal row, then its first t
+            r, i = np.unravel_index(np.argmin(curves), curves.shape)
+            if curves[r, i] < best_h:
+                best_t, best_phi, best_h = float(ts[i]), float(block[r, 0]), float(curves[r, i])
         # alternate one-dimensional refinements around the best grid point
         best_t, best_h = golden_min(lambda t: h_at(t, best_phi),
                                     best_t - dt, best_t + dt, refine_tol)

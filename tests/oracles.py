@@ -2,10 +2,14 @@
 
 These deliberately avoid the package's own code paths: 4x4 eigenvalues come
 from the characteristic polynomial (trace power sums + polynomial roots) or
-from LAPACK, and measurements are built from explicit projectors.
+from LAPACK, and measurements are built from explicit projectors. The one
+exception is phase_scan_loop, a slower arrangement of the package's own
+arithmetic that its batched code must reproduce bit for bit.
 """
 
 import numpy as np
+
+from clonecorr.discord import conditional_entropy_curve
 
 
 def charpoly_eigvals_sym4(m):
@@ -74,6 +78,25 @@ def discord_grid_oracle(rho, npts=4001):
         if d < best[0]:
             best = (d, t)
     return best
+
+
+def phase_scan_loop(rho, grid_points, curve=conditional_entropy_curve):
+    """Best grid point (t, phi, H(a|b)) of the scan_phase grid, one call per phase.
+
+    The grid is discord_min's: grid_points angles each over t in [0, pi/2)
+    and phi in [0, pi). The first phase whose row minimum strictly improves
+    wins, at the first t of that minimum. curve stands in for
+    conditional_entropy_curve (tests pass a coarsened one to force ties).
+    """
+    ts = np.linspace(0.0, np.pi / 2, grid_points, endpoint=False)
+    phis = np.linspace(0.0, np.pi, grid_points, endpoint=False)
+    best_t, best_phi, best_h = 0.0, 0.0, np.inf
+    for phi in phis:
+        row = curve(rho, ts, phi)
+        i = int(np.argmin(row))
+        if row[i] < best_h:
+            best_t, best_phi, best_h = float(ts[i]), float(phi), float(row[i])
+    return best_t, best_phi, best_h
 
 
 def random_herm2(rng):

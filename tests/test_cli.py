@@ -37,11 +37,11 @@ class TestConfig:
             "# sweep setup\n"
             "alpha_list = 0.2, 0.4\n"
             "j_step = 0.01   # coarse\n"
-            "scan_phase = true\n"
+            "enforce_psd = true\n"
             "output_format = json\n")
         values = load_config_file(path)
         assert values == {"alpha_list": [0.2, 0.4], "j_step": 0.01,
-                          "scan_phase": True, "output_format": "json"}
+                          "enforce_psd": True, "output_format": "json"}
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -60,7 +60,6 @@ class TestConfig:
             j_max = None
             j_step = 0.02
             t_points = None
-            scan_phase = None
             format = None
             out = None
             enforce_psd = None
@@ -69,6 +68,32 @@ class TestConfig:
         cfg = build_config(Args())
         assert cfg.j_step == 0.02      # flag wins
         assert cfg.t_points == 5       # file value survives
+
+    @pytest.mark.parametrize("command", ["surface", "table1", "selftest"])
+    def test_scan_phase_is_not_a_sweep_option(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scan-phase", "--out", str(tmp_path / "out")])
+        assert exc.value.code == cli.EXIT_CONFIG
+        path = tmp_path / "run.cfg"
+        path.write_text("scan_phase = true\n")
+        assert main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+
+    def test_grid_row_cap(self, tmp_path, monkeypatch, capsys):
+        # only validate() and main() run here: no grid is ever built
+        RunConfig(j_min=0.2, j_max=0.2, t_points=cli.MAX_GRID_ROWS).validate()
+        for bad in (RunConfig(j_min=0.2, j_max=0.2, t_points=cli.MAX_GRID_ROWS + 1),
+                    RunConfig(t_points=10**9), RunConfig(j_step=1e-300),
+                    RunConfig(j_step=5e-324)):
+            with pytest.raises(ConfigError):
+                bad.validate()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("oversized grid reached run_surface")
+
+        monkeypatch.setattr(cli, "run_surface", refuse)
+        rc = main(["surface", "--t-points", "1000000000", "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "rows per alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--j-step", "nan"), ("--j-step", "inf"),
                                             ("--j-min", "nan"), ("--j-max", "inf")])

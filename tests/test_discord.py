@@ -5,10 +5,13 @@ from clonecorr import (InputState, MeasurementBasis, build_output_batch, build_o
                        conditional_entropy, conditional_entropy_curve, discord_at,
                        discord_min, discord_surface, eig_herm2, eig_sym4, measure_b,
                        mutual_info_i, mutual_info_j, partial_trace, swap_qubits, vn_entropy)
-from clonecorr.hermat import plogp
+import clonecorr.discord as discord_module
+from clonecorr.discord import DiscordResult
+from clonecorr.hermat import plogp, validate_state
 from clonecorr.errors import DomainError, InvalidStateError
+from clonecorr.search import golden_min
 from oracles import (bell_phi_plus, conditional_entropy_projector, discord_grid_oracle,
-                     random_product_state)
+                     phase_scan_loop, random_product_state)
 
 # Regression constants, frozen from the projector-based oracles in oracles.py
 # (dense 20001-point t grid plus golden refinement, run once at development
@@ -26,6 +29,30 @@ def product_state():
     a = np.array([[0.7, 0.2], [0.2, 0.3]])
     b = np.array([[0.6, -0.1], [-0.1, 0.4]])
     return np.kron(a, b), a, b
+
+
+def phase_scan_reference(rho, curve=conditional_entropy_curve, grid_points=721,
+                         refine_tol=1e-9):
+    """discord_min(rho, scan_phase=True) rebuilt on the per-phase loop's grid point."""
+    best_t, best_phi, best_h = phase_scan_loop(rho, grid_points, curve)
+
+    def h_at(t, phi):
+        return float(curve(rho, [t], phi)[0])
+
+    dt, dphi = (np.pi / 2) / grid_points, np.pi / grid_points
+    best_t, best_h = golden_min(lambda t: h_at(t, best_phi), best_t - dt, best_t + dt,
+                                refine_tol)
+    best_phi, best_h = golden_min(lambda phi: h_at(best_t, phi), best_phi - dphi,
+                                  best_phi + dphi, refine_tol)
+    best_t, best_h = golden_min(lambda t: h_at(t, best_phi), best_t - dt, best_t + dt,
+                                refine_tol)
+    ha = vn_entropy(eig_herm2(partial_trace(rho, "a")))
+    hb = vn_entropy(eig_herm2(partial_trace(rho, "b")))
+    hab = vn_entropy(validate_state(rho))
+    return DiscordResult(discord=hb - hab + best_h, optimal_t=best_t % (np.pi / 2),
+                         optimal_phi=best_phi, entropy_joint=hab, entropy_a=ha, entropy_b=hb,
+                         conditional_entropy=best_h, mutual_info_j=ha + hb - hab,
+                         mutual_info_i=ha - best_h)
 
 
 class TestMeasureB:
@@ -116,6 +143,41 @@ class TestConditionalEntropy:
         assert curves.shape == (2, 3, 11)
         for idx in np.ndindex(2, 3):
             assert np.array_equal(curves[idx], conditional_entropy_curve(rhos[idx], ts, 0.3))
+
+    def test_phase_block_matches_per_phase_calls_bitwise(self):
+        rho = build_output_state(0.7, 0.22)
+        ts = np.linspace(0.0, np.pi / 2, 97, endpoint=False)
+        phis = np.linspace(0.0, np.pi, 13, endpoint=False)   # phis[0] == 0: the real branch
+        rows = np.stack([conditional_entropy_curve(rho, ts, phi) for phi in phis])
+        block = conditional_entropy_curve(rho, np.broadcast_to(ts, rows.shape), phis[:, None])
+        assert block.shape == (13, 97)
+        assert np.array_equal(block, rows)
+        assert np.array_equal(conditional_entropy_curve(rho, ts, phis[:, None]), rows)
+
+    def test_broadcast_shapes_with_state_stack(self):
+        rhos = build_output_batch(0.6, [[0.2, 0.3, 0.4], [0.25, 0.35, 0.45]])
+        ts = np.linspace(0.0, np.pi / 2, 7)
+        phis = np.array([[0.0], [0.4], [2.5]])
+        curves = conditional_entropy_curve(rhos, ts, phis)
+        assert curves.shape == (2, 3, 3, 7)
+        for idx in np.ndindex(2, 3):
+            for k, phi in enumerate(phis[:, 0]):
+                assert np.array_equal(curves[idx][k], conditional_entropy_curve(rhos[idx], ts, phi))
+        # equal-shaped ts and phi pair up elementwise
+        pairs = conditional_entropy_curve(rhos, ts[:3], phis[:, 0])
+        assert pairs.shape == (2, 3, 3)
+        for k in range(3):
+            assert np.array_equal(pairs[..., k],
+                                  conditional_entropy_curve(rhos, [ts[k]], phis[k, 0])[..., 0])
+
+    def test_scalar_phi_keeps_shapes(self):
+        rho = build_output_state(0.7, 0.22)
+        rhos = build_output_batch(0.7, [0.2, 0.3])
+        ts = np.linspace(0.0, np.pi / 2, 5)
+        assert conditional_entropy_curve(rho, ts).shape == (5,)
+        assert conditional_entropy_curve(rho, ts, 0.3).shape == (5,)
+        assert conditional_entropy_curve(rho, 0.4, 0.3).shape == (1,)
+        assert conditional_entropy_curve(rhos, ts, 0.3).shape == (2, 5)
 
     def test_continuity_in_t(self):
         rng = np.random.default_rng(27)
@@ -234,9 +296,30 @@ class TestDiscordMin:
         assert scanned.discord < plain.discord - 0.05
         assert scanned.discord >= -1e-9
 
+    @pytest.mark.parametrize("alpha,j", [(0.7, 0.22), (2 ** -0.5, 0.3), (0.05, 0.3),
+                                         (0.7, 1 / 6 + 1e-6), (0.7, 0.5)])
+    def test_phase_scan_equals_per_phase_loop(self, alpha, j):
+        rho = build_output_state(alpha, j)
+        assert discord_min(rho, scan_phase=True) == phase_scan_reference(rho)
+
+    def test_phase_scan_tie_rule(self, monkeypatch):
+        # rounded to 0.01 bit, the grid ties within rows, within phase blocks
+        # and across blocks; first phase row, then first t, must still win
+        def coarse(rho, ts, phi=0.0):
+            return np.round(conditional_entropy_curve(rho, ts, phi), 2)
+
+        monkeypatch.setattr(discord_module, "conditional_entropy_curve", coarse)
+        rho = build_output_state(2 ** -0.5, 0.3)   # first minimal rows 326, 327 share a block
+        assert discord_min(rho, scan_phase=True) == phase_scan_reference(rho, coarse)
+
     def test_rejects_small_grid(self):
         with pytest.raises(DomainError):
             discord_min(bell_phi_plus(), grid_points=32)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_rejects_bad_refine_tol(self, tol):
+        with pytest.raises(DomainError):
+            discord_min(bell_phi_plus(), refine_tol=tol)
 
     def test_rejects_invalid_state(self):
         with pytest.raises(InvalidStateError):
