@@ -142,8 +142,8 @@ def valid_j_range(state, tol=1e-6, grid_step=1e-3):
     locates the interval; each interior boundary is refined by bisection to
     tol. Returns (lo, hi), or None when no grid point is physical.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     st = _as_input(state)
     js = np.round(np.arange(0.0, 0.5 + grid_step / 2, grid_step), 12)
     js[js > 0.5] = 0.5

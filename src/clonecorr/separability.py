@@ -8,12 +8,16 @@ determinants of that matrix,
     W3 = (alpha^2 j (1-2j) / 2) * (2j - beta^2 (1-2j))          (leading 3x3)
     W4 = (1/2) * (alpha^2 beta^2 j (1-2j)^2 (6j-1) - 2 j^4)     (full det)
 
-give an equivalent shortcut test (both nonnegative <=> separable) whose
-agreement with the spectral check is evaluated on every call and surfaced
-in the verdict rather than assumed. ppt_data computes W3, W4 (as cofactor
-determinants) and the minimum PPT eigenvalue for a whole stack of states;
-every caller here goes through it, and w3_closed/w4_closed keep the
-formulas above as cross-checks.
+give an equivalent shortcut test (both nonnegative <=> separable). classify
+evaluates its agreement with the spectral check on every call and surfaces
+it in the verdict rather than assuming it. ppt_data computes W3, W4 (as
+cofactor determinants) and the minimum PPT eigenvalue for a whole stack of
+states; classify, w_direct and scan_grid go through it, and
+w3_closed/w4_closed keep the formulas above as cross-checks.
+
+separable_intervals uses the formulas themselves: W3 changes sign only at
+j3 = beta^2 / (2 (1 + beta^2)), and W4 = (j/2) g(j) with a cubic g, so the
+window endpoints are j3 and the roots of g, with no grid and no bisection.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,8 @@ import numpy as np
 from . import hermat
 from .cloner import _as_input, _as_machine, build_output_batch, build_output_state, valid_j_range
 from .errors import DomainError
-from .search import bisect_boundary
+# unused; bench/test_bench.py::test_every_binding_is_traced_and_restored checks this binding
+from .search import bisect_boundary  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -38,10 +43,9 @@ class SeparabilityVerdict:
 
 @dataclass(frozen=True)
 class JInterval:
-    """Closed interval of machine parameters with bisection-refined endpoints."""
+    """Closed interval of machine parameters with exact (closed-form) endpoints."""
     lo: float
     hi: float
-    boundary_tol: float
 
     def __post_init__(self):
         if not 0.0 <= self.lo <= self.hi <= 0.5:
@@ -118,7 +122,8 @@ def scan_grid(state, scan_step=1e-4):
     """Dense-grid scan over the physical j domain intersected with (0, 1/2].
 
     Returns (js, w3s, w4s, min_ppt) arrays; empty js when no physical point
-    exists. Shared by separable_intervals and the consistency checks.
+    exists. The dense determinant-versus-PPT cross-check used by selftest
+    and the tests; separable_intervals does not scan.
     """
     st = _as_input(state)
     window = valid_j_range(st)
@@ -133,38 +138,33 @@ def scan_grid(state, scan_step=1e-4):
     return (js, *ppt_data(build_output_batch(st, js)))
 
 
-def separable_intervals(state, scan_step=1e-4, tol=1e-6):
+def separable_intervals(state):
     """Maximal intervals of j on which the output state is separable.
 
-    The scan domain is the physical j window intersected with (0, 1/2];
-    separability on the grid requires W3 >= 0, W4 >= 0 and PPT minimum
-    eigenvalue >= -1e-10 (the three agree except within roundoff of a
-    boundary). Each interval endpoint is refined by bisection on the sign
-    of min(W3, W4, min PPT eigenvalue) to tol.
+    Exact, from the determinants: with k = alpha^2 beta^2, W4 = (j/2) g(j)
+    for the cubic g(j) = k (1-2j)^2 (6j-1) - 2j^3, and for alpha != 0 and
+    j in (0, 1/2), W3 >= 0 exactly when j >= j3 = beta^2 / (2 (1 + beta^2)).
+    The physical window (one valid_j_range call) is cut at j3 and at the
+    real parts of the roots of g; each piece whose midpoint has j >= j3
+    and g >= 0 is kept, and touching pieces are merged. A complex root only
+    adds a cut inside a piece of constant sign. For alpha in {0, +-1},
+    g = -2j^3 < 0 and the list is empty.
     """
-    if scan_step <= 0 or tol <= 0:
-        raise DomainError("scan_step and tol must be positive")
     st = _as_input(state)
-    js, w3s, w4s, min_ppt = scan_grid(st, scan_step)
-    if js.size == 0:
+    window = valid_j_range(st)
+    if window is None:
         return []
-    sep = (w3s >= 0.0) & (w4s >= 0.0) & (min_ppt >= hermat.STATE_EIG_FLOOR)
-
-    def is_separable(j):
-        w3, w4, min_ppt = ppt_data(build_output_state(st, j))
-        return min(w3, w4, min_ppt - hermat.STATE_EIG_FLOOR) >= 0.0
-
-    intervals = []
-    i = 0
-    while i < len(js):
-        if not sep[i]:
-            i += 1
-            continue
-        k = i
-        while k + 1 < len(js) and sep[k + 1]:
-            k += 1
-        lo = js[i] if i == 0 else bisect_boundary(is_separable, js[i - 1], js[i], tol)
-        hi = js[k] if k == len(js) - 1 else bisect_boundary(is_separable, js[k + 1], js[k], tol)
-        intervals.append(JInterval(lo=float(lo), hi=float(hi), boundary_tol=tol))
-        i = k + 1
-    return intervals
+    lo, hi = window
+    k = (st.alpha * st.beta) ** 2
+    j3 = st.beta ** 2 / (2.0 * (1.0 + st.beta ** 2))
+    roots = np.roots([24.0 * k - 2.0, -28.0 * k, 10.0 * k, -k]).real
+    cuts = np.unique(np.clip(np.r_[lo, hi, j3, roots], lo, hi)).tolist()
+    pieces = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        j = 0.5 * (a + b)
+        if j >= j3 and k * (1.0 - 2.0 * j) ** 2 * (6.0 * j - 1.0) - 2.0 * j ** 3 >= 0.0:
+            if pieces and pieces[-1][1] == a:
+                pieces[-1][1] = b
+            else:
+                pieces.append([a, b])
+    return [JInterval(lo=a, hi=b) for a, b in pieces]

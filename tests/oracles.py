@@ -5,6 +5,8 @@ from the characteristic polynomial (trace power sums + polynomial roots) or
 from LAPACK, and measurements are built from explicit projectors. The one
 exception is phase_scan_loop, a slower arrangement of the package's own
 arithmetic that its batched code must reproduce bit for bit.
+separable_intervals_scan is the grid-scan-plus-bisection search that the
+package's closed-form separable windows replaced.
 """
 
 import numpy as np
@@ -97,6 +99,60 @@ def phase_scan_loop(rho, grid_points, curve=conditional_entropy_curve):
         if row[i] < best_h:
             best_t, best_phi, best_h = float(ts[i]), float(phi), float(row[i])
     return best_t, best_phi, best_h
+
+
+def output_states(alpha, js):
+    """Copier output, shape (len(js), 4, 4), written out independently of clonecorr."""
+    js = np.asarray(js, dtype=float)
+    beta = np.sqrt(1.0 - alpha * alpha)
+    n = 1.0 - 2.0 * js
+    c = alpha * beta * n / 2.0
+    rho = np.zeros(js.shape + (4, 4))
+    rho[:, 0, 0], rho[:, 3, 3] = alpha * alpha * n, beta * beta * n
+    rho[:, 1:3, 1:3] = js[:, None, None]
+    rho[:, 0, 1:3] = rho[:, 1:3, 0] = rho[:, 3, 1:3] = rho[:, 1:3, 3] = c[:, None]
+    return rho
+
+
+def separable_intervals_scan(alpha, scan_step=1e-4, tol=1e-6, floor=-1e-10):
+    """Separable j intervals by grid scan plus bisection -> [(lo, hi), ...].
+
+    A grid point is separable when the state is physical and its partial
+    transpose has W3 >= 0, W4 >= 0 and minimum eigenvalue >= floor, with
+    spectra from np.linalg.eigvalsh. Each run of separable grid points
+    is widened by bisecting both edges to tol; a run that starts or ends
+    on the grid's own edge keeps that grid point.
+    """
+    def separable(js):
+        rho = output_states(alpha, js)
+        sigma = rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+        return ((np.linalg.eigvalsh(rho)[:, 0] >= floor)
+                & (np.linalg.eigvalsh(sigma)[:, 0] >= floor)
+                & (np.linalg.det(sigma[:, :3, :3]) >= 0.0) & (np.linalg.det(sigma) >= 0.0))
+
+    def edge(x_false, x_true):
+        while abs(x_true - x_false) > tol:
+            mid = 0.5 * (x_false + x_true)
+            x_false, x_true = (x_false, mid) if separable([mid])[0] else (mid, x_true)
+        return 0.5 * (x_false + x_true)
+
+    js = np.round(np.arange(scan_step, 0.5 + scan_step / 2, scan_step), 12)
+    js = js[js <= 0.5]
+    sep = separable(js)
+    intervals = []
+    i = 0
+    while i < len(js):
+        if not sep[i]:
+            i += 1
+            continue
+        k = i
+        while k + 1 < len(js) and sep[k + 1]:
+            k += 1
+        lo = js[i] if i == 0 else edge(js[i - 1], js[i])
+        hi = js[k] if k == len(js) - 1 else edge(js[k + 1], js[k])
+        intervals.append((float(lo), float(hi)))
+        i = k + 1
+    return intervals
 
 
 def random_herm2(rng):

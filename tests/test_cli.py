@@ -256,6 +256,16 @@ class TestTable1:
         assert lines[0] == "alpha,lo,hi,classification,reference_lo,reference_hi,match"
         assert lines[1].startswith("0.6,0.196")
 
+    @pytest.mark.parametrize("fmt,digest", [
+        ("csv", "aeeaaa5972648ab643c38afed676adc702fe63d72a3b011239db01f071cd82ff"),
+        ("json", "58511265335dd5279f2ffa3e3545e06b36e6d2978a7b07b6d3253674b9141bce"),
+    ])
+    def test_pinned_bytes(self, tmp_path, fmt, digest):
+        # one row without a window (0.5) and one with exact endpoints (0.7)
+        out = tmp_path / f"table.{fmt}"
+        assert main(["table1", "--alpha", "0.5,0.7", "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestPoint:
     def test_separable_discordant_banner(self, capsys):

@@ -137,9 +137,10 @@ class TestValidJRange:
             lo, hi = window
             assert lo <= 1 / 6 + 1e-9 <= hi
 
-    def test_rejects_bad_tol(self):
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, tol):
         with pytest.raises(DomainError):
-            valid_j_range(0.5, tol=0.0)
+            valid_j_range(0.5, tol=tol)
 
 
 class TestMachineConstraints:

@@ -6,7 +6,7 @@ from clonecorr import (JInterval, build_output_batch, build_output_state, classi
                        principal_minor, separable_intervals, w3_closed, w4_closed, w_direct)
 from clonecorr.errors import DomainError
 from clonecorr.separability import scan_grid
-from oracles import bell_phi_plus
+from oracles import bell_phi_plus, separable_intervals_scan
 
 # reference separability windows (3-decimal endpoints, +-0.002 comparison)
 REFERENCE = {0.6: (0.196, 0.238), 0.7: (0.191, 0.250), 0.8: (0.196, 0.238)}
@@ -134,19 +134,31 @@ class TestSeparableIntervals:
         assert separable_intervals(alpha) == []
 
     def test_alpha_beta_symmetry(self):
-        tol = 1e-6
-        a = separable_intervals(0.6, tol=tol)[0]
-        b = separable_intervals(0.8, tol=tol)[0]
-        assert abs(a.lo - b.lo) <= 2 * tol
-        assert abs(a.hi - b.hi) <= 2 * tol
+        a = separable_intervals(0.6)[0]
+        b = separable_intervals(0.8)[0]
+        assert abs(a.lo - b.lo) <= 1e-12
+        assert abs(a.hi - b.hi) <= 1e-12
 
     def test_interval_type_validation(self):
         with pytest.raises(DomainError):
-            JInterval(lo=0.3, hi=0.2, boundary_tol=1e-6)
+            JInterval(lo=0.3, hi=0.2)
 
-    def test_rejects_bad_scan_parameters(self):
-        with pytest.raises(DomainError):
-            separable_intervals(0.6, scan_step=0.0)
+    def test_alpha_07_endpoints_are_the_cubic_roots(self):
+        (iv,) = separable_intervals(0.7)
+        assert iv.lo == pytest.approx(0.191004143621, abs=1e-10)
+        assert iv.hi == pytest.approx(0.249949969966, abs=1e-10)
+
+    def test_matches_grid_scan_and_bisection(self):
+        # 0.5498/0.5499 straddle the onset of the window (1.1e-3 wide at
+        # 0.5499), 0.8352 its end on the beta side
+        rng = np.random.default_rng(7)
+        stratified = np.round((np.arange(40) + rng.uniform(size=40)) / 40, 4)
+        for alpha in [0.0, 1.0, 0.5498, 0.5499, 0.6, 0.7, 0.8, 0.8352, *stratified]:
+            got = [(iv.lo, iv.hi) for iv in separable_intervals(alpha)]
+            want = separable_intervals_scan(alpha)
+            assert len(got) == len(want), f"alpha={alpha}: {got} vs {want}"
+            for iv, ref in zip(got, want):
+                assert np.allclose(iv, ref, rtol=0.0, atol=1e-6), f"alpha={alpha}: {got} vs {want}"
 
 
 class TestScanConsistency:
