@@ -316,19 +316,11 @@ def run_table1(cfg, out_stream=None):
         else:
             lines = ["alpha,lo,hi,classification,reference_lo,reference_hi,match"]
             for row in rows:
-                ref_lo = row["expected"][0] if row["expected"] else None
-                ref_hi = row["expected"][1] if row["expected"] else None
-                if row["intervals"]:
-                    for iv in row["intervals"]:
-                        lines.append(",".join([
-                            _fmt(row["alpha"]), _fmt(iv.lo), _fmt(iv.hi),
-                            row["classification"], _fmt(ref_lo), _fmt(ref_hi),
-                            _fmt(row["match"]) if row["match"] is not None else "-",
-                        ]))
-                else:
+                ref_lo, ref_hi = row["expected"] or (None, None)
+                for iv in row["intervals"] or [None]:
                     lines.append(",".join([
-                        _fmt(row["alpha"]), "", "", row["classification"],
-                        _fmt(ref_lo), _fmt(ref_hi),
+                        _fmt(row["alpha"]), _fmt(iv and iv.lo), _fmt(iv and iv.hi),
+                        row["classification"], _fmt(ref_lo), _fmt(ref_hi),
                         _fmt(row["match"]) if row["match"] is not None else "-",
                     ]))
             text = "\n".join(lines) + "\n"
