@@ -3,7 +3,9 @@ single-point reports, and a self-test property suite.
 
 Output files are plot-ready CSV or JSON with floats at 12 significant
 digits and deterministic row order, so identical configurations produce
-byte-identical files.
+byte-identical files. A surface is one grid record per alpha (per-j arrays
+and a (j, t) discord matrix, see surface_records); the writers expand it to
+rows in (j, t) order and format each distinct value once.
 
 Exit codes: 0 success, 2 configuration error, 3 reference-table mismatch,
 4 I/O error (1 for self-test failures).
@@ -33,10 +35,8 @@ EXIT_MISMATCH = 3
 EXIT_IO = 4
 
 CSV_HEADER = "alpha,j,t,discord,w3,w4,min_ppt_eig,physical,classification"
-FIELDS = CSV_HEADER.split(",")
-FLOAT_FIELDS = FIELDS[:7]
-# the float fields at 12 significant digits, then physical and classification
-CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s"
+# the per-j entries of a surface grid, in file order, then its rows of discord over t
+GRID_KEYS = ("j", "w3", "w4", "min_ppt_eig", "physical", "classification", "discord")
 
 # Separability windows the table1 command checks against, per input alpha;
 # None marks rows with no separable machine parameter at all.
@@ -77,8 +77,8 @@ class RunConfig:
         if not self.alpha_list:
             raise ConfigError("alpha_list is empty")
         for a in self.alpha_list:
-            if not 0.0 <= a <= 1.0:
-                raise ConfigError(f"alpha {a} outside [0, 1]")
+            if not -1.0 <= a <= 1.0:
+                raise ConfigError(f"alpha {a} outside [-1, 1]")
         if not all(math.isfinite(x) for x in (self.j_min, self.j_max, self.j_step)):
             raise ConfigError(f"j grid bounds and step must be finite, got "
                               f"[{self.j_min}, {self.j_max}] step {self.j_step}")
@@ -183,27 +183,45 @@ def _jnum(x):
     return None if x is None else float(format(x, ".12g"))
 
 
-def records_to_csv(columns):
-    """CSV text of surface_records columns, one CSV_ROW line per row."""
-    physical = ["true" if p else "false" for p in columns["physical"].tolist()]
-    rows = zip(*(columns[k].tolist() for k in FLOAT_FIELDS), physical,
-               columns["classification"].tolist())
-    return "\n".join([CSV_HEADER, *(CSV_ROW % row for row in rows)]) + "\n"
+def records_to_csv(grid):
+    """CSV text of a surface_records grid, one line per (j, t) pair.
+
+    alpha, each t, each per-j head and tail, and each discord value is
+    formatted once at 12 significant digits; lines are joined from those.
+    """
+    alpha = format(grid["alpha"], ".12g")
+    ts = [format(t, ".12g") for t in grid["t"].tolist()]
+    lines = [CSV_HEADER]
+    for j, w3, w4, ppt, phys, cls, row in zip(*(grid[k].tolist() for k in GRID_KEYS)):
+        head = f"{alpha},{j:.12g},"
+        tail = f",{w3:.12g},{w4:.12g},{ppt:.12g},{'true' if phys else 'false'},{cls}"
+        lines += [f"{head}{t},{d:.12g}{tail}" for t, d in zip(ts, row)]
+    return "\n".join(lines) + "\n"
 
 
-def records_to_json(columns):
-    """JSON text of surface_records columns: a list of one object per row."""
-    floats = ([_jnum(x) for x in columns[k].tolist()] for k in FLOAT_FIELDS)
-    rows = zip(*floats, columns["physical"].tolist(), columns["classification"].tolist())
-    payload = [dict(zip(FIELDS, row)) for row in rows]
+def records_to_json(grid):
+    """JSON text of a surface_records grid: a list of one object per (j, t) pair.
+
+    Each distinct value goes through _jnum once; the row objects share them.
+    """
+    alpha = _jnum(grid["alpha"])
+    ts = [_jnum(t) for t in grid["t"].tolist()]
+    payload = []
+    for j, w3, w4, ppt, phys, cls, row in zip(*(grid[k].tolist() for k in GRID_KEYS)):
+        per_j = {"alpha": alpha, "j": _jnum(j), "w3": _jnum(w3), "w4": _jnum(w4),
+                 "min_ppt_eig": _jnum(ppt), "physical": phys, "classification": cls}
+        payload += [dict(per_j, t=t, discord=_jnum(d)) for t, d in zip(ts, row)]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def surface_records(alpha, cfg):
-    """Columns for one alpha over the configured (j, t) grid, row-major in (j, t).
+    """The discord surface of one alpha over the configured (j, t) grid.
 
-    Returns a dict of equal-length arrays keyed by the CSV_HEADER fields;
-    with enforce_psd the rows at unphysical j are dropped.
+    Returns a grid record: "alpha" (float), "t" (T,), the per-j arrays
+    "j", "w3", "w4", "min_ppt_eig", "physical" and "classification" (J,),
+    and "discord" (J, T). Row (j, t) of the output files is
+    (alpha, j, t, discord[j, t], then the per-j fields). With enforce_psd
+    the unphysical j are dropped, so J may be 0.
     """
     state = InputState.from_alpha(alpha)
     j_grid, t_grid = cfg.j_grid(), cfg.t_grid()
@@ -211,17 +229,12 @@ def surface_records(alpha, cfg):
         raise ConfigError("empty j grid")
     discord, physical = discord_surface(state, j_grid, t_grid)
     w3, w4, min_ppt = ppt_data(build_output_batch(state, j_grid))
-    # object dtype, so the repeated rows share the per-j label strings
     classification = np.where(
         physical, np.where(min_ppt >= hermat.STATE_EIG_FLOOR, "Separable", "Entangled"),
-        "Unphysical").astype(object)
-    keep = physical if cfg.enforce_psd else np.ones_like(physical)
-    per_j = {"alpha": np.full(j_grid.shape, float(alpha)), "j": j_grid, "w3": w3, "w4": w4,
-             "min_ppt_eig": min_ppt, "physical": physical, "classification": classification}
-    columns = {k: np.repeat(v[keep], t_grid.size) for k, v in per_j.items()}
-    columns["t"] = np.tile(t_grid, int(keep.sum()))
-    columns["discord"] = discord[keep].ravel()
-    return columns
+        "Unphysical")
+    keep = physical if cfg.enforce_psd else slice(None)
+    per_j = (j_grid, w3, w4, min_ppt, physical, classification, discord)
+    return {"alpha": float(alpha), "t": t_grid, **{k: v[keep] for k, v in zip(GRID_KEYS, per_j)}}
 
 
 def run_surface(cfg, out_stream=None):
@@ -230,12 +243,12 @@ def run_surface(cfg, out_stream=None):
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for alpha in cfg.alpha_list:
-        columns = surface_records(alpha, cfg)
-        text = records_to_csv(columns) if cfg.output_format == "csv" else records_to_json(columns)
+        grid = surface_records(alpha, cfg)
+        text = records_to_csv(grid) if cfg.output_format == "csv" else records_to_json(grid)
         path = os.path.join(out_dir, f"surface_alpha{_fmt(alpha)}.{cfg.output_format}")
         with open(path, "w") as fh:
             fh.write(text)
-        n_rows = len(columns["j"])
+        n_rows = grid["discord"].size
         written.append((alpha, path, n_rows))
         print(f"alpha={_fmt(alpha)}: wrote {n_rows} rows -> {path}", file=out_stream)
     return written

@@ -6,8 +6,12 @@ from LAPACK, and measurements are built from explicit projectors. The one
 exception is phase_scan_loop, a slower arrangement of the package's own
 arithmetic that its batched code must reproduce bit for bit.
 separable_intervals_scan is the grid-scan-plus-bisection search that the
-package's closed-form separable windows replaced.
+package's closed-form separable windows replaced. surface_text_rows is the
+row-at-a-time surface writer that the grid-shaped writers in clonecorr.cli
+must reproduce byte for byte.
 """
+
+import json
 
 import numpy as np
 
@@ -153,6 +157,36 @@ def separable_intervals_scan(alpha, scan_step=1e-4, tol=1e-6, floor=-1e-10):
         intervals.append((float(lo), float(hi)))
         i = k + 1
     return intervals
+
+
+SURFACE_FIELDS = ("alpha", "j", "t", "discord", "w3", "w4", "min_ppt_eig", "physical",
+                  "classification")
+SURFACE_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s"
+
+
+def surface_text_rows(grid, fmt):
+    """Surface file text ("csv" or "json") of a cli.surface_records grid, row by row.
+
+    The grid is first expanded to one entry per (j, t) row: the per-j fields
+    repeated over t, t tiled over j. Every row is then formatted on its own,
+    through one %.12g template for CSV, or for JSON as one object whose
+    floats each go through float(format(x, ".12g")).
+    """
+    n_j, n_t = grid["discord"].shape
+    columns = {k: np.repeat(grid[k], n_t)
+               for k in ("j", "w3", "w4", "min_ppt_eig", "physical", "classification")}
+    columns["alpha"] = np.full(n_j * n_t, grid["alpha"])
+    columns["t"] = np.tile(grid["t"], n_j)
+    columns["discord"] = grid["discord"].ravel()
+    rows = list(zip(*(columns[k].tolist() for k in SURFACE_FIELDS)))
+    if fmt == "csv":
+        lines = [",".join(SURFACE_FIELDS)]
+        lines += [SURFACE_CSV_ROW % (*row[:7], "true" if row[7] else "false", row[8])
+                  for row in rows]
+        return "\n".join(lines) + "\n"
+    payload = [{k: float(format(v, ".12g")) if i < 7 else v
+                for i, (k, v) in enumerate(zip(SURFACE_FIELDS, row))} for row in rows]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def random_herm2(rng):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -8,9 +9,16 @@ import clonecorr.cli as cli
 from clonecorr import MeasurementBasis, build_output_state, discord_at, w3_closed, w4_closed
 from clonecorr.cli import (CSV_HEADER, ConfigError, RunConfig, build_config,
                            load_config_file, main, table1_rows)
+from oracles import surface_text_rows
 
 SMALL_SURFACE = ["--alpha", "0.3,0.7", "--j-min", "0.17", "--j-max", "0.3",
                  "--j-step", "0.01", "--t-points", "13"]
+
+
+def _first_line_difference(got, want):
+    """(line index, got line, wanted line) where two texts first differ."""
+    pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+    return next((i, g, w) for i, (g, w) in enumerate(pairs) if g != w)
 
 
 class TestConfig:
@@ -105,6 +113,19 @@ class TestConfig:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_alpha_domain_is_that_of_from_alpha(self, tmp_path, capsys):
+        RunConfig(alpha_list=[-1.0, -0.7, 0.0, 1.0]).validate()
+        for bad in (1.5, -1.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=r"\[-1, 1\]"):
+                RunConfig(alpha_list=[bad]).validate()
+        assert main(["surface", "--alpha", "1.5", "--out", str(tmp_path / "out")]) == 2
+        assert "[-1, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["surface", "--alpha=-0.7,0.7", "--j-min", "0.3", "--j-max", "0.3",
+                     "--t-points", "2", "--out", str(tmp_path / "out")]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "surface_alpha-0.7.csv", "surface_alpha0.7.csv"]
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("j_min = 0.4\nj_max = 0.1\n")
@@ -149,6 +170,46 @@ class TestSurface:
         assert main([*args, *(["--enforce-psd"] if psd else [])]) == 0
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert got == digests
+
+    @pytest.mark.parametrize("alpha,overrides", [
+        (0.0, {}), (0.1, {}), (0.7, {}), (1.0, {}),
+        (0.7, {"enforce_psd": True}),
+        (0.7, {"t_points": 1}),
+        (0.7, {"j_min": 0.3, "j_max": 0.3}),
+        (0.7, {"j_max": 0.1, "enforce_psd": True}),
+    ])
+    def test_writers_match_row_oracle(self, alpha, overrides):
+        cfg = RunConfig(**overrides).validate()
+        grid = cli.surface_records(alpha, cfg)
+        n_j = len(grid["j"])
+        if cfg.enforce_psd:
+            # the grid reaches below j = 1/6, so rows really are dropped
+            assert n_j < len(cfg.j_grid())
+        assert grid["discord"].shape == (n_j, cfg.t_points)
+        for fmt, writer in (("csv", cli.records_to_csv), ("json", cli.records_to_json)):
+            got, want = writer(grid), surface_text_rows(grid, fmt)
+            same = got == want     # outside the assert: no pytest diff of megabyte strings
+            assert same, (fmt, _first_line_difference(got, want))
+
+    @pytest.mark.parametrize("fmt,text", [("csv", CSV_HEADER + "\n"), ("json", "[]\n")])
+    def test_enforce_psd_can_leave_no_rows(self, tmp_path, capsys, fmt, text):
+        out = tmp_path / "out"
+        rc = main(["surface", "--alpha", "0.7", "--j-max", "0.1", "--enforce-psd",
+                   "--format", fmt, "--out", str(out)])
+        assert rc == 0
+        assert (out / f"surface_alpha0.7.{fmt}").read_text() == text
+        assert "wrote 0 rows" in capsys.readouterr().out
+
+    def test_negative_alpha_mirrors_positive(self):
+        cfg = RunConfig().validate()
+        neg, pos = cli.surface_records(-0.7, cfg), cli.surface_records(0.7, cfg)
+        assert (neg["alpha"], pos["alpha"]) == (-0.7, 0.7)
+        for key in ("j", "w3", "w4", "min_ppt_eig"):
+            np.testing.assert_allclose(neg[key], pos[key], rtol=0, atol=1e-12)
+        for key in ("physical", "classification"):
+            np.testing.assert_array_equal(neg[key], pos[key])
+        # rho(-alpha) is rho(alpha) conjugated by Z x Z; Z on b maps t to -t, i.e. pi/2 - t
+        np.testing.assert_allclose(neg["discord"], pos["discord"][:, ::-1], rtol=0, atol=1e-12)
 
     def test_csv_schema_and_rowcount(self, tmp_path):
         out = tmp_path / "out"
