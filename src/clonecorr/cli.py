@@ -5,7 +5,8 @@ Output files are plot-ready CSV or JSON with floats at 12 significant
 digits and deterministic row order, so identical configurations produce
 byte-identical files. A surface is one grid record per alpha (per-j arrays
 and a (j, t) discord matrix, see surface_records); the writers expand it to
-rows in (j, t) order and format each distinct value once.
+rows in (j, t) order. The CSV writer fills one % template per j row; the
+JSON writer formats each distinct value once.
 
 Exit codes: 0 success, 2 configuration error, 3 reference-table mismatch,
 4 I/O error (1 for self-test failures).
@@ -186,17 +187,19 @@ def _jnum(x):
 def records_to_csv(grid):
     """CSV text of a surface_records grid, one line per (j, t) pair.
 
-    alpha, each t, each per-j head and tail, and each discord value is
-    formatted once at 12 significant digits; lines are joined from those.
+    alpha and each t are formatted once per file at 12 significant digits.
+    Each j row is one %-template, its per-j head and tail around a
+    "t,%.12g" cell per t, filled with that row's discord values in one call.
     """
     alpha = format(grid["alpha"], ".12g")
-    ts = [format(t, ".12g") for t in grid["t"].tolist()]
-    lines = [CSV_HEADER]
+    cells = [f"{t:.12g},%.12g" for t in grid["t"].tolist()]
+    parts = [CSV_HEADER + "\n"]
     for j, w3, w4, ppt, phys, cls, row in zip(*(grid[k].tolist() for k in GRID_KEYS)):
+        # head and tail hold only %.12g numbers, true/false and fixed labels: never a %
         head = f"{alpha},{j:.12g},"
-        tail = f",{w3:.12g},{w4:.12g},{ppt:.12g},{'true' if phys else 'false'},{cls}"
-        lines += [f"{head}{t},{d:.12g}{tail}" for t, d in zip(ts, row)]
-    return "\n".join(lines) + "\n"
+        tail = f",{w3:.12g},{w4:.12g},{ppt:.12g},{'true' if phys else 'false'},{cls}\n"
+        parts.append((head + (tail + head).join(cells) + tail) % tuple(row))
+    return "".join(parts)
 
 
 def records_to_json(grid):
@@ -347,15 +350,14 @@ def run_table1(cfg, out_stream=None):
 def point_report(alpha, j, scan_phase=False):
     """All single-point quantities as a plain dict (JSON-ready)."""
     state = InputState.from_alpha(alpha)
-    window = valid_j_range(state)
+    lo, hi = valid_j_range(state)
     rho = build_output_state(state, j)
     min_eig = float(hermat.eig_sym4(rho)[-1])
     if min_eig < hermat.STATE_EIG_FLOOR:
-        window_text = f"[{window[0]:.6f}, {window[1]:.6f}]" if window else "(empty)"
         exc = DomainError(
             f"output state unphysical at alpha={alpha}, j={j} "
             f"(minimum eigenvalue {min_eig:.6e}); physical j range for "
-            f"alpha={alpha} is {window_text}")
+            f"alpha={alpha} is [{lo:.6f}, {hi:.6f}]")
         exc.min_eigenvalue = min_eig
         raise exc
     result = discord_min(rho, scan_phase=scan_phase)
@@ -366,7 +368,7 @@ def point_report(alpha, j, scan_phase=False):
         "j": j,
         "physical": True,
         "min_eigenvalue": min_eig,
-        "valid_j_range": list(window) if window else None,
+        "valid_j_range": [lo, hi],
         "fidelity": clone_fidelity(state, j),
         "machine_constraints_satisfied": constraints.satisfied,
         "discord": {

@@ -24,6 +24,8 @@ from .search import bisect_boundary
 
 # machine-vector norms and overlaps admit a solution only on this j interval
 FEASIBLE_J = (1.0 / 6.0, 0.5)
+# j spacing of the grid that valid_j_range scans before bisecting
+WINDOW_GRID_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -135,23 +137,20 @@ def clone_fidelity(state, machine):
     return float(chi @ rho_a @ chi)
 
 
-def valid_j_range(state, tol=1e-6, grid_step=1e-3):
+def valid_j_range(state, tol=1e-6):
     """Maximal interval of j in [0, 1/2] on which the output state is physical.
 
-    Physical means minimum eigenvalue >= -1e-10. A grid scan at grid_step
-    locates the interval; each interior boundary is refined by bisection to
-    tol. Returns (lo, hi), or None when no grid point is physical.
+    Physical means minimum eigenvalue >= -1e-10. A grid scan at
+    WINDOW_GRID_STEP locates the interval; each interior boundary is refined
+    by bisection to tol. Returns (lo, hi), never empty: at j = 1/2 the state
+    has spectrum {1, 0, 0, 0} for every alpha.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     st = _as_input(state)
-    js = np.round(np.arange(0.0, 0.5 + grid_step / 2, grid_step), 12)
-    js[js > 0.5] = 0.5
+    js = np.round(np.arange(0.0, 0.5 + WINDOW_GRID_STEP / 2, WINDOW_GRID_STEP), 12)
     min_eigs = hermat.jacobi_eigvals(build_output_batch(st, js))[:, -1]
     phys = min_eigs >= hermat.STATE_EIG_FLOOR
-
-    if not phys.any():
-        return None
 
     # longest contiguous run of physical grid points (first on ties)
     best = None

@@ -121,15 +121,12 @@ def classify(state, machine):
 def scan_grid(state, scan_step=1e-4):
     """Dense-grid scan over the physical j domain intersected with (0, 1/2].
 
-    Returns (js, w3s, w4s, min_ppt) arrays; empty js when no physical point
-    exists. The dense determinant-versus-PPT cross-check used by selftest
-    and the tests; separable_intervals does not scan.
+    Returns (js, w3s, w4s, min_ppt) arrays. The dense determinant-versus-PPT
+    cross-check used by selftest and the tests; separable_intervals does not
+    scan.
     """
     st = _as_input(state)
-    window = valid_j_range(st)
-    if window is None:
-        return np.array([]), np.array([]), np.array([]), np.array([])
-    lo, hi = window
+    lo, hi = valid_j_range(st)
     js = np.round(np.arange(scan_step, 0.5 + scan_step / 2, scan_step), 12)
     js[js > 0.5] = 0.5
     js = js[(js >= lo) & (js <= hi)]
@@ -151,10 +148,7 @@ def separable_intervals(state):
     g = -2j^3 < 0 and the list is empty.
     """
     st = _as_input(state)
-    window = valid_j_range(st)
-    if window is None:
-        return []
-    lo, hi = window
+    lo, hi = valid_j_range(st)
     k = (st.alpha * st.beta) ** 2
     j3 = st.beta ** 2 / (2.0 * (1.0 + st.beta ** 2))
     roots = np.roots([24.0 * k - 2.0, -28.0 * k, 10.0 * k, -k]).real

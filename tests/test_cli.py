@@ -21,6 +21,13 @@ def _first_line_difference(got, want):
     return next((i, g, w) for i, (g, w) in enumerate(pairs) if g != w)
 
 
+def _assert_writers_match_row_oracle(grid):
+    for fmt, writer in (("csv", cli.records_to_csv), ("json", cli.records_to_json)):
+        got, want = writer(grid), surface_text_rows(grid, fmt)
+        same = got == want     # outside the assert: no pytest diff of megabyte strings
+        assert same, (fmt, _first_line_difference(got, want))
+
+
 class TestConfig:
     def test_defaults_mirror_sweep_conventions(self):
         cfg = RunConfig()
@@ -177,6 +184,7 @@ class TestSurface:
         (0.7, {"t_points": 1}),
         (0.7, {"j_min": 0.3, "j_max": 0.3}),
         (0.7, {"j_max": 0.1, "enforce_psd": True}),
+        (-0.7, {}),     # every line starts with "-"
     ])
     def test_writers_match_row_oracle(self, alpha, overrides):
         cfg = RunConfig(**overrides).validate()
@@ -186,10 +194,19 @@ class TestSurface:
             # the grid reaches below j = 1/6, so rows really are dropped
             assert n_j < len(cfg.j_grid())
         assert grid["discord"].shape == (n_j, cfg.t_points)
-        for fmt, writer in (("csv", cli.records_to_csv), ("json", cli.records_to_json)):
-            got, want = writer(grid), surface_text_rows(grid, fmt)
-            same = got == want     # outside the assert: no pytest diff of megabyte strings
-            assert same, (fmt, _first_line_difference(got, want))
+        _assert_writers_match_row_oracle(grid)
+
+    def test_writers_match_row_oracle_on_edge_values(self):
+        # values whose 12-digit text is signed, subnormal, exponent-form or non-finite
+        edge = [-0.0, 5e-324, 1e16, 1e-5, float("nan"), float("inf"), -float("inf")]
+        assert all("%.12g" % x == format(x, ".12g") for x in edge)
+        n = len(edge)
+        grid = {"alpha": -0.7, "t": np.linspace(0.0, np.pi / 2, n),
+                "j": np.array(edge), "w3": np.roll(edge, 1), "w4": np.roll(edge, 2),
+                "min_ppt_eig": np.roll(edge, 3), "physical": np.arange(n) % 2 == 0,
+                "classification": np.resize(["Separable", "Entangled", "Unphysical"], n),
+                "discord": np.array([np.roll(edge, k) for k in range(n)])}
+        _assert_writers_match_row_oracle(grid)
 
     @pytest.mark.parametrize("fmt,text", [("csv", CSV_HEADER + "\n"), ("json", "[]\n")])
     def test_enforce_psd_can_leave_no_rows(self, tmp_path, capsys, fmt, text):

@@ -142,6 +142,11 @@ class TestValidJRange:
         with pytest.raises(DomainError):
             valid_j_range(0.5, tol=tol)
 
+    def test_grid_step_is_not_a_keyword(self):
+        # the scan spacing is the module constant WINDOW_GRID_STEP
+        with pytest.raises(TypeError):
+            valid_j_range(0.7, grid_step=1e-3)
+
 
 class TestMachineConstraints:
     def test_universal_point_saturates_overlap_bound(self):
