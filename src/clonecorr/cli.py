@@ -27,7 +27,7 @@ from .cloner import (InputState, build_output_batch, build_output_state,
 from .discord import (MeasurementBasis, conditional_entropy_curve, discord_at,
                       discord_min, discord_surface, mutual_info_i, mutual_info_j)
 from .errors import DomainError
-from .separability import (classify, ppt_data, scan_grid, separable_intervals, w3_closed,
+from .separability import (_ppt_verdict, ppt_data, scan_grid, separable_intervals, w3_closed,
                            w4_closed, w_direct)
 
 EXIT_OK = 0
@@ -361,7 +361,8 @@ def point_report(alpha, j, scan_phase=False):
         exc.min_eigenvalue = min_eig
         raise exc
     result = discord_min(rho, scan_phase=scan_phase)
-    verdict = classify(state, j)
+    # the check above is classify's physicality test; only its PPT half remains
+    verdict = _ppt_verdict(rho)
     constraints = check_machine_constraints(j)
     return {
         "alpha": alpha,

@@ -16,7 +16,16 @@ default value is an upper bound on the projective discord.
 
 conditional_entropy_curve is elementwise in (state, t, phi): phi may be an
 array that broadcasts against the angles, so the (t, phi) grid of the phase
-scan is evaluated a few phase rows per call rather than one call per phase.
+scan is evaluated a block of phase rows per call rather than one call per
+phase. It uses no complex arithmetic: the measured ket is (u, e^{i phi} v)
+with u and v real, so the phase enters only as cos(phi) on two rows of
+rho's entries and as sin(phi) in the imaginary part of one off-diagonal
+entry. At phi = 0 it performs the real family's float operations in their
+original order, so its values are those of the complex-arithmetic kernel it
+replaced (tests/oracles.py's conditional_entropy_curve_complex) bit for
+bit. It takes cos and sin once per distinct angle (a stride-0 axis of a
+broadcast ts is evaluated once) and puts all temporaries of a call in one
+workspace allocation (see _PHASE_BLOCK).
 
 discord_surface evaluates the unminimized discord on a whole (j, t) grid
 as arrays: one batch of output states, one batched spectrum and one
@@ -24,6 +33,7 @@ conditional-entropy call over the (j, t) grid.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +45,21 @@ from .search import golden_min
 
 # outcome probabilities at or below this are degenerate and contribute 0
 DEGENERATE_P = 1e-12
-# phase rows per conditional_entropy_curve call in the scan_phase grid; larger
-# blocks save little time and grow the temporaries (about 15 arrays of
-# _PHASE_BLOCK x grid_points complex entries)
-_PHASE_BLOCK = 4
+# phase rows per conditional_entropy_curve call in the scan_phase grid. A call
+# keeps all its temporaries in one workspace of about 6.4 x 2 x rows x
+# grid_points floats (0.64 MB at 8 x 721); with one array per temporary,
+# whether a block page-faults depends on glibc's dynamic trim threshold, i.e.
+# on the process's earlier allocations. On a 2-vCPU AMD EPYC host one
+# 721 x 721 scan took 21.6 / 18.5 / 18.1 / 17.7 ms at 4 / 8 / 12 / 16 rows,
+# and the points benchmark gave the same op_p90_ms at 8 rows as at 12 (50.2
+# against 50.4 ms), with no phase query faulting after the first in a fresh
+# process or once the benchmark's checks have run. A workspace of 12 rows or
+# more raises glibc's trim threshold so far that it keeps about 1 MiB more of
+# freed heap, which showed as that much more peak RSS
+_PHASE_BLOCK = 8
+# flat indices into rho of the entries that <m, e| rho |n, e> weights by
+# u u, u v, u v* and |v|^2 (rows), for (m, n) = (0, 0), (0, 1), (1, 1) (columns)
+_Q_ENTRIES = np.array([[0, 2, 10], [1, 3, 11], [4, 6, 14], [5, 7, 15]])
 
 
 @dataclass(frozen=True)
@@ -117,12 +138,15 @@ def _outcome_quadratics(rho, u, v):
     return np.real(q(0, 0)), q(0, 1), np.real(q(1, 1))
 
 
-def _outcome_vectors(ts, phi):
-    c, s = np.cos(ts), np.sin(ts)
-    if np.ndim(phi) == 0 and phi == 0.0:
-        return ((c, s), (s, -c))
-    ph = np.exp(1j * np.asarray(phi))
-    return ((c, s * ph), (s, -c * ph))
+def _distinct(x):
+    """x with every stride-0 axis cut to length 1.
+
+    A stride-0 axis (as np.broadcast_to makes) repeats one entry, so work
+    done on the cut array broadcasts back to x's values.
+    """
+    if 0 in x.strides:
+        return x[tuple(slice(None, 1) if st == 0 else slice(None) for st in x.strides)]
+    return x
 
 
 def conditional_entropy_curve(rho, ts, phi=0.0):
@@ -140,21 +164,88 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     """
     rho = np.asarray(rho, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    angles = np.broadcast_shapes(ts.shape, np.shape(phi))
-    total = np.zeros(rho.shape[:-2] + angles)
-    rho = rho.reshape(rho.shape[:-2] + (1,) * len(angles) + rho.shape[-2:])
-    for u, v in _outcome_vectors(ts, phi):
-        q00, q01, q11 = _outcome_quadratics(rho, u, v)
-        p = q00 + q11
-        rad = np.hypot(0.5 * (q00 - q11), np.abs(q01))
-        lam_hi = 0.5 * p + rad
-        lam_lo = 0.5 * p - rad
-        live = p > DEGENERATE_P
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x1 = np.where(live, lam_hi / p, 0.0)
-            x2 = np.where(live, lam_lo / p, 0.0)
-        term = p * (hermat.plogp(x1) + hermat.plogp(x2))
-        total[live] += term[live]
+    phi = np.asarray(phi, dtype=float)
+    phase = phi.ndim != 0 or phi != 0.0
+    batch = rho.shape[:-2]
+    angles = np.broadcast_shapes(ts.shape, phi.shape)
+    ts = _distinct(ts)
+    # axis 0 of every array below is the outcome (0 or 1), then the states,
+    # then the angles; angle-only arrays keep length 1 on the state axes
+    full = (2,) + batch + angles
+    n = math.prod(full)
+    angle_shape = (1,) * (len(full) - 1 - ts.ndim) + ts.shape
+    n_ang = math.prod(angle_shape)
+
+    # one allocation per call for every temporary (see _PHASE_BLOCK)
+    n_flags = -(-3 * n // 8)   # floats holding 3 n bools
+    ws = np.empty(6 * n + n_flags + 9 * n_ang)
+    big = ws[:6 * n].reshape((6,) + full)
+    flags = ws[6 * n:6 * n + n_flags].view(np.bool_)[:3 * n].reshape((3,) + full)
+    small = ws[6 * n + n_flags:].reshape((9,) + angle_shape)
+    q, tmp = big[0:3], big[3:6]
+    live, pos = flags[0], flags[1:3]
+
+    # measured kets (u, e^{i phi} v) with (u, v) = (cos t, sin t), (sin t, -cos t);
+    # uc holds (cos t, sin t, -cos t), so u = uc[0:2] and v = uc[1:3]
+    uc = small[0:3]
+    np.cos(ts, out=uc[0])
+    np.sin(ts, out=uc[1])
+    np.negative(uc[0], out=uc[2])
+    u, v = uc[0:2], uc[1:3]
+    uu = np.multiply(u, u, out=small[3:5])
+    uv = np.multiply(u, v, out=small[5:7])
+    vv = np.multiply(v, v, out=small[7:9])
+
+    # Re <m, e| rho |n, e> for (m, n) = (0, 0), (0, 1), (1, 1) at once: rows of
+    # r are rho's entries weighted by u u, u v e^{i phi}, u v e^{-i phi} and v v,
+    # so cos(phi) folds into rows 1 and 2 (a product with 1.0 at phi = 0)
+    r = rho.reshape(-1, 16).T[_Q_ENTRIES].reshape((4, 3, 1) + batch + (1,) * len(angles))
+    r_uv, r_uvc = r[1], r[2]
+    if phase:
+        phi = _distinct(phi)
+        cos_phi = np.cos(phi)
+        r_uv, r_uvc = r_uv * cos_phi, r_uvc * cos_phi
+    np.multiply(uu, r[0], out=q)
+    q += np.multiply(uv, r_uv, out=tmp)
+    q += np.multiply(uv, r_uvc, out=tmp)
+    q += np.multiply(vv, r[3], out=tmp)
+    q00, q01, q11 = q
+    # |q01|, where Im q01 = u v sin(phi) (rho[0, 3] - rho[1, 2]). As
+    # sqrt(Re^2 + Im^2) it is |Re q01| exactly when Im = 0 (sqrt(x * x) == |x|
+    # short of underflow, and a live branch's p / 2 swamps an underflowed q01)
+    if phase:
+        im = np.multiply(uv, (r[1, 1] - r[2, 1]) * np.sin(phi), out=tmp[2])
+        im *= im
+        im += np.multiply(q01, q01, out=tmp[1])
+        np.sqrt(im, out=tmp[2])
+    else:
+        np.abs(q01, out=tmp[2])
+
+    # branch probability p and the conditional spectrum p/2 +- rad of clone a
+    p = np.add(q00, q11, out=tmp[0])
+    np.subtract(q00, q11, out=tmp[1])
+    tmp[1] *= 0.5
+    rad = np.hypot(tmp[1], tmp[2], out=tmp[2])
+    half = np.multiply(p, 0.5, out=tmp[1])
+    lam = q[0:2]
+    np.add(half, rad, out=lam[0])
+    np.subtract(half, rad, out=lam[1])
+
+    # H = -sum over live branches of p sum x log2(x), x = lam / p > 0; masked
+    # entries stay 0 and are never divided or logged. Subtracting from +0.0
+    # outcome by outcome rounds (signed zeros included) as adding -x log2(x)
+    np.greater(p, DEGENERATE_P, out=live)
+    x = np.divide(lam, p, out=lam, where=live)
+    np.greater(x, 0.0, out=pos)
+    pos &= live
+    xlogx = tmp[1:3]
+    xlogx.fill(0.0)
+    np.log2(x, out=xlogx, where=pos)
+    np.multiply(x, xlogx, out=xlogx, where=pos)
+    weighted = np.add(xlogx[0], xlogx[1], out=xlogx[0])
+    weighted *= p
+    total = np.subtract(0.0, weighted[0])
+    total -= weighted[1]
     return total
 
 
@@ -221,13 +312,17 @@ def discord_min(rho, grid_points=721, refine_tol=1e-9, scan_phase=False):
     Dense grid of grid_points angles over t in [0, pi/2) guards against the
     conditional entropy's local minima; golden-section then refines around
     the best grid point to refine_tol. With scan_phase the grid extends to
-    phi in [0, pi) at the same density, evaluated a few phase rows per
-    conditional_entropy_curve call; the best grid point is the first phase
+    phi in [0, pi) at the same density, evaluated _PHASE_BLOCK phase rows
+    per conditional_entropy_curve call; the best grid point is the first phase
     row that strictly improves on the rows before it, at the first t of
     that row's minimum. The refinement then alternates between the two
     angles.
     """
     spectrum = hermat.validate_state(rho)
+    try:
+        grid_points = operator.index(grid_points)
+    except TypeError:
+        raise DomainError(f"grid_points must be an integer, got {grid_points!r}") from None
     if grid_points < 64:
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
     if not (math.isfinite(refine_tol) and refine_tol > 0):

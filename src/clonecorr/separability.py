@@ -108,6 +108,11 @@ def classify(state, machine):
             f"minimum eigenvalue {min_eig:.6e}")
         exc.min_eigenvalue = float(min_eig)
         raise exc
+    return _ppt_verdict(rho)
+
+
+def _ppt_verdict(rho):
+    """classify's verdict for a 4x4 state whose physicality is already checked."""
     w3, w4, min_ppt = (float(x) for x in ppt_data(rho))
     separable = min_ppt >= hermat.STATE_EIG_FLOOR
     det_separable = w3 >= 0.0 and w4 >= 0.0

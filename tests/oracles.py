@@ -5,17 +5,20 @@ from the characteristic polynomial (trace power sums + polynomial roots) or
 from LAPACK, and measurements are built from explicit projectors. The one
 exception is phase_scan_loop, a slower arrangement of the package's own
 arithmetic that its batched code must reproduce bit for bit.
-separable_intervals_scan is the grid-scan-plus-bisection search that the
-package's closed-form separable windows replaced. surface_text_rows is the
-row-at-a-time surface writer that the grid-shaped writers in clonecorr.cli
-must reproduce byte for byte.
+conditional_entropy_curve_complex is the complex-arithmetic kernel that the
+package's real-arithmetic one replaced: equal bit for bit at phi = 0, within
+rounding elsewhere. separable_intervals_scan is the grid-scan-plus-bisection
+search that the package's closed-form separable windows replaced.
+surface_text_rows is the row-at-a-time surface writer that the grid-shaped
+writers in clonecorr.cli must reproduce byte for byte.
 """
 
 import json
 
 import numpy as np
 
-from clonecorr.discord import conditional_entropy_curve
+from clonecorr.discord import DEGENERATE_P, conditional_entropy_curve
+from clonecorr.hermat import plogp
 
 
 def charpoly_eigvals_sym4(m):
@@ -84,6 +87,48 @@ def discord_grid_oracle(rho, npts=4001):
         if d < best[0]:
             best = (d, t)
     return best
+
+
+def conditional_entropy_curve_complex(rho, ts, phi=0.0):
+    """conditional_entropy_curve in complex arithmetic, one outcome at a time.
+
+    The kernel clonecorr.discord replaced: the measured ket (u, v) is built
+    as a complex array when phi != 0, the compressed block entries are
+    complex sums and degenerate branches are masked under np.errstate. Its
+    phi = 0 branch is the real family's float arithmetic, which the package
+    must reproduce bit for bit.
+    """
+    rho = np.asarray(rho, dtype=float)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    angles = np.broadcast_shapes(ts.shape, np.shape(phi))
+    total = np.zeros(rho.shape[:-2] + angles)
+    rho = rho.reshape(rho.shape[:-2] + (1,) * len(angles) + rho.shape[-2:])
+    c, s = np.cos(ts), np.sin(ts)
+    if np.ndim(phi) == 0 and phi == 0.0:
+        kets = ((c, s), (s, -c))
+    else:
+        ph = np.exp(1j * np.asarray(phi))
+        kets = ((c, s * ph), (s, -c * ph))
+    for u, v in kets:
+        vc = np.conj(v)
+        uu, vv, uv, uvc = u * u, (v * vc).real, u * v, u * vc
+
+        def q(i, k):
+            return (uu * rho[..., i, k] + uv * rho[..., i, k + 1]
+                    + uvc * rho[..., i + 1, k] + vv * rho[..., i + 1, k + 1])
+
+        q00, q01, q11 = np.real(q(0, 0)), q(0, 2), np.real(q(2, 2))
+        p = q00 + q11
+        rad = np.hypot(0.5 * (q00 - q11), np.abs(q01))
+        lam_hi = 0.5 * p + rad
+        lam_lo = 0.5 * p - rad
+        live = p > DEGENERATE_P
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x1 = np.where(live, lam_hi / p, 0.0)
+            x2 = np.where(live, lam_lo / p, 0.0)
+        term = p * (plogp(x1) + plogp(x2))
+        total[live] += term[live]
+    return total
 
 
 def phase_scan_loop(rho, grid_points, curve=conditional_entropy_curve):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import clonecorr.cli as cli
-from clonecorr import MeasurementBasis, build_output_state, discord_at, w3_closed, w4_closed
+from clonecorr import (MeasurementBasis, build_output_state, classify, discord_at, w3_closed,
+                       w4_closed)
 from clonecorr.cli import (CSV_HEADER, ConfigError, RunConfig, build_config,
                            load_config_file, main, table1_rows)
 from oracles import surface_text_rows
@@ -378,6 +380,12 @@ class TestPoint:
         report = json.loads(capsys.readouterr().out)
         assert report["separability"]["classification"] == "Entangled"
         assert report["discord"]["discord"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha,j", [(0.7, 0.22), (1.0, 0.3), (0.5, 0.5), (0.9, 0.19),
+                                         (0.3, 1 / 6 + 1e-9)])
+    def test_separability_is_the_classify_verdict(self, alpha, j):
+        report = cli.point_report(alpha, j)
+        assert report["separability"] == dataclasses.asdict(classify(alpha, j))
 
     def test_unphysical_point_exits_2_with_range(self, capsys):
         rc = main(["point", "0.5", "0.1"])

@@ -10,8 +10,9 @@ from clonecorr.discord import DiscordResult
 from clonecorr.hermat import plogp, validate_state
 from clonecorr.errors import DomainError, InvalidStateError
 from clonecorr.search import golden_min
-from oracles import (bell_phi_plus, conditional_entropy_projector, discord_grid_oracle,
-                     phase_scan_loop, random_product_state)
+from oracles import (bell_phi_plus, conditional_entropy_curve_complex,
+                     conditional_entropy_projector, discord_grid_oracle, phase_scan_loop,
+                     random_product_state, random_sym_state4)
 
 # Regression constants, frozen from the projector-based oracles in oracles.py
 # (dense 20001-point t grid plus golden refinement, run once at development
@@ -29,6 +30,26 @@ def product_state():
     a = np.array([[0.7, 0.2], [0.2, 0.3]])
     b = np.array([[0.6, -0.1], [-0.1, 0.4]])
     return np.kron(a, b), a, b
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def oracle_states():
+    """Random real symmetric states, product states and copier stacks from j = 0.
+
+    The stacks include the unphysical j in [0, 1/6), where conditional
+    spectra go negative and branches can be degenerate.
+    """
+    rng = np.random.default_rng(31)
+    states = [random_sym_state4(rng) for _ in range(40)]
+    states += [random_product_state(rng) for _ in range(40)]
+    js = np.r_[np.linspace(0.0, 0.5, 41), rng.uniform(0.0, 1 / 6, 10)]
+    stacks = [build_output_batch(alpha, js) for alpha in (0.0, 0.05, 0.3, 2 ** -0.5, 0.9, 1.0)]
+    return states + stacks
 
 
 def phase_scan_reference(rho, curve=conditional_entropy_curve, grid_points=721,
@@ -179,6 +200,55 @@ class TestConditionalEntropy:
         assert conditional_entropy_curve(rho, 0.4, 0.3).shape == (1,)
         assert conditional_entropy_curve(rhos, ts, 0.3).shape == (2, 5)
 
+    def test_real_family_matches_complex_oracle_bitwise(self):
+        ts = np.r_[np.linspace(0.0, np.pi, 37), np.pi / 4, 0.3]
+        phis = np.array([[0.0], [0.9], [0.0], [2.5]])
+        for k, rho in enumerate(oracle_states()):
+            want = conditional_entropy_curve_complex(rho, ts)
+            assert same_bits(conditional_entropy_curve(rho, ts), want), k
+            assert same_bits(conditional_entropy_curve(rho, ts, 0.0), want), k
+            # the phi = 0 rows of an array phi, with ts as a row and at full shape
+            for t_arg in (ts, np.broadcast_to(ts, (4, ts.size))):
+                rows = conditional_entropy_curve(rho, t_arg, phis)
+                assert same_bits(rows[..., 0, :], want) and same_bits(rows[..., 2, :], want), k
+
+    def test_phase_rows_match_complex_oracle(self):
+        ts = np.linspace(0.0, np.pi, 37)
+        phis = np.linspace(0.0, 2 * np.pi, 11)[:, None]
+        for k, rho in enumerate(oracle_states()):
+            got = conditional_entropy_curve(rho, ts, phis)
+            want = conditional_entropy_curve_complex(rho, ts, phis)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14, k
+            for phi in (0.7, -2.0):
+                diff = (conditional_entropy_curve(rho, ts, phi)
+                        - conditional_entropy_curve_complex(rho, ts, phi))
+                assert np.max(np.abs(diff)) <= 1e-14, k
+
+    def test_broadcast_view_ts_matches_materialized(self):
+        rho = build_output_state(0.7, 0.22)
+        ts = np.linspace(0.0, np.pi / 2, 97, endpoint=False)
+        phis = np.linspace(0.0, np.pi, 13, endpoint=False)[:, None]
+        view = np.broadcast_to(ts, (13, 97))
+        assert 0 in view.strides
+        assert same_bits(conditional_entropy_curve(rho, view, phis),
+                         conditional_entropy_curve(rho, np.array(view), phis))
+        # stride-0 axes of phi and of a single-row ts
+        assert same_bits(conditional_entropy_curve(rho, ts[:5], np.broadcast_to(0.4, (3, 5))),
+                         conditional_entropy_curve(rho, ts[:5], np.full((3, 5), 0.4)))
+        assert same_bits(conditional_entropy_curve(rho, np.broadcast_to(0.4, (3, 1)), phis[:3]),
+                         conditional_entropy_curve(rho, np.full((3, 1), 0.4), phis[:3]))
+
+    def test_result_is_not_overwritten_by_a_later_call(self):
+        rho = build_output_state(0.7, 0.22)
+        ts = np.linspace(0.0, np.pi / 2, 50)
+        for phi in (0.0, np.array([[0.3], [1.1]])):
+            first = conditional_entropy_curve(rho, ts, phi)
+            kept = first.copy()
+            conditional_entropy_curve(build_output_state(0.2, 0.4), ts + 0.1, phi)
+            conditional_entropy_curve(rho, ts[::-1], phi)
+            assert same_bits(first, kept)
+
     def test_continuity_in_t(self):
         rng = np.random.default_rng(27)
         delta = 1e-6
@@ -315,6 +385,15 @@ class TestDiscordMin:
     def test_rejects_small_grid(self):
         with pytest.raises(DomainError):
             discord_min(bell_phi_plus(), grid_points=32)
+
+    @pytest.mark.parametrize("grid_points", [100.0, 65.5, float("nan"), "721", None])
+    def test_rejects_non_integer_grid(self, grid_points):
+        with pytest.raises(DomainError, match="integer"):
+            discord_min(bell_phi_plus(), grid_points=grid_points)
+
+    def test_accepts_numpy_integer_grid(self):
+        rho = build_output_state(0.7, 0.22)
+        assert discord_min(rho, grid_points=np.int64(100)) == discord_min(rho, grid_points=100)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
     def test_rejects_bad_refine_tol(self, tol):
