@@ -97,6 +97,8 @@ class RunConfig:
                               f"{MAX_GRID_ROWS} rows per alpha")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         return self
 
     def j_grid(self):

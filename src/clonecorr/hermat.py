@@ -1,11 +1,24 @@
 """Dense numerics for the small Hermitian matrices used throughout the package.
 
 Everything is fixed-size: 2x2 Hermitian (complex allowed) and 4x4 real
-symmetric. Eigenvalues come from the 2x2 closed form and from cyclic Jacobi
-sweeps for 4x4; determinants are direct cofactor expansions. The Jacobi
+symmetric. Eigenvalues come from the 2x2 closed form and, for 4x4, from
+LAPACK (np.linalg.eigvalsh) for one matrix and from cyclic Jacobi sweeps
+for a stack; determinants are direct cofactor expansions. The Jacobi
 routine, the 2x2 closed form, the partial trace and transpose and the
 cofactor determinants operate on (..., n, n) batches so parameter scans
 stay cheap.
+
+One matrix -> LAPACK, a stack -> Jacobi. A single eigvalsh call is about
+80x faster than a one-matrix Jacobi batch, and on copier states and their
+partial transposes the two agree to about 2e-15. The stacks (the j grid of
+cloner.valid_j_range, discord.discord_surface, separability.ppt_data) stay
+on Jacobi for now: the surface files are sha256-pinned in the tests and in
+bench/pinned.json, eigvalsh changes the last printed digit of some rows,
+and the benchmark pins Jacobi's per-op stack count. The exact spectra
+planned in ROADMAP.md revise those pins and then delete Jacobi outright.
+
+Every validating entry point rejects NaN and infinite entries: NaN compares
+False against every tolerance, so it would otherwise pass as a state.
 
 Basis convention for two-qubit operators: |00>, |01>, |10>, |11>, first
 index = clone a, second = clone b.
@@ -26,6 +39,12 @@ JACOBI_MAX_SWEEPS = 50
 _JACOBI_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
+def _require_finite(x, what="matrix"):
+    # before any arithmetic on x, so the check itself raises no RuntimeWarning
+    if not np.isfinite(x).all():
+        raise InvalidStateError(f"{what} has NaN or infinite entries")
+
+
 def eig_herm2(m):
     """Both eigenvalues of 2x2 Hermitian matrices, descending.
 
@@ -36,6 +55,7 @@ def eig_herm2(m):
     m = np.asarray(m)
     if m.shape[-2:] != (2, 2):
         raise InvalidStateError(f"expected (..., 2, 2), got shape {m.shape}")
+    _require_finite(m)
     d0, d1, off = m[..., 0, 0], m[..., 1, 1], m[..., 0, 1]
     if (np.any(np.abs(np.imag(d0)) > HERM_ATOL) or np.any(np.abs(np.imag(d1)) > HERM_ATOL)
             or np.any(np.abs(off - np.conj(m[..., 1, 0])) > HERM_ATOL)):
@@ -104,6 +124,7 @@ def _require_real_symmetric(m, what="matrix"):
     m = np.asarray(m)
     if m.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 {what}, got shape {m.shape}")
+    _require_finite(m, what)
     if np.iscomplexobj(m):
         if np.abs(m.imag).max() > HERM_ATOL:
             raise InvalidStateError(f"{what} has complex entries")
@@ -114,9 +135,15 @@ def _require_real_symmetric(m, what="matrix"):
 
 
 def eig_sym4(m):
-    """All four eigenvalues of a 4x4 real symmetric matrix, descending."""
+    """All four eigenvalues of a 4x4 real symmetric matrix, descending.
+
+    Validates the matrix (finite, real, symmetric within 1e-12) and takes
+    its spectrum from LAPACK (np.linalg.eigvalsh). This is the single-matrix
+    path; stacks go through jacobi_eigvals, whose results feed byte-pinned
+    surface files (see the module docstring).
+    """
     m = _require_real_symmetric(m)
-    return jacobi_eigvals(m[None])[0]
+    return np.linalg.eigvalsh(m)[::-1]
 
 
 def plogp(p):
@@ -136,9 +163,10 @@ def vn_entropy(spectrum):
 
     Eigenvalues in [-1e-10, 0) are treated as exact zeros (roundoff from
     singular states); anything lower raises InvalidStateError, as does a
-    spectrum that does not sum to 1 within 1e-10.
+    spectrum that does not sum to 1 within 1e-10 or has a non-finite entry.
     """
     lam = np.asarray(spectrum, dtype=float)
+    _require_finite(lam, "spectrum")
     if lam.min() < STATE_EIG_FLOOR:
         raise InvalidStateError(
             f"eigenvalue {lam.min():.6e} below {STATE_EIG_FLOOR}; not a state")

@@ -3,8 +3,12 @@
 These deliberately avoid the package's own code paths: 4x4 eigenvalues come
 from the characteristic polynomial (trace power sums + polynomial roots) or
 from LAPACK, and measurements are built from explicit projectors. The one
-exception is phase_scan_loop, a slower arrangement of the package's own
-arithmetic that its batched code must reproduce bit for bit.
+exceptions are phase_scan_loop, a slower arrangement of the package's own
+arithmetic that its batched code must reproduce bit for bit, and
+valid_j_range_jacobi, the physical-window search with every spectrum,
+bisection steps included, from the package's Jacobi solver; the package's
+valid_j_range, whose bisection takes LAPACK spectra, must match it bit for
+bit.
 conditional_entropy_curve_complex is the complex-arithmetic kernel that the
 package's real-arithmetic one replaced: equal bit for bit at phi = 0, within
 rounding elsewhere. separable_intervals_scan is the grid-scan-plus-bisection
@@ -17,8 +21,10 @@ import json
 
 import numpy as np
 
+from clonecorr.cloner import WINDOW_GRID_STEP, build_output_batch
 from clonecorr.discord import DEGENERATE_P, conditional_entropy_curve
-from clonecorr.hermat import plogp
+from clonecorr.hermat import STATE_EIG_FLOOR, jacobi_eigvals, plogp
+from clonecorr.search import bisect_boundary
 
 
 def charpoly_eigvals_sym4(m):
@@ -202,6 +208,37 @@ def separable_intervals_scan(alpha, scan_step=1e-4, tol=1e-6, floor=-1e-10):
         intervals.append((float(lo), float(hi)))
         i = k + 1
     return intervals
+
+
+def valid_j_range_jacobi(alpha, tol=1e-6):
+    """Physical j window (lo, hi) with every spectrum from jacobi_eigvals.
+
+    The grid scan at WINDOW_GRID_STEP picks the longest run of physical
+    grid points (first on ties), and each interior edge is bisected to tol
+    with one-matrix Jacobi stacks as the physicality predicate.
+    """
+    js = np.round(np.arange(0.0, 0.5 + WINDOW_GRID_STEP / 2, WINDOW_GRID_STEP), 12)
+    phys = jacobi_eigvals(build_output_batch(alpha, js))[:, -1] >= STATE_EIG_FLOOR
+    best = None
+    i = 0
+    while i < len(js):
+        if not phys[i]:
+            i += 1
+            continue
+        k = i
+        while k + 1 < len(js) and phys[k + 1]:
+            k += 1
+        if best is None or (k - i) > (best[1] - best[0]):
+            best = (i, k)
+        i = k + 1
+    i0, i1 = best
+
+    def is_physical(j):
+        return jacobi_eigvals(build_output_batch(alpha, [j]))[0, -1] >= STATE_EIG_FLOOR
+
+    lo = js[i0] if i0 == 0 else bisect_boundary(is_physical, js[i0 - 1], js[i0], tol)
+    hi = js[i1] if i1 == len(js) - 1 else bisect_boundary(is_physical, js[i1 + 1], js[i1], tol)
+    return (float(lo), float(hi))
 
 
 SURFACE_FIELDS = ("alpha", "j", "t", "discord", "w3", "w4", "min_ppt_eig", "physical",

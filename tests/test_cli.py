@@ -142,6 +142,16 @@ class TestConfig:
         assert rc == cli.EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # numpy's default_rng rejects it with a ValueError traceback otherwise
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -5\n")
+        for argv in (["selftest", "--seed", "-1"], ["selftest", "--config", str(cfg)]):
+            assert main(argv) == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert "seed must be a non-negative integer" in captured.err
+            assert "[PASS]" not in captured.out
+
 
 class TestSurface:
     def test_deterministic_bytes(self, tmp_path):

@@ -4,7 +4,9 @@ import pytest
 from clonecorr import (FEASIBLE_J, InputState, MachineParams, build_output_batch,
                        build_output_state, check_machine_constraints, clone_fidelity,
                        eig_sym4, reduced_clone, swap_qubits, valid_j_range)
+from clonecorr import hermat
 from clonecorr.errors import DomainError
+from oracles import valid_j_range_jacobi
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 X_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -141,6 +143,31 @@ class TestValidJRange:
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(DomainError):
             valid_j_range(0.5, tol=tol)
+
+    def test_matches_jacobi_oracle_bitwise(self):
+        # the bisection predicate takes LAPACK spectra; the windows are those
+        # of the all-Jacobi search bit for bit
+        alphas = [*np.linspace(-1.0, 1.0, 201), 1e-3, 1e-5, 1e-8, 1 - 1e-9]
+        for alpha in alphas:
+            assert valid_j_range(alpha) == valid_j_range_jacobi(alpha), alpha
+
+    def test_one_jacobi_stack_per_call(self, monkeypatch):
+        # the grid is one Jacobi stack; each bisection step is one eig_sym4
+        calls = {"jacobi_eigvals": 0, "eig_sym4": 0}
+
+        def counting(name):
+            inner = getattr(hermat, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(hermat, name, counting(name))
+        valid_j_range(0.7)
+        assert calls["jacobi_eigvals"] == 1
+        assert calls["eig_sym4"] > 0
 
     def test_grid_step_is_not_a_keyword(self):
         # the scan spacing is the module constant WINDOW_GRID_STEP

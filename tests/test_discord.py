@@ -3,8 +3,9 @@ import pytest
 
 from clonecorr import (InputState, MeasurementBasis, build_output_batch, build_output_state,
                        conditional_entropy, conditional_entropy_curve, discord_at,
-                       discord_min, discord_surface, eig_herm2, eig_sym4, measure_b,
-                       mutual_info_i, mutual_info_j, partial_trace, swap_qubits, vn_entropy)
+                       discord_min, discord_surface, eig_herm2, eig_sym4, jacobi_eigvals,
+                       measure_b, mutual_info_i, mutual_info_j, partial_trace, swap_qubits,
+                       vn_entropy)
 import clonecorr.discord as discord_module
 from clonecorr.discord import DiscordResult
 from clonecorr.hermat import plogp, validate_state
@@ -404,6 +405,12 @@ class TestDiscordMin:
         with pytest.raises(InvalidStateError):
             discord_min(np.diag([1.2, 0.0, 0.0, -0.2]))
 
+    def test_rejects_nan_state(self):
+        rho = np.eye(4) / 4
+        rho[3, 3] = np.nan
+        with pytest.raises(InvalidStateError, match="NaN or infinite"):
+            discord_min(rho)
+
 
 class TestDiscordSurface:
     def test_single_point_grid_equals_discord_at(self):
@@ -416,7 +423,9 @@ class TestDiscordSurface:
         assert physical[0]
 
     def test_grid_matches_per_j_loop_bitwise(self):
-        # reference: the per-j loop, one spectrum and one entropy curve per j
+        # reference: the per-j loop, one spectrum and one entropy curve per j;
+        # the surface keeps the Jacobi solver, so the per-j spectrum is a
+        # one-matrix Jacobi stack, and the LAPACK eig_sym4 agrees to 1e-14
         state = InputState.from_alpha(0.3)
         js = np.round(np.arange(0.01, 0.5001, 0.01), 12)
         ts = np.linspace(0.0, np.pi / 2, 13)
@@ -424,7 +433,8 @@ class TestDiscordSurface:
         assert discord.shape == (len(js), len(ts))
         for row, phys, j in zip(discord, physical, js):
             rho = build_output_state(state, float(j))
-            spectrum = eig_sym4(rho)
+            spectrum = jacobi_eigvals(rho[None])[0]
+            np.testing.assert_allclose(eig_sym4(rho), spectrum, rtol=0, atol=1e-14)
             hab = float(plogp(np.clip(spectrum, 0.0, None)).sum())
             hb = vn_entropy(eig_herm2(partial_trace(rho, "b")))
             assert np.array_equal(row, hb - hab + conditional_entropy_curve(rho, ts, 0.0))

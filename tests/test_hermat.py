@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from clonecorr import (build_output_state, eig_herm2, eig_sym4, partial_trace,
-                       partial_transpose_b, principal_minor, swap_qubits, vn_entropy)
+from clonecorr import (build_output_batch, build_output_state, eig_herm2, eig_sym4,
+                       jacobi_eigvals, partial_trace, partial_transpose_b, principal_minor,
+                       swap_qubits, vn_entropy)
 from clonecorr.errors import InvalidStateError
+from clonecorr.hermat import validate_state
 from oracles import bell_phi_plus, charpoly_eigvals_sym4, random_herm2, random_sym4
 
 # regression constant: -(5/6)log2(5/6) - (1/6)log2(1/6)
@@ -52,6 +56,16 @@ class TestEigHerm2:
         with pytest.raises(InvalidStateError):
             eig_herm2(np.eye(3))
 
+    def test_rejects_nan(self):
+        m = np.eye(2) / 2
+        m[1, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="NaN or infinite"):
+                eig_herm2(m)
+            with pytest.raises(InvalidStateError, match="NaN or infinite"):
+                eig_herm2(np.stack([np.eye(2) / 2, m]))
+
 
 class TestEigSym4:
     def test_maximally_mixed(self):
@@ -89,6 +103,29 @@ class TestEigSym4:
         m[0, 1] = 1e-6
         with pytest.raises(InvalidStateError):
             eig_sym4(m)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_diagonal(self, value):
+        # the symmetry test alone lets these through: NaN compares False with
+        # its tolerance, and inf - inf is NaN
+        m = np.eye(4) / 4
+        m[3, 3] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="NaN or infinite"):
+                eig_sym4(m)
+
+    def test_jacobi_stack_matches_single_matrix_path(self):
+        # stacks keep the Jacobi solver, single matrices use LAPACK
+        rng = np.random.default_rng(17)
+        stack = np.stack([random_sym4(rng) for _ in range(200)])
+        np.testing.assert_allclose(jacobi_eigvals(stack), [eig_sym4(m) for m in stack],
+                                   rtol=0, atol=1e-12)
+        for alpha in (-0.9, 0.3, 0.7, 1.0):
+            rhos = build_output_batch(alpha, np.linspace(0.0, 0.5, 51))
+            for x in (rhos, partial_transpose_b(rhos)):
+                np.testing.assert_allclose(jacobi_eigvals(x), [eig_sym4(m) for m in x],
+                                           rtol=0, atol=1e-14)
 
     def test_exhausted_sweep_budget_raises(self):
         from clonecorr import jacobi_eigvals
@@ -144,6 +181,29 @@ class TestVnEntropy:
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidStateError):
             vn_entropy([0.6, 0.6])
+
+    @pytest.mark.parametrize("spectrum", [[1.0, np.nan], [np.nan, 1.0, 0.0, 0.0],
+                                          [np.inf, 0.0]])
+    def test_rejects_non_finite(self, spectrum):
+        with pytest.raises(InvalidStateError, match="NaN or infinite"):
+            vn_entropy(spectrum)
+
+
+class TestValidateState:
+    @pytest.mark.parametrize("shape", [2, 4])
+    def test_rejects_nan_state(self, shape):
+        m = np.eye(shape) / shape
+        m[-1, -1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="NaN or infinite"):
+                validate_state(m)
+
+    def test_spectrum_is_descending(self):
+        rho = build_output_state(0.7, 0.22)
+        spectrum = validate_state(rho)
+        assert list(spectrum) == sorted(spectrum, reverse=True)
+        np.testing.assert_allclose(spectrum, np.linalg.eigvalsh(rho)[::-1], rtol=0, atol=0)
 
 
 class TestPartialTrace:

@@ -75,7 +75,9 @@ class TestWDirect:
 
 class TestPptData:
     def test_stack_matches_minors_and_spectrum_per_state(self):
-        # reference: principal minors and the spectrum of each state on its own
+        # reference: principal minors and the spectrum of each state on its own,
+        # the spectrum as a one-matrix Jacobi stack like ppt_data's; the LAPACK
+        # eig_sym4 agrees to 1e-14
         js = np.round(np.arange(0.0, 0.5001, 0.025), 12)
         rhos = build_output_batch(0.7, js)
         w3, w4, min_ppt = ppt_data(rhos)
@@ -84,7 +86,8 @@ class TestPptData:
             sigma = partial_transpose_b(rho)
             assert w3[k] == principal_minor(sigma, 3)
             assert w4[k] == principal_minor(sigma, 4)
-            assert min_ppt[k] == eig_sym4(sigma)[-1]
+            assert min_ppt[k] == jacobi_eigvals(sigma[None])[0, -1]
+            assert abs(min_ppt[k] - eig_sym4(sigma)[-1]) <= 1e-14
             assert abs(w3[k] - w3_closed(0.7, js[k])) <= 1e-15
             assert abs(w4[k] - w4_closed(0.7, js[k])) <= 1e-15
 
