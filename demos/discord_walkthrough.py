@@ -1,12 +1,12 @@
-"""Step-by-step discord computation: measurement outcomes, the conditional
-entropy curve, minimization, and the two mutual-information expressions.
+"""Step-by-step discord computation: the conditional entropy curve,
+minimization, and the two mutual-information expressions.
 
 Run:  python demos/discord_walkthrough.py
 """
 import numpy as np
 
 from clonecorr import (MeasurementBasis, build_output_state, conditional_entropy_curve,
-                       discord_at, discord_min, measure_b, mutual_info_i, mutual_info_j)
+                       discord_at, discord_min, mutual_info_i, mutual_info_j)
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -15,15 +15,6 @@ rho = build_output_state(alpha, j)
 print("=" * 70)
 print(f"Universal-copier point alpha = 1/sqrt(2), j = 1/6")
 print("=" * 70)
-
-print("\nMeasuring clone b in the basis {cos t|0> + sin t|1>, sin t|0> - cos t|1>}:")
-for t in (0.0, np.pi / 8, np.pi / 4):
-    outcomes = measure_b(rho, MeasurementBasis(t))
-    print(f"\n  t = {t:.4f}")
-    for k, o in enumerate(outcomes):
-        print(f"  outcome {k}: p = {o.probability:.6f}, conditional state of a:")
-        for row in o.conditional_state:
-            print(f"      [{row[0]: .6f} {row[1]: .6f}]")
 
 print("\nConditional entropy H(a|t) over the canonical range t in [0, pi/2):")
 ts = np.linspace(0.0, np.pi / 2, 13, endpoint=False)

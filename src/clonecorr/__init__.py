@@ -10,10 +10,9 @@ spectrally and via closed-form determinants of the partial transpose.
 from .cloner import (FEASIBLE_J, InputState, MachineConstraintReport, MachineParams,
                      build_output_batch, build_output_state, check_machine_constraints,
                      clone_fidelity, reduced_clone, valid_j_range)
-from .discord import (DiscordResult, MeasurementBasis, MeasurementOutcome,
-                      conditional_entropy, conditional_entropy_curve, discord_at,
-                      discord_min, discord_surface, measure_b, mutual_info_i,
-                      mutual_info_j)
+from .discord import (DiscordResult, MeasurementBasis, conditional_entropy,
+                      conditional_entropy_curve, discord_at, discord_min, discord_surface,
+                      mutual_info_i, mutual_info_j)
 from .errors import ConvergenceError, DomainError, InvalidStateError
 from .hermat import (eig_herm2, eig_sym4, jacobi_eigvals, partial_trace,
                      partial_transpose_b, principal_minor, swap_qubits, vn_entropy)
@@ -25,12 +24,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError", "DiscordResult", "DomainError", "FEASIBLE_J",
     "InputState", "InvalidStateError", "JInterval", "MachineConstraintReport",
-    "MachineParams", "MeasurementBasis", "MeasurementOutcome",
-    "SeparabilityVerdict",
+    "MachineParams", "MeasurementBasis", "SeparabilityVerdict",
     "build_output_batch", "build_output_state", "check_machine_constraints",
     "classify", "clone_fidelity", "conditional_entropy",
     "conditional_entropy_curve", "discord_at", "discord_min", "discord_surface",
-    "eig_herm2", "eig_sym4", "jacobi_eigvals", "measure_b", "mutual_info_i",
+    "eig_herm2", "eig_sym4", "jacobi_eigvals", "mutual_info_i",
     "mutual_info_j", "partial_trace", "partial_transpose_b", "ppt_data", "principal_minor",
     "reduced_clone", "separable_intervals", "swap_qubits", "valid_j_range",
     "vn_entropy", "w3_closed", "w4_closed", "w_direct",

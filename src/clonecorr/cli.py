@@ -127,24 +127,28 @@ def load_config_file(path):
         "enforce_psd": _parse_bool,
         "output_format": str, "output_path": str,
     }
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not eq or not key:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            if key not in parsers:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                out[key] = parsers[key](value)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not eq or not key:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+        if key not in parsers:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            out[key] = parsers[key](value)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
 
 
@@ -449,40 +453,10 @@ def run_selftest(cfg, out_stream=None):
             failures += 1
             print(f"[FAIL] {name}", file=out_stream)
 
-    def random_sym4():
-        m = rng.standard_normal((4, 4))
-        return (m + m.T) / 2
-
-    def random_herm2():
-        d = rng.standard_normal(2)
-        off = rng.standard_normal() + 1j * rng.standard_normal()
-        return np.array([[d[0], off], [np.conj(off), d[1]]])
-
     def random_state_pair():
         alpha = rng.uniform(0.0, 1.0)
         j = rng.uniform(0.0, 0.5)
         return alpha, j
-
-    ok = True
-    for _ in range(200):
-        m = random_sym4()
-        ev = hermat.eig_sym4(m)
-        ok &= abs(ev.sum() - np.trace(m)) < 1e-12
-        ok &= abs((ev ** 2).sum() - (m ** 2).sum()) < 1e-10
-        m2 = random_herm2()
-        ev2 = hermat.eig_herm2(m2)
-        ok &= abs(ev2.sum() - np.trace(m2).real) < 1e-12
-        ok &= abs((ev2 ** 2).sum() - (np.abs(m2) ** 2).sum()) < 1e-10
-    check("eigenvalues reconstruct trace and Frobenius norm", bool(ok))
-
-    ok = True
-    for _ in range(100):
-        m = random_sym4()
-        s = hermat.partial_transpose_b(m)
-        ok &= np.array_equal(hermat.partial_transpose_b(s), m)
-        ok &= np.abs(hermat.partial_trace(s, "a") - hermat.partial_trace(m, "a")).max() <= 1e-14
-        ok &= abs(hermat.principal_minor(m, 4) - np.prod(hermat.eig_sym4(m))) < 1e-10
-    check("partial transpose involution, reduced-state and determinant identities", bool(ok))
 
     ok = True
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -537,23 +511,28 @@ def run_selftest(cfg, out_stream=None):
     check("determinant and PPT classifications agree on the scan grid", bool(ok))
 
     print(f"{'FAILED' if failures else 'OK'}: "
-          f"{7 - failures} of 7 property groups passed", file=out_stream)
+          f"{5 - failures} of 5 property groups passed", file=out_stream)
     return 1 if failures else EXIT_OK
 
 
-def _add_common_flags(p):
-    p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--alpha", type=_alpha_list, dest="alpha",
-                   help="comma-separated input amplitudes (default 0.1..0.9)")
-    p.add_argument("--j-min", type=float, dest="j_min")
-    p.add_argument("--j-max", type=float, dest="j_max")
-    p.add_argument("--j-step", type=float, dest="j_step")
-    p.add_argument("--t-points", type=int, dest="t_points")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--out", help="output directory (surface) or file (table1)")
-    p.add_argument("--enforce-psd", action="store_true", default=None, dest="enforce_psd",
-                   help="drop rows where the state is not positive semidefinite")
-    p.add_argument("--seed", type=int)
+def _add_flags(p, *names):
+    """Add the named RunConfig flags (name j_min is flag --j-min) to one subcommand."""
+    options = {
+        "config": {"help": "flat key=value config file; flags override it"},
+        "alpha": {"type": _alpha_list,
+                  "help": "comma-separated input amplitudes (default 0.1..0.9)"},
+        "j_min": {"type": float},
+        "j_max": {"type": float},
+        "j_step": {"type": float},
+        "t_points": {"type": int},
+        "format": {"choices": ("csv", "json")},
+        "out": {"help": "output directory (surface) or file (table1)"},
+        "enforce_psd": {"action": "store_true", "default": None,
+                        "help": "drop rows where the state is not positive semidefinite"},
+        "seed": {"type": int},
+    }
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, **options[name])
 
 
 def _alpha_list(text):
@@ -567,10 +546,11 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_surface = sub.add_parser("surface", help="discord surface over (j, t) per alpha")
-    _add_common_flags(p_surface)
+    _add_flags(p_surface, "config", "alpha", "j_min", "j_max", "j_step", "t_points",
+               "format", "out", "enforce_psd")
 
     p_table = sub.add_parser("table1", help="separable j intervals vs the reference table")
-    _add_common_flags(p_table)
+    _add_flags(p_table, "config", "alpha", "format", "out")
 
     p_point = sub.add_parser("point", help="full report for a single (alpha, j)")
     p_point.add_argument("alpha", type=float)
@@ -580,7 +560,7 @@ def main(argv=None):
                          dest="scan_phase")
 
     p_self = sub.add_parser("selftest", help="run the randomized property suites")
-    _add_common_flags(p_self)
+    _add_flags(p_self, "config", "seed")
 
     args = parser.parse_args(argv)
 

@@ -26,6 +26,8 @@ from .search import bisect_boundary
 FEASIBLE_J = (1.0 / 6.0, 0.5)
 # j spacing of the grid that valid_j_range scans before bisecting
 WINDOW_GRID_STEP = 1e-3
+# bracket width at which valid_j_range's bisection stops
+WINDOW_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -137,16 +139,14 @@ def clone_fidelity(state, machine):
     return float(chi @ rho_a @ chi)
 
 
-def valid_j_range(state, tol=1e-6):
+def valid_j_range(state):
     """Maximal interval of j in [0, 1/2] on which the output state is physical.
 
     Physical means minimum eigenvalue >= -1e-10. A grid scan at
     WINDOW_GRID_STEP locates the interval; each interior boundary is refined
-    by bisection to tol. Returns (lo, hi), never empty: at j = 1/2 the state
-    has spectrum {1, 0, 0, 0} for every alpha.
+    by bisection to WINDOW_TOL. Returns (lo, hi), never empty: at j = 1/2 the
+    state has spectrum {1, 0, 0, 0} for every alpha.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and positive, got {tol}")
     st = _as_input(state)
     js = np.round(np.arange(0.0, 0.5 + WINDOW_GRID_STEP / 2, WINDOW_GRID_STEP), 12)
     min_eigs = hermat.jacobi_eigvals(build_output_batch(st, js))[:, -1]
@@ -171,8 +171,9 @@ def valid_j_range(state, tol=1e-6):
         rho = build_output_state(st, j)
         return hermat.eig_sym4(rho)[-1] >= hermat.STATE_EIG_FLOOR
 
-    lo = js[i0] if i0 == 0 else bisect_boundary(is_physical, js[i0 - 1], js[i0], tol)
-    hi = js[i1] if i1 == len(js) - 1 else bisect_boundary(is_physical, js[i1 + 1], js[i1], tol)
+    lo = js[i0] if i0 == 0 else bisect_boundary(is_physical, js[i0 - 1], js[i0], WINDOW_TOL)
+    hi = (js[i1] if i1 == len(js) - 1
+          else bisect_boundary(is_physical, js[i1 + 1], js[i1], WINDOW_TOL))
     return (float(lo), float(hi))
 
 

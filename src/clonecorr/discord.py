@@ -45,6 +45,8 @@ from .search import golden_min
 
 # outcome probabilities at or below this are degenerate and contribute 0
 DEGENERATE_P = 1e-12
+# bracket width at which discord_min's golden-section refinement stops
+REFINE_TOL = 1e-9
 # phase rows per conditional_entropy_curve call in the scan_phase grid. A call
 # keeps all its temporaries in one workspace of about 6.4 x 2 x rows x
 # grid_points floats (0.64 MB at 8 x 721); with one array per temporary,
@@ -72,30 +74,6 @@ class MeasurementBasis:
     t: float
     phi: float = 0.0
 
-    def vectors(self):
-        """The two basis kets as length-2 arrays (complex when phi != 0)."""
-        c, s = np.cos(self.t), np.sin(self.t)
-        if self.phi == 0.0:
-            return np.array([c, s]), np.array([s, -c])
-        ph = np.exp(1j * self.phi)
-        return np.array([c, s * ph]), np.array([s, -c * ph])
-
-    def canonical(self):
-        """Equivalent basis (as a projector set) with t folded into [0, pi/2)."""
-        return MeasurementBasis(self.t % (np.pi / 2), self.phi)
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """One measurement branch: probability and the conditioned state of clone a.
-
-    conditional_state is None when the branch is degenerate (probability at
-    or below 1e-12); such branches contribute 0 to entropy averages.
-    """
-    probability: float
-    conditional_state: np.ndarray | None
-    degenerate: bool = False
-
 
 @dataclass(frozen=True)
 class DiscordResult:
@@ -115,27 +93,6 @@ def _as_basis(basis):
     if isinstance(basis, MeasurementBasis):
         return basis
     return MeasurementBasis(float(basis))
-
-
-def _outcome_quadratics(rho, u, v):
-    """Compressed block entries <m, e| rho |n, e> for e = (u, v).
-
-    u, v may be arrays (vectorized over measurement angles) and rho a
-    stack (..., 4, 4) that broadcasts against them. Returns (q00, q01, q11)
-    with q00/q11 real; q10 is conj(q01) by Hermiticity.
-    """
-    vc = np.conj(v)
-    uu = u * u
-    vv = (v * vc).real
-    uv = u * v
-    uvc = u * vc
-
-    def q(mm, nn):
-        i, k = 2 * mm, 2 * nn
-        return (uu * rho[..., i, k] + uv * rho[..., i, k + 1]
-                + uvc * rho[..., i + 1, k] + vv * rho[..., i + 1, k + 1])
-
-    return np.real(q(0, 0)), q(0, 1), np.real(q(1, 1))
 
 
 def _distinct(x):
@@ -249,28 +206,6 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     return total
 
 
-def measure_b(rho, basis):
-    """Projectively measure clone b; returns the two outcomes in basis order.
-
-    Each outcome carries its probability and the conditioned 2x2 state of
-    clone a. A probability at or below 1e-12 flags the outcome degenerate
-    with no conditional state.
-    """
-    hermat.validate_state(rho)
-    rho = np.asarray(rho, dtype=float)
-    basis = _as_basis(basis)
-    outcomes = []
-    for e in basis.vectors():
-        q00, q01, q11 = _outcome_quadratics(rho, e[0], e[1])
-        p = float(q00 + q11)
-        if p <= DEGENERATE_P:
-            outcomes.append(MeasurementOutcome(p, None, degenerate=True))
-            continue
-        cond = np.array([[q00, q01], [np.conj(q01), q11]]) / p
-        outcomes.append(MeasurementOutcome(p, cond, degenerate=False))
-    return outcomes
-
-
 def conditional_entropy(rho, basis):
     """Probability-weighted entropy of clone a after measuring clone b."""
     hermat.validate_state(rho)
@@ -306,12 +241,12 @@ def discord_at(rho, basis):
     return float(hb - hab + curve[0])
 
 
-def discord_min(rho, grid_points=721, refine_tol=1e-9, scan_phase=False):
+def discord_min(rho, grid_points=721, scan_phase=False):
     """Minimize discord over the measurement family.
 
     Dense grid of grid_points angles over t in [0, pi/2) guards against the
     conditional entropy's local minima; golden-section then refines around
-    the best grid point to refine_tol. With scan_phase the grid extends to
+    the best grid point to REFINE_TOL. With scan_phase the grid extends to
     phi in [0, pi) at the same density, evaluated _PHASE_BLOCK phase rows
     per conditional_entropy_curve call; the best grid point is the first phase
     row that strictly improves on the rows before it, at the first t of
@@ -325,8 +260,6 @@ def discord_min(rho, grid_points=721, refine_tol=1e-9, scan_phase=False):
         raise DomainError(f"grid_points must be an integer, got {grid_points!r}") from None
     if grid_points < 64:
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
-    if not (math.isfinite(refine_tol) and refine_tol > 0):
-        raise DomainError(f"refine_tol must be finite and positive, got {refine_tol}")
     rho = np.asarray(rho, dtype=float)
 
     ha = hermat.vn_entropy(hermat.eig_herm2(hermat.partial_trace(rho, "a")))
@@ -355,17 +288,17 @@ def discord_min(rho, grid_points=721, refine_tol=1e-9, scan_phase=False):
                 best_t, best_phi, best_h = float(ts[i]), float(block[r, 0]), float(curves[r, i])
         # alternate one-dimensional refinements around the best grid point
         best_t, best_h = golden_min(lambda t: h_at(t, best_phi),
-                                    best_t - dt, best_t + dt, refine_tol)
+                                    best_t - dt, best_t + dt, REFINE_TOL)
         best_phi, best_h = golden_min(lambda phi: h_at(best_t, phi),
-                                      best_phi - dphi, best_phi + dphi, refine_tol)
+                                      best_phi - dphi, best_phi + dphi, REFINE_TOL)
         best_t, best_h = golden_min(lambda t: h_at(t, best_phi),
-                                    best_t - dt, best_t + dt, refine_tol)
+                                    best_t - dt, best_t + dt, REFINE_TOL)
     else:
         curve = conditional_entropy_curve(rho, ts, 0.0)
         i = int(np.argmin(curve))
         best_t, best_phi, best_h = float(ts[i]), 0.0, float(curve[i])
         best_t, best_h = golden_min(lambda t: h_at(t, 0.0),
-                                    best_t - dt, best_t + dt, refine_tol)
+                                    best_t - dt, best_t + dt, REFINE_TOL)
 
     best_t = best_t % (np.pi / 2)
     disc = hb - hab + best_h

@@ -51,9 +51,6 @@ class JInterval:
         if not 0.0 <= self.lo <= self.hi <= 0.5:
             raise DomainError(f"need 0 <= lo <= hi <= 1/2, got [{self.lo}, {self.hi}]")
 
-    def contains(self, j, slack=0.0):
-        return self.lo - slack <= j <= self.hi + slack
-
 
 def w3_closed(state, machine):
     """Order-3 leading principal minor of the partial transpose, closed form."""

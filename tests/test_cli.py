@@ -142,6 +142,22 @@ class TestConfig:
         assert rc == cli.EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"j_step = 0.01\n\xff\n")
+        assert main(["table1", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad.cfg" in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("argv", [["selftest", "--j-step", "0.1"],
+                                      ["selftest", "--alpha", "0.5"],
+                                      ["table1", "--t-points", "5"],
+                                      ["surface", "--seed", "1"]])
+    def test_subcommands_reject_flags_they_do_not_read(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == cli.EXIT_CONFIG
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         # numpy's default_rng rejects it with a ValueError traceback otherwise
         cfg = tmp_path / "seed.cfg"

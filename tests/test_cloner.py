@@ -139,11 +139,6 @@ class TestValidJRange:
             lo, hi = window
             assert lo <= 1 / 6 + 1e-9 <= hi
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_bad_tol(self, tol):
-        with pytest.raises(DomainError):
-            valid_j_range(0.5, tol=tol)
-
     def test_matches_jacobi_oracle_bitwise(self):
         # the bisection predicate takes LAPACK spectra; the windows are those
         # of the all-Jacobi search bit for bit
@@ -170,9 +165,11 @@ class TestValidJRange:
         assert calls["eig_sym4"] > 0
 
     def test_grid_step_is_not_a_keyword(self):
-        # the scan spacing is the module constant WINDOW_GRID_STEP
-        with pytest.raises(TypeError):
-            valid_j_range(0.7, grid_step=1e-3)
+        # the scan spacing and the bisection tolerance are the module
+        # constants WINDOW_GRID_STEP and WINDOW_TOL
+        for keyword in ("grid_step", "tol"):
+            with pytest.raises(TypeError):
+                valid_j_range(0.7, **{keyword: 1e-3})
 
 
 class TestMachineConstraints:

@@ -4,7 +4,7 @@ import pytest
 from clonecorr import (InputState, MeasurementBasis, build_output_batch, build_output_state,
                        conditional_entropy, conditional_entropy_curve, discord_at,
                        discord_min, discord_surface, eig_herm2, eig_sym4, jacobi_eigvals,
-                       measure_b, mutual_info_i, mutual_info_j, partial_trace, swap_qubits,
+                       mutual_info_i, mutual_info_j, partial_trace, swap_qubits,
                        vn_entropy)
 import clonecorr.discord as discord_module
 from clonecorr.discord import DiscordResult
@@ -75,54 +75,6 @@ def phase_scan_reference(rho, curve=conditional_entropy_curve, grid_points=721,
                          optimal_phi=best_phi, entropy_joint=hab, entropy_a=ha, entropy_b=hb,
                          conditional_entropy=best_h, mutual_info_j=ha + hb - hab,
                          mutual_info_i=ha - best_h)
-
-
-class TestMeasureB:
-    def test_product_state_is_not_steered(self):
-        rho, a, _ = product_state()
-        for t in (0.0, 0.3, 1.1):
-            for outcome in measure_b(rho, MeasurementBasis(t)):
-                assert not outcome.degenerate
-                np.testing.assert_allclose(outcome.conditional_state, a,
-                                           rtol=0, atol=1e-14)
-
-    def test_universal_point_probabilities(self):
-        rho = build_output_state(1 / np.sqrt(2), 1 / 6)
-        outcomes = measure_b(rho, MeasurementBasis(0.0))
-        assert outcomes[0].probability == pytest.approx(0.5, abs=1e-15)
-        assert outcomes[1].probability == pytest.approx(0.5, abs=1e-15)
-
-    def test_bell_outcomes(self):
-        outcomes = measure_b(bell_phi_plus(), MeasurementBasis(0.0))
-        np.testing.assert_allclose(outcomes[0].conditional_state,
-                                   [[1.0, 0.0], [0.0, 0.0]], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(outcomes[1].conditional_state,
-                                   [[0.0, 0.0], [0.0, 1.0]], rtol=0, atol=1e-14)
-        for outcome in outcomes:
-            assert outcome.probability == pytest.approx(0.5, abs=1e-15)
-
-    def test_probabilities_sum_to_one_and_outcomes_are_states(self):
-        from clonecorr.hermat import validate_state
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            rho = build_output_state(rng.uniform(0, 1), rng.uniform(1 / 6, 0.5))
-            basis = MeasurementBasis(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
-            outcomes = measure_b(rho, basis)
-            assert abs(sum(o.probability for o in outcomes) - 1.0) <= 1e-12
-            for o in outcomes:
-                if not o.degenerate:
-                    validate_state(o.conditional_state)   # raises on violation
-
-    def test_degenerate_outcome_flagged(self):
-        rho = np.diag([1.0, 0.0, 0.0, 0.0])  # pure |00>
-        outcomes = measure_b(rho, MeasurementBasis(np.pi / 2))
-        assert outcomes[0].degenerate and outcomes[0].conditional_state is None
-        assert outcomes[1].probability == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_invalid_state(self):
-        bad = np.diag([1.5, 0.0, 0.0, -0.5])
-        with pytest.raises(InvalidStateError):
-            measure_b(bad, MeasurementBasis(0.1))
 
 
 class TestConditionalEntropy:
@@ -396,10 +348,10 @@ class TestDiscordMin:
         rho = build_output_state(0.7, 0.22)
         assert discord_min(rho, grid_points=np.int64(100)) == discord_min(rho, grid_points=100)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
-    def test_rejects_bad_refine_tol(self, tol):
-        with pytest.raises(DomainError):
-            discord_min(bell_phi_plus(), refine_tol=tol)
+    def test_refine_tol_is_not_a_keyword(self):
+        # the refinement tolerance is the module constant REFINE_TOL
+        with pytest.raises(TypeError):
+            discord_min(bell_phi_plus(), refine_tol=1e-9)
 
     def test_rejects_invalid_state(self):
         with pytest.raises(InvalidStateError):

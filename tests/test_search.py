@@ -1,6 +1,5 @@
 import pytest
 
-from clonecorr import cloner, search, valid_j_range
 from clonecorr.search import bisect_boundary, golden_min
 
 BAD_TOLS = [0.0, -1e-6, float("nan"), float("inf")]
@@ -69,12 +68,3 @@ class TestBisectBoundary:
         assert bisect_boundary(lambda x: x > 0.3, 0.0, 1.0, 1e-6) == 0.2999997138977051
         assert golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-9) == (
             0.2999999999641477, 1.285384948707904e-21)
-
-    def test_valid_j_range_with_tiny_tol_returns(self, monkeypatch):
-        def guarded(pred, x_false, x_true, tol):
-            return search.bisect_boundary(budgeted(pred), x_false, x_true, tol)
-
-        monkeypatch.setattr(cloner, "bisect_boundary", guarded)
-        lo, hi = valid_j_range(0.7, tol=1e-20)
-        assert lo == pytest.approx(1 / 6, abs=1e-9) and hi == 0.5
-
