@@ -118,15 +118,41 @@ def _parse_bool(text):
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _alpha_list(text):
+    return [float(x) for x in text.replace(",", " ").split()]
+
+
+# Each RunConfig field, which is also its flag's dest and its config-file key:
+# the flag, the config-file parser and the argparse keywords (a metavar names
+# the value after the flag where the field name differs).
+OPTIONS = {
+    "alpha_list": ("--alpha", _alpha_list, {
+        "type": _alpha_list, "metavar": "ALPHA",
+        "help": "comma-separated input amplitudes (default 0.1..0.9)"}),
+    "j_min": ("--j-min", float, {"type": float}),
+    "j_max": ("--j-max", float, {"type": float}),
+    "j_step": ("--j-step", float, {"type": float}),
+    "t_points": ("--t-points", int, {"type": int}),
+    "output_format": ("--format", str, {"choices": ("csv", "json")}),
+    "output_path": ("--out", str, {
+        "metavar": "OUT", "help": "output directory (surface) or file (table1)"}),
+    "enforce_psd": ("--enforce-psd", _parse_bool, {
+        "action": "store_true", "default": None,
+        "help": "drop rows where the state is not positive semidefinite"}),
+    "seed": ("--seed", int, {"type": int}),
+}
+
+# The fields each config-driven command reads: its flags and the file keys it applies.
+COMMAND_FIELDS = {
+    "surface": ("alpha_list", "j_min", "j_max", "j_step", "t_points", "output_format",
+                "output_path", "enforce_psd"),
+    "table1": ("alpha_list", "output_format", "output_path"),
+    "selftest": ("seed",),
+}
+
+
 def load_config_file(path):
-    """Flat key=value config; '#' starts a comment, keys mirror RunConfig fields."""
-    parsers = {
-        "alpha_list": lambda v: [float(x) for x in v.replace(",", " ").split()],
-        "j_min": float, "j_max": float, "j_step": float,
-        "t_points": int, "seed": int,
-        "enforce_psd": _parse_bool,
-        "output_format": str, "output_path": str,
-    }
+    """Flat key=value config; '#' starts a comment, keys are RunConfig fields."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -141,10 +167,11 @@ def load_config_file(path):
         key, value = key.strip(), value.strip()
         if not eq or not key:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-        if key not in parsers:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        _, parse, _ = OPTIONS[key]
         try:
-            out[key] = parsers[key](value)
+            out[key] = parse(value)
         except ConfigError:
             raise
         except ValueError as exc:
@@ -152,26 +179,17 @@ def load_config_file(path):
     return out
 
 
-def build_config(args):
-    """Defaults, then config file, then explicit flags."""
+def build_config(args, command):
+    """The RunConfig of one command: each field it reads from its flag if given,
+    else from the config file, else the default. The file's other keys are
+    parsed but not applied, so one file serves all three commands."""
+    from_file = load_config_file(args.config) if args.config else {}
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    overrides = {
-        "alpha_list": getattr(args, "alpha", None),
-        "j_min": getattr(args, "j_min", None),
-        "j_max": getattr(args, "j_max", None),
-        "j_step": getattr(args, "j_step", None),
-        "t_points": getattr(args, "t_points", None),
-        "output_format": getattr(args, "format", None),
-        "output_path": getattr(args, "out", None),
-        "enforce_psd": getattr(args, "enforce_psd", None),
-        "seed": getattr(args, "seed", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
+    for name in COMMAND_FIELDS[command]:
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
+        elif name in from_file:
+            setattr(cfg, name, from_file[name])
     return cfg.validate()
 
 
@@ -188,6 +206,19 @@ def _fmt(x):
 
 def _jnum(x):
     return None if x is None else float(format(x, ".12g"))
+
+
+def _json_text(payload):
+    """Indented, key-sorted JSON text of payload with every float through _jnum."""
+    def walk(x):
+        if isinstance(x, dict):
+            return {k: walk(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [walk(v) for v in x]
+        if isinstance(x, float):
+            return _jnum(x)
+        return x
+    return json.dumps(walk(payload), indent=2, sort_keys=True) + "\n"
 
 
 def records_to_csv(grid):
@@ -327,14 +358,13 @@ def run_table1(cfg, out_stream=None):
 
     if cfg.output_path:
         if cfg.output_format == "json":
-            payload = [{
-                "alpha": _jnum(row["alpha"]),
-                "intervals": [[_jnum(iv.lo), _jnum(iv.hi)] for iv in row["intervals"]],
+            text = _json_text([{
+                "alpha": row["alpha"],
+                "intervals": [[iv.lo, iv.hi] for iv in row["intervals"]],
                 "classification": row["classification"],
                 "reference": (list(row["expected"]) if row["expected"] else None),
                 "match": row["match"],
-            } for row in rows]
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            } for row in rows])
         else:
             lines = ["alpha,lo,hi,classification,reference_lo,reference_hi,match"]
             for row in rows:
@@ -405,15 +435,7 @@ def run_point(alpha, j, output_format="text", scan_phase=False, out_stream=None)
     out_stream = out_stream if out_stream is not None else sys.stdout
     report = point_report(alpha, j, scan_phase=scan_phase)
     if output_format == "json":
-        def walk(x):
-            if isinstance(x, dict):
-                return {k: walk(v) for k, v in x.items()}
-            if isinstance(x, list):
-                return [walk(v) for v in x]
-            if isinstance(x, float):
-                return _jnum(x)
-            return x
-        print(json.dumps(walk(report), indent=2, sort_keys=True), file=out_stream)
+        out_stream.write(_json_text(report))
         return EXIT_OK
 
     d = report["discord"]
@@ -515,28 +537,13 @@ def run_selftest(cfg, out_stream=None):
     return 1 if failures else EXIT_OK
 
 
-def _add_flags(p, *names):
-    """Add the named RunConfig flags (name j_min is flag --j-min) to one subcommand."""
-    options = {
-        "config": {"help": "flat key=value config file; flags override it"},
-        "alpha": {"type": _alpha_list,
-                  "help": "comma-separated input amplitudes (default 0.1..0.9)"},
-        "j_min": {"type": float},
-        "j_max": {"type": float},
-        "j_step": {"type": float},
-        "t_points": {"type": int},
-        "format": {"choices": ("csv", "json")},
-        "out": {"help": "output directory (surface) or file (table1)"},
-        "enforce_psd": {"action": "store_true", "default": None,
-                        "help": "drop rows where the state is not positive semidefinite"},
-        "seed": {"type": int},
-    }
-    for name in names:
-        p.add_argument("--" + name.replace("_", "-"), dest=name, **options[name])
-
-
-def _alpha_list(text):
-    return [float(x) for x in text.replace(",", " ").split()]
+def _add_command(sub, command, summary):
+    """A config-driven subcommand with --config and the flags of COMMAND_FIELDS."""
+    p = sub.add_parser(command, help=summary)
+    p.add_argument("--config", help="flat key=value config file; flags override it")
+    for name in COMMAND_FIELDS[command]:
+        flag, _, kwargs = OPTIONS[name]
+        p.add_argument(flag, dest=name, **kwargs)
 
 
 def main(argv=None):
@@ -545,12 +552,8 @@ def main(argv=None):
         description="Discord and separability of Buzek-Hillery copier output states.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_surface = sub.add_parser("surface", help="discord surface over (j, t) per alpha")
-    _add_flags(p_surface, "config", "alpha", "j_min", "j_max", "j_step", "t_points",
-               "format", "out", "enforce_psd")
-
-    p_table = sub.add_parser("table1", help="separable j intervals vs the reference table")
-    _add_flags(p_table, "config", "alpha", "format", "out")
+    _add_command(sub, "surface", "discord surface over (j, t) per alpha")
+    _add_command(sub, "table1", "separable j intervals vs the reference table")
 
     p_point = sub.add_parser("point", help="full report for a single (alpha, j)")
     p_point.add_argument("alpha", type=float)
@@ -559,32 +562,27 @@ def main(argv=None):
     p_point.add_argument("--scan-phase", action="store_true", default=False,
                          dest="scan_phase")
 
-    p_self = sub.add_parser("selftest", help="run the randomized property suites")
-    _add_flags(p_self, "config", "seed")
+    _add_command(sub, "selftest", "run the randomized property suites")
 
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "surface":
-            cfg = build_config(args)
-            run_surface(cfg)
-            return EXIT_OK
-        if args.command == "table1":
-            cfg = build_config(args)
-            return run_table1(cfg)
         if args.command == "point":
             return run_point(args.alpha, args.j, output_format=args.format,
                              scan_phase=args.scan_phase)
-        if args.command == "selftest":
-            cfg = build_config(args)
-            return run_selftest(cfg)
+        cfg = build_config(args, args.command)
+        if args.command == "surface":
+            run_surface(cfg)
+            return EXIT_OK
+        if args.command == "table1":
+            return run_table1(cfg)
+        return run_selftest(cfg)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

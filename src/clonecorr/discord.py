@@ -206,6 +206,11 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     return total
 
 
+def _marginal_entropy(rho, keep):
+    """Entropy in bits of the reduced state of clone `keep` ("a" or "b")."""
+    return hermat.vn_entropy(hermat.eig_herm2(hermat.partial_trace(rho, keep)))
+
+
 def conditional_entropy(rho, basis):
     """Probability-weighted entropy of clone a after measuring clone b."""
     hermat.validate_state(rho)
@@ -217,14 +222,14 @@ def conditional_entropy(rho, basis):
 def mutual_info_j(rho):
     """Unmeasured mutual information H(a) + H(b) - H(ab), in bits."""
     spectrum = hermat.validate_state(rho)
-    ha = hermat.vn_entropy(hermat.eig_herm2(hermat.partial_trace(rho, "a")))
-    hb = hermat.vn_entropy(hermat.eig_herm2(hermat.partial_trace(rho, "b")))
+    ha = _marginal_entropy(rho, "a")
+    hb = _marginal_entropy(rho, "b")
     return ha + hb - hermat.vn_entropy(spectrum)
 
 
 def mutual_info_i(rho, basis):
     """Measurement-based mutual information H(a) - H(a | measure b), in bits."""
-    ha = hermat.vn_entropy(hermat.eig_herm2(hermat.partial_trace(rho, "a")))
+    ha = _marginal_entropy(rho, "a")
     return ha - conditional_entropy(rho, basis)
 
 
@@ -235,7 +240,7 @@ def discord_at(rho, basis):
     """
     spectrum = hermat.validate_state(rho)
     basis = _as_basis(basis)
-    hb = hermat.vn_entropy(hermat.eig_herm2(hermat.partial_trace(rho, "b")))
+    hb = _marginal_entropy(rho, "b")
     hab = hermat.vn_entropy(spectrum)
     curve = conditional_entropy_curve(np.asarray(rho, dtype=float), [basis.t], basis.phi)
     return float(hb - hab + curve[0])
@@ -262,8 +267,8 @@ def discord_min(rho, grid_points=721, scan_phase=False):
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
     rho = np.asarray(rho, dtype=float)
 
-    ha = hermat.vn_entropy(hermat.eig_herm2(hermat.partial_trace(rho, "a")))
-    hb = hermat.vn_entropy(hermat.eig_herm2(hermat.partial_trace(rho, "b")))
+    ha = _marginal_entropy(rho, "a")
+    hb = _marginal_entropy(rho, "b")
     hab = hermat.vn_entropy(spectrum)
 
     def h_at(t, phi):

@@ -66,12 +66,12 @@ def eig_herm2(m):
     return np.stack([half_tr + rad, half_tr - rad], axis=-1)
 
 
-def jacobi_eigvals(mats, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
+def jacobi_eigvals(mats):
     """Eigenvalues of a batch of real symmetric 4x4 matrices, descending.
 
     Cyclic Jacobi rotations over the six upper-triangle positions until the
     off-diagonal Frobenius norm of every matrix in the batch drops below
-    off_tol. Raises ConvergenceError after max_sweeps.
+    JACOBI_OFF_TOL. Raises ConvergenceError after JACOBI_MAX_SWEEPS sweeps.
 
     Parameters
     ----------
@@ -92,8 +92,8 @@ def jacobi_eigvals(mats, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
         off[:, range(4), range(4)] = 0.0
         return (off ** 2).sum(axis=(1, 2)).max()
 
-    for _ in range(max_sweeps):
-        if max_off2(a) <= off_tol ** 2:
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if max_off2(a) <= JACOBI_OFF_TOL ** 2:
             break
         for p, q in _JACOBI_PAIRS:
             apq = a[:, p, q]
@@ -110,9 +110,9 @@ def jacobi_eigvals(mats, off_tol=JACOBI_OFF_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
             rp, rq = a[:, p, :].copy(), a[:, q, :].copy()
             a[:, p, :] = c[:, None] * rp - s[:, None] * rq
             a[:, q, :] = s[:, None] * rp + c[:, None] * rq
-    if max_off2(a) > off_tol ** 2:
+    if max_off2(a) > JACOBI_OFF_TOL ** 2:
         raise ConvergenceError(
-            f"Jacobi sweep budget of {max_sweeps} exhausted "
+            f"Jacobi sweep budget of {JACOBI_MAX_SWEEPS} exhausted "
             f"(max off-diagonal norm {np.sqrt(max_off2(a)):.3e})")
 
     eigs = a[:, range(4), range(4)]

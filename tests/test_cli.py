@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -72,17 +73,17 @@ class TestConfig:
 
         class Args:
             config = str(path)
-            alpha = None
+            alpha_list = None
             j_min = None
             j_max = None
             j_step = 0.02
             t_points = None
-            format = None
-            out = None
+            output_format = None
+            output_path = None
             enforce_psd = None
             seed = None
 
-        cfg = build_config(Args())
+        cfg = build_config(Args(), "surface")
         assert cfg.j_step == 0.02      # flag wins
         assert cfg.t_points == 5       # file value survives
 
@@ -157,6 +158,28 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == cli.EXIT_CONFIG
+
+    def test_shared_config_applies_only_the_keys_a_command_reads(self, tmp_path, capsys):
+        # j_step is a surface key: selftest and table1 ignore its bad value
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("j_step = 0\nseed = 3\n")
+        assert main(["selftest", "--config", str(cfg)]) == cli.EXIT_OK
+        assert "OK: 5 of 5" in capsys.readouterr().out
+        assert main(["table1", "--alpha", "0.7", "--config", str(cfg)]) == cli.EXIT_OK
+        capsys.readouterr()
+        rc = main(["surface", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "j_step must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_each_command_applies_only_its_fields(self, tmp_path):
+        values = {"alpha_list": [0.3], "t_points": 5, "output_format": "json", "seed": 7}
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("alpha_list = 0.3\nt_points = 5\noutput_format = json\nseed = 7\n")
+        args = argparse.Namespace(config=str(cfg), **dict.fromkeys(cli.OPTIONS))
+        for command, fields in cli.COMMAND_FIELDS.items():
+            read = {k: v for k, v in values.items() if k in fields}
+            assert build_config(args, command) == dataclasses.replace(RunConfig(), **read)
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         # numpy's default_rng rejects it with a ValueError traceback otherwise

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from clonecorr import (build_output_batch, build_output_state, eig_herm2, eig_sym4,
+from clonecorr import (build_output_batch, build_output_state, eig_herm2, eig_sym4, hermat,
                        jacobi_eigvals, partial_trace, partial_transpose_b, principal_minor,
                        swap_qubits, vn_entropy)
 from clonecorr.errors import InvalidStateError
@@ -85,18 +85,20 @@ class TestEigSym4:
             spectrum, charpoly_eigvals_sym4(rho), rtol=0, atol=1e-7)
 
     def test_random_against_charpoly_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            m = random_sym4(rng)
-            np.testing.assert_allclose(
-                eig_sym4(m), charpoly_eigvals_sym4(m), rtol=0, atol=1e-7)
+        for seed in (11, 13):
+            rng = np.random.default_rng(seed)
+            for _ in range(200):
+                m = random_sym4(rng)
+                np.testing.assert_allclose(
+                    eig_sym4(m), charpoly_eigvals_sym4(m), rtol=0, atol=1e-12)
 
     def test_random_against_lapack(self):
+        # the single-matrix path is LAPACK's spectrum, descending, bit for bit;
+        # accuracy is checked against the charpoly oracle above
         rng = np.random.default_rng(13)
         for _ in range(200):
             m = random_sym4(rng)
-            np.testing.assert_allclose(
-                eig_sym4(m), np.linalg.eigvalsh(m)[::-1], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(eig_sym4(m), np.linalg.eigvalsh(m)[::-1])
 
     def test_rejects_asymmetric(self):
         m = np.eye(4)
@@ -127,12 +129,18 @@ class TestEigSym4:
                 np.testing.assert_allclose(jacobi_eigvals(x), [eig_sym4(m) for m in x],
                                            rtol=0, atol=1e-14)
 
-    def test_exhausted_sweep_budget_raises(self):
-        from clonecorr import jacobi_eigvals
+    def test_exhausted_sweep_budget_raises(self, monkeypatch):
         from clonecorr.errors import ConvergenceError
+        monkeypatch.setattr(hermat, "JACOBI_MAX_SWEEPS", 0)
         rng = np.random.default_rng(1)
-        with pytest.raises(ConvergenceError):
-            jacobi_eigvals(random_sym4(rng)[None], max_sweeps=0)
+        with pytest.raises(ConvergenceError, match="budget of 0"):
+            jacobi_eigvals(random_sym4(rng)[None])
+
+    @pytest.mark.parametrize("keyword", ["max_sweeps", "off_tol"])
+    def test_sweep_settings_are_not_keywords(self, keyword):
+        # the module constants JACOBI_MAX_SWEEPS and JACOBI_OFF_TOL set them
+        with pytest.raises(TypeError):
+            jacobi_eigvals(np.eye(4)[None], **{keyword: 1})
 
     def test_eigenvalues_reconstruct_trace_and_frobenius(self):
         rng = np.random.default_rng(17)
