@@ -143,13 +143,14 @@ def valid_j_range(state):
     """Maximal interval of j in [0, 1/2] on which the output state is physical.
 
     Physical means minimum eigenvalue >= -1e-10. A grid scan at
-    WINDOW_GRID_STEP locates the interval; each interior boundary is refined
-    by bisection to WINDOW_TOL. Returns (lo, hi), never empty: at j = 1/2 the
-    state has spectrum {1, 0, 0, 0} for every alpha.
+    WINDOW_GRID_STEP (one batched LAPACK call) locates the interval; each
+    interior boundary is refined by bisection to WINDOW_TOL. Returns (lo, hi),
+    never empty: at j = 1/2 the state has spectrum {1, 0, 0, 0} for every
+    alpha.
     """
     st = _as_input(state)
     js = np.round(np.arange(0.0, 0.5 + WINDOW_GRID_STEP / 2, WINDOW_GRID_STEP), 12)
-    min_eigs = hermat.jacobi_eigvals(build_output_batch(st, js))[:, -1]
+    min_eigs = np.linalg.eigvalsh(build_output_batch(st, js))[:, 0]
     phys = min_eigs >= hermat.STATE_EIG_FLOOR
 
     # longest contiguous run of physical grid points (first on ties)

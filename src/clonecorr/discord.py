@@ -20,12 +20,20 @@ scan is evaluated a block of phase rows per call rather than one call per
 phase. It uses no complex arithmetic: the measured ket is (u, e^{i phi} v)
 with u and v real, so the phase enters only as cos(phi) on two rows of
 rho's entries and as sin(phi) in the imaginary part of one off-diagonal
-entry. At phi = 0 it performs the real family's float operations in their
-original order, so its values are those of the complex-arithmetic kernel it
-replaced (tests/oracles.py's conditional_entropy_curve_complex) bit for
-bit. It takes cos and sin once per distinct angle (a stride-0 axis of a
-broadcast ts is evaluated once) and puts all temporaries of a call in one
-workspace allocation (see _PHASE_BLOCK).
+entry. At phi = 0 every value that enters the sum comes from the real
+family's float operations in their original order, so its values are those
+of the complex-arithmetic kernel it replaced (tests/oracles.py's
+conditional_entropy_curve_complex) bit for bit; other phases differ from it
+by rounding. It takes cos and sin once per distinct angle (a stride-0 axis
+of a broadcast ts is evaluated once) and puts all temporaries of a call in
+one workspace allocation (see _PHASE_BLOCK).
+
+discord_min's golden-section refinement takes one (t, phi) at a time from
+_conditional_entropy_at, the same quantity in scalar math from the state's
+Bloch form: about 1 us an angle against 21 us for a one-angle kernel call,
+equal to rounding. The grids stay on the kernel until ROADMAP item 3
+re-pins what depends on it: the sweep's sha256-pinned surface files and
+the benchmark's count of kernel angles per phase query.
 
 discord_surface evaluates the unminimized discord on a whole (j, t) grid
 as arrays: one batch of output states, one batched spectrum and one
@@ -62,6 +70,9 @@ _PHASE_BLOCK = 8
 # flat indices into rho of the entries that <m, e| rho |n, e> weights by
 # u u, u v, u v* and |v|^2 (rows), for (m, n) = (0, 0), (0, 1), (1, 1) (columns)
 _Q_ENTRIES = np.array([[0, 2, 10], [1, 3, 11], [4, 6, 14], [5, 7, 15]])
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# _PAULI_PAIRS[i, k] = sigma_i (x) sigma_k, sigma_0 = I
+_PAULI_PAIRS = np.einsum("iab,kcd->ikacbd", _PAULI, _PAULI).reshape(4, 4, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -140,7 +151,6 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     flags = ws[6 * n:6 * n + n_flags].view(np.bool_)[:3 * n].reshape((3,) + full)
     small = ws[6 * n + n_flags:].reshape((9,) + angle_shape)
     q, tmp = big[0:3], big[3:6]
-    live, pos = flags[0], flags[1:3]
 
     # measured kets (u, e^{i phi} v) with (u, v) = (cos t, sin t), (sin t, -cos t);
     # uc holds (cos t, sin t, -cos t), so u = uc[0:2] and v = uc[1:3]
@@ -167,43 +177,87 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     q += np.multiply(uv, r_uvc, out=tmp)
     q += np.multiply(vv, r[3], out=tmp)
     q00, q01, q11 = q
-    # |q01|, where Im q01 = u v sin(phi) (rho[0, 3] - rho[1, 2]). As
-    # sqrt(Re^2 + Im^2) it is |Re q01| exactly when Im = 0 (sqrt(x * x) == |x|
-    # short of underflow, and a live branch's p / 2 swamps an underflowed q01)
+
+    # branch probability p and the conditional spectrum p/2 +- rad of clone a,
+    # rad = |(d, q01)| with d = (q00 - q11) / 2
+    p = np.add(q00, q11, out=tmp[0])
+    d = np.subtract(q00, q11, out=tmp[1])
+    d *= 0.5
     if phase:
+        # one sqrt of d^2 + Re^2 + Im^2, Im q01 = u v sin(phi) (rho[0, 3] - rho[1, 2]);
+        # phi = 0 entries keep the real family's hypot bits
         im = np.multiply(uv, (r[1, 1] - r[2, 1]) * np.sin(phi), out=tmp[2])
         im *= im
-        im += np.multiply(q01, q01, out=tmp[1])
-        np.sqrt(im, out=tmp[2])
+        im += np.multiply(q01, q01, out=q[0])
+        im += np.multiply(d, d, out=q[2])
+        rad = np.sqrt(im, out=tmp[2])
+        real_rows = phi == 0.0
+        if real_rows.any():
+            np.hypot(d, np.abs(q01, out=q[0]), out=rad, where=real_rows)
     else:
-        np.abs(q01, out=tmp[2])
-
-    # branch probability p and the conditional spectrum p/2 +- rad of clone a
-    p = np.add(q00, q11, out=tmp[0])
-    np.subtract(q00, q11, out=tmp[1])
-    tmp[1] *= 0.5
-    rad = np.hypot(tmp[1], tmp[2], out=tmp[2])
+        rad = np.hypot(d, np.abs(q01, out=tmp[2]), out=tmp[2])
     half = np.multiply(p, 0.5, out=tmp[1])
     lam = q[0:2]
     np.add(half, rad, out=lam[0])
     np.subtract(half, rad, out=lam[1])
 
-    # H = -sum over live branches of p sum x log2(x), x = lam / p > 0; masked
-    # entries stay 0 and are never divided or logged. Subtracting from +0.0
+    # H = -sum over live branches of p sum x log2(x), x = lam / p > 0. Dead
+    # branches divide by 1, and every other x is set to 1, so its x log2(x) is
+    # +0.0 and the divide and log2 need no mask. Subtracting from +0.0
     # outcome by outcome rounds (signed zeros included) as adding -x log2(x)
-    np.greater(p, DEGENERATE_P, out=live)
-    x = np.divide(lam, p, out=lam, where=live)
-    np.greater(x, 0.0, out=pos)
-    pos &= live
-    xlogx = tmp[1:3]
-    xlogx.fill(0.0)
-    np.log2(x, out=xlogx, where=pos)
-    np.multiply(x, xlogx, out=xlogx, where=pos)
+    dead = np.less_equal(p, DEGENERATE_P, out=flags[0])
+    divisor = tmp[1]
+    np.copyto(divisor, p)
+    np.copyto(divisor, 1.0, where=dead)
+    x = np.divide(lam, divisor, out=lam)
+    skip = np.less_equal(x, 0.0, out=flags[1:3])
+    skip |= dead
+    np.copyto(x, 1.0, where=skip)
+    xlogx = np.log2(x, out=tmp[1:3])
+    xlogx *= x
     weighted = np.add(xlogx[0], xlogx[1], out=xlogx[0])
     weighted *= p
     total = np.subtract(0.0, weighted[0])
     total -= weighted[1]
     return total
+
+
+def _bloch(rho):
+    """(r_a, r_b, T) as lists of floats, with rho = (1/4) sum_ik c_ik sigma_i (x) sigma_k.
+
+    c_ik = tr(rho sigma_i (x) sigma_k): r_a = c_i0, r_b = c_0k, T = c_ik (i, k > 0).
+    """
+    c = np.einsum("xy,ikyx->ik", rho, _PAULI_PAIRS).real.tolist()
+    return [row[0] for row in c[1:]], c[0][1:], [row[1:] for row in c[1:]]
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _conditional_entropy_at(bloch, t, phi):
+    """conditional_entropy_curve at one (t, phi), from _bloch(rho), in scalar math.
+
+    Outcome +-m, m = (sin 2t cos phi, sin 2t sin phi, cos 2t), has probability
+    p = (1 +- r_b.m)/2 and leaves clone a the unnormalised spectrum
+    p/2 +- |r_a +- T m|/4 (R. & M. Horodecki, PRA 54, 1838 (1996); Luo,
+    PRA 77, 042303 (2008)). As in the kernel, branches with p <= DEGENERATE_P
+    and eigenvalues <= 0 contribute 0; the two agree to rounding, not bitwise.
+    """
+    (ax, ay, az), rb, (tx, ty, tz) = bloch
+    s2 = math.sin(2.0 * t)
+    m = (s2 * math.cos(phi), s2 * math.sin(phi), math.cos(2.0 * t))
+    rb_m, tmx, tmy, tmz = _dot3(rb, m), _dot3(tx, m), _dot3(ty, m), _dot3(tz, m)
+    h = 0.0
+    for sign in (1.0, -1.0):
+        p = 0.5 + 0.5 * sign * rb_m
+        if p <= DEGENERATE_P:
+            continue
+        rad = 0.25 * math.hypot(ax + sign * tmx, ay + sign * tmy, az + sign * tmz)
+        for lam in (0.5 * p + rad, 0.5 * p - rad):
+            if lam > 0.0:
+                h -= lam * math.log2(lam / p)
+    return h
 
 
 def _marginal_entropy(rho, keep):
@@ -256,7 +310,9 @@ def discord_min(rho, grid_points=721, scan_phase=False):
     per conditional_entropy_curve call; the best grid point is the first phase
     row that strictly improves on the rows before it, at the first t of
     that row's minimum. The refinement then alternates between the two
-    angles.
+    angles. The grids go through conditional_entropy_curve and the
+    refinement through the scalar _conditional_entropy_at (see the module
+    docstring), so the result agrees with an all-kernel search to rounding.
     """
     spectrum = hermat.validate_state(rho)
     try:
@@ -271,8 +327,10 @@ def discord_min(rho, grid_points=721, scan_phase=False):
     hb = _marginal_entropy(rho, "b")
     hab = hermat.vn_entropy(spectrum)
 
+    bloch = _bloch(rho)
+
     def h_at(t, phi):
-        return float(conditional_entropy_curve(rho, [t], phi)[0])
+        return _conditional_entropy_at(bloch, t, phi)
 
     ts = np.linspace(0.0, np.pi / 2, grid_points, endpoint=False)
     dt = (np.pi / 2) / grid_points

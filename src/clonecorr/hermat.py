@@ -2,20 +2,23 @@
 
 Everything is fixed-size: 2x2 Hermitian (complex allowed) and 4x4 real
 symmetric. Eigenvalues come from the 2x2 closed form and, for 4x4, from
-LAPACK (np.linalg.eigvalsh) for one matrix and from cyclic Jacobi sweeps
-for a stack; determinants are direct cofactor expansions. The Jacobi
+LAPACK (np.linalg.eigvalsh), or from cyclic Jacobi sweeps for the pinned
+sweep stacks; determinants are direct cofactor expansions. The Jacobi
 routine, the 2x2 closed form, the partial trace and transpose and the
 cofactor determinants operate on (..., n, n) batches so parameter scans
 stay cheap.
 
-One matrix -> LAPACK, a stack -> Jacobi. A single eigvalsh call is about
-80x faster than a one-matrix Jacobi batch, and on copier states and their
-partial transposes the two agree to about 2e-15. The stacks (the j grid of
-cloner.valid_j_range, discord.discord_surface, separability.ppt_data) stay
-on Jacobi for now: the surface files are sha256-pinned in the tests and in
-bench/pinned.json, eigvalsh changes the last printed digit of some rows,
-and the benchmark pins Jacobi's per-op stack count. The exact spectra
-planned in ROADMAP.md revise those pins and then delete Jacobi outright.
+Jacobi serves only the two stacks behind the sha256-pinned surface files
+(in the tests and in bench/pinned.json): the states of
+discord.discord_surface and their partial transposes in a stack call of
+separability.ppt_data. There eigvalsh changes the last printed digit of
+some rows, and the benchmark pins Jacobi's per-op stack count. Every other
+spectrum is LAPACK: one matrix through eig_sym4, and the 501-point window
+grid of cloner.valid_j_range through one batched np.linalg.eigvalsh call. A
+single eigvalsh call is about 80x faster than a one-matrix Jacobi batch, and
+on copier states and their partial transposes the two agree to about 2e-15.
+The exact spectra planned in ROADMAP.md revise those pins and then delete
+Jacobi outright.
 
 Every validating entry point rejects NaN and infinite entries: NaN compares
 False against every tolerance, so it would otherwise pass as a state.
@@ -139,8 +142,8 @@ def eig_sym4(m):
 
     Validates the matrix (finite, real, symmetric within 1e-12) and takes
     its spectrum from LAPACK (np.linalg.eigvalsh). This is the single-matrix
-    path; stacks go through jacobi_eigvals, whose results feed byte-pinned
-    surface files (see the module docstring).
+    path; the sweep's stacks go through jacobi_eigvals, whose results feed
+    byte-pinned surface files (see the module docstring).
     """
     m = _require_real_symmetric(m)
     return np.linalg.eigvalsh(m)[::-1]

@@ -11,9 +11,9 @@ determinants of that matrix,
 give an equivalent shortcut test (both nonnegative <=> separable). classify
 evaluates its agreement with the spectral check on every call and surfaces
 it in the verdict rather than assuming it. ppt_data computes W3, W4 (as
-cofactor determinants) and the minimum PPT eigenvalue for a whole stack of
-states; classify, w_direct and scan_grid go through it, and
-w3_closed/w4_closed keep the formulas above as cross-checks.
+cofactor determinants) and the minimum PPT eigenvalue for one state (LAPACK)
+or a whole stack of states (Jacobi); classify, w_direct and scan_grid go
+through it, and w3_closed/w4_closed keep the formulas above as cross-checks.
 
 separable_intervals uses the formulas themselves: W3 changes sign only at
 j3 = beta^2 / (2 (1 + beta^2)), and W4 = (j/2) g(j) with a cubic g, so the
@@ -72,13 +72,14 @@ def ppt_data(rhos):
     """(W3, W4, minimum PPT eigenvalue) for each state of a (..., 4, 4) stack.
 
     W3 and W4 are the leading 3x3 and full determinants of the partial
-    transpose by cofactor expansion; the eigenvalue comes from one batched
-    Jacobi call. Each result has the stack's batch shape (0-d for a single
-    4x4 state).
+    transpose by cofactor expansion. The eigenvalue of a single 4x4 state
+    comes from eig_sym4 (LAPACK), that of a stack from one batched Jacobi
+    call (the sweep's pinned bytes; see hermat). Each result has the stack's
+    batch shape (0-d for a single 4x4 state).
     """
     sigmas = hermat.partial_transpose_b(rhos)
-    return (hermat._det3(sigmas[..., :3, :3]), hermat._det4(sigmas),
-            hermat.jacobi_eigvals(sigmas)[..., -1])
+    spectra = hermat.eig_sym4(sigmas) if sigmas.ndim == 2 else hermat.jacobi_eigvals(sigmas)
+    return hermat._det3(sigmas[..., :3, :3]), hermat._det4(sigmas), spectra[..., -1]
 
 
 def w_direct(rho):

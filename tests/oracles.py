@@ -7,8 +7,8 @@ exceptions are phase_scan_loop, a slower arrangement of the package's own
 arithmetic that its batched code must reproduce bit for bit, and
 valid_j_range_jacobi, the physical-window search with every spectrum,
 bisection steps included, from the package's Jacobi solver; the package's
-valid_j_range, whose bisection takes LAPACK spectra, must match it bit for
-bit.
+valid_j_range, whose grid and bisection take LAPACK spectra, must match it
+bit for bit.
 conditional_entropy_curve_complex is the complex-arithmetic kernel that the
 package's real-arithmetic one replaced: equal bit for bit at phi = 0, within
 rounding elsewhere. separable_intervals_scan is the grid-scan-plus-bisection

@@ -146,8 +146,8 @@ class TestValidJRange:
         for alpha in alphas:
             assert valid_j_range(alpha) == valid_j_range_jacobi(alpha), alpha
 
-    def test_one_jacobi_stack_per_call(self, monkeypatch):
-        # the grid is one Jacobi stack; each bisection step is one eig_sym4
+    def test_window_takes_no_jacobi_stack(self, monkeypatch):
+        # the grid is one batched eigvalsh call; each bisection step is one eig_sym4
         calls = {"jacobi_eigvals": 0, "eig_sym4": 0}
 
         def counting(name):
@@ -161,7 +161,7 @@ class TestValidJRange:
         for name in calls:
             monkeypatch.setattr(hermat, name, counting(name))
         valid_j_range(0.7)
-        assert calls["jacobi_eigvals"] == 1
+        assert calls["jacobi_eigvals"] == 0
         assert calls["eig_sym4"] > 0
 
     def test_grid_step_is_not_a_keyword(self):

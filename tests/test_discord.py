@@ -55,11 +55,16 @@ def oracle_states():
 
 def phase_scan_reference(rho, curve=conditional_entropy_curve, grid_points=721,
                          refine_tol=1e-9):
-    """discord_min(rho, scan_phase=True) rebuilt on the per-phase loop's grid point."""
+    """discord_min(rho, scan_phase=True) rebuilt on the per-phase loop's grid point.
+
+    The grid goes through curve; the refinement, like discord_min's, through
+    the scalar Bloch-form evaluator.
+    """
     best_t, best_phi, best_h = phase_scan_loop(rho, grid_points, curve)
+    bloch = discord_module._bloch(rho)
 
     def h_at(t, phi):
-        return float(curve(rho, [t], phi)[0])
+        return discord_module._conditional_entropy_at(bloch, t, phi)
 
     dt, dphi = (np.pi / 2) / grid_points, np.pi / grid_points
     best_t, best_h = golden_min(lambda t: h_at(t, best_phi), best_t - dt, best_t + dt,
@@ -177,6 +182,34 @@ class TestConditionalEntropy:
                 diff = (conditional_entropy_curve(rho, ts, phi)
                         - conditional_entropy_curve_complex(rho, ts, phi))
                 assert np.max(np.abs(diff)) <= 1e-14, k
+
+    def test_scalar_evaluator_matches_kernel_and_complex_oracle(self):
+        # discord_min's refinement evaluator, in Bloch form. Skipped: states
+        # that are not positive semidefinite while clone b's marginal is pure
+        # (the copier at j = 0). There p reaches 0 while the clipped spectrum
+        # keeps |r_a +- T m| / 4, so H grows like log(1/p) and two roundings of
+        # p disagree by up to 1e-11 bits
+        ts = np.linspace(0.0, np.pi, 73)
+        rhos = [rho for states in oracle_states() for rho in states.reshape(-1, 4, 4)]
+        checked = 0
+        for k, rho in enumerate(rhos):
+            if (np.linalg.eigvalsh(rho)[0] < -1e-10
+                    and eig_herm2(partial_trace(rho, "b"))[-1] < 1e-12):
+                continue
+            bloch = discord_module._bloch(rho)
+            for phi in (0.0, 0.7, np.pi / 2, -2.0):
+                got = np.array([discord_module._conditional_entropy_at(bloch, t, phi)
+                                for t in ts])
+                for kernel in (conditional_entropy_curve, conditional_entropy_curve_complex):
+                    assert np.max(np.abs(got - kernel(rho, ts, phi))) <= 1e-14, (k, phi)
+            checked += 1
+        assert checked == len(rhos) - 4
+        # a branch with 0 < p <= DEGENERATE_P contributes 0 in both (here p = 5e-13
+        # and clone a's conditional state is I/2, worth 5e-13 bits if counted)
+        rho = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
+        t = np.arcsin(np.sqrt(5e-13))
+        got = discord_module._conditional_entropy_at(discord_module._bloch(rho), t, 0.0)
+        assert abs(got - conditional_entropy_curve(rho, [t])[0]) <= 1e-15
 
     def test_broadcast_view_ts_matches_materialized(self):
         rho = build_output_state(0.7, 0.22)

@@ -3,7 +3,8 @@ import pytest
 
 from clonecorr import (JInterval, build_output_batch, build_output_state, classify,
                        eig_sym4, jacobi_eigvals, partial_transpose_b, ppt_data,
-                       principal_minor, separable_intervals, w3_closed, w4_closed, w_direct)
+                       principal_minor, separable_intervals, valid_j_range, w3_closed,
+                       w4_closed, w_direct)
 from clonecorr.errors import DomainError
 from clonecorr.separability import scan_grid
 from oracles import bell_phi_plus, separable_intervals_scan
@@ -90,6 +91,27 @@ class TestPptData:
             assert abs(min_ppt[k] - eig_sym4(sigma)[-1]) <= 1e-14
             assert abs(w3[k] - w3_closed(0.7, js[k])) <= 1e-15
             assert abs(w4[k] - w4_closed(0.7, js[k])) <= 1e-15
+
+    def test_single_state_matches_jacobi_stack_row(self):
+        # one state takes its PPT spectrum from LAPACK (eig_sym4), a stack from
+        # Jacobi: at the alpha = 0.7 window edges +-1e-9 and at random physical
+        # points they agree to 1e-15 and give the same verdict
+        [window] = separable_intervals(0.7)
+        points = [(0.7, j + s) for j in (window.lo, window.hi) for s in (-1e-9, 1e-9)]
+        rng = np.random.default_rng(12)
+        for alpha in rng.uniform(-1.0, 1.0, 200):
+            points.append((alpha, rng.uniform(*valid_j_range(alpha))))
+        for alpha, j in points:
+            rho = build_output_state(alpha, j)
+            w3, w4, min_ppt = ppt_data(rho)
+            stack_w3, stack_w4, stack_min = ppt_data(rho[None])
+            assert w3 == stack_w3[0] and w4 == stack_w4[0]
+            assert min_ppt == eig_sym4(partial_transpose_b(rho))[-1]
+            assert abs(min_ppt - stack_min[0]) <= 1e-15, (alpha, j)
+            verdict = classify(alpha, j)
+            assert verdict.min_ppt_eigenvalue == min_ppt
+            want = "Separable" if stack_min[0] >= -1e-10 else "Entangled"
+            assert verdict.classification == want, (alpha, j)
 
     def test_single_state_gives_scalars(self):
         w3, w4, min_ppt = ppt_data(build_output_state(0.6, 0.2))
