@@ -5,8 +5,8 @@ Output files are plot-ready CSV or JSON with floats at 12 significant
 digits and deterministic row order, so identical configurations produce
 byte-identical files. A surface is one grid record per alpha (per-j arrays
 and a (j, t) discord matrix, see surface_records); the writers expand it to
-rows in (j, t) order. The CSV writer fills one % template per j row; the
-JSON writer formats each distinct value once.
+rows in (j, t) order. Both writers format each distinct value once and
+fill one % template per j row.
 
 Exit codes: 0 success, 2 configuration error, 3 reference-table mismatch,
 4 I/O error (1 for self-test failures).
@@ -208,6 +208,16 @@ def _jnum(x):
     return None if x is None else float(format(x, ".12g"))
 
 
+# repr's text of the non-finite floats -> json.dumps's
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x):
+    """JSON text of _jnum(x), as json.dumps writes a float: its repr, or NaN/Infinity."""
+    text = repr(_jnum(x))
+    return _JSON_NONFINITE.get(text, text)
+
+
 def _json_text(payload):
     """Indented, key-sorted JSON text of payload with every float through _jnum."""
     def walk(x):
@@ -242,16 +252,26 @@ def records_to_csv(grid):
 def records_to_json(grid):
     """JSON text of a surface_records grid: a list of one object per (j, t) pair.
 
-    Each distinct value goes through _jnum once; the row objects share them.
+    The text is that of json.dumps(rows, indent=2, sort_keys=True) with every
+    float through _jnum, written directly. Each distinct value is formatted
+    once, and each j row is one %-template, its objects in key order around
+    a "%s" discord per t, filled with that row's discord texts in one call.
     """
-    alpha = _jnum(grid["alpha"])
-    ts = [_jnum(t) for t in grid["t"].tolist()]
-    payload = []
+    if grid["discord"].size == 0:
+        return "[]\n"
+    alpha = _json_float(grid["alpha"])
+    ts = [_json_float(t) for t in grid["t"].tolist()]
+    objects = []
     for j, w3, w4, ppt, phys, cls, row in zip(*(grid[k].tolist() for k in GRID_KEYS)):
-        per_j = {"alpha": alpha, "j": _jnum(j), "w3": _jnum(w3), "w4": _jnum(w4),
-                 "min_ppt_eig": _jnum(ppt), "physical": phys, "classification": cls}
-        payload += [dict(per_j, t=t, discord=_jnum(d)) for t, d in zip(ts, row)]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # the per-j texts are JSON numbers, true/false and fixed labels: never a %
+        head = (f'  {{\n    "alpha": {alpha},\n    "classification": {json.dumps(cls)},\n'
+                f'    "discord": ')
+        mid = (f',\n    "j": {_json_float(j)},\n    "min_ppt_eig": {_json_float(ppt)},\n'
+               f'    "physical": {json.dumps(phys)},\n    "t": ')
+        tail = f',\n    "w3": {_json_float(w3)},\n    "w4": {_json_float(w4)}\n  }}'
+        template = ",\n".join([f"{head}%s{mid}{t}{tail}" for t in ts])
+        objects.append(template % tuple([_json_float(d) for d in row]))
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
 def surface_records(alpha, cfg):

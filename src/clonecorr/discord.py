@@ -18,11 +18,13 @@ conditional_entropy_curve is elementwise in (state, t, phi): phi may be an
 array that broadcasts against the angles, so the (t, phi) grid of the phase
 scan is evaluated a block of phase rows per call rather than one call per
 phase. It uses no complex arithmetic: the measured ket is (u, e^{i phi} v)
-with u and v real, so the phase enters only as cos(phi) on two rows of
-rho's entries and as sin(phi) in the imaginary part of one off-diagonal
-entry. At phi = 0 every value that enters the sum comes from the real
-family's float operations in their original order, so its values are those
-of the complex-arithmetic kernel it replaced (tests/oracles.py's
+with u and v real, so each compressed entry of rho is a + b cos(phi) and
+the imaginary part of the off-diagonal one is g sin(phi), where a, b and g
+depend only on the outcome, the state and t. A call computes them once on
+its distinct t, and each entry of the (t, phi) grid then takes one
+multiply-add per compressed entry. Entries at phi = 0 are those of the real
+family, computed by its own float operations in their original order, so
+they equal the complex-arithmetic kernel it replaced (tests/oracles.py's
 conditional_entropy_curve_complex) bit for bit; other phases differ from it
 by rounding. It takes cos and sin once per distinct angle (a stride-0 axis
 of a broadcast ts is evaluated once) and puts all temporaries of a call in
@@ -57,16 +59,13 @@ DEGENERATE_P = 1e-12
 REFINE_TOL = 1e-9
 # phase rows per conditional_entropy_curve call in the scan_phase grid. A call
 # keeps all its temporaries in one workspace of about 6.4 x 2 x rows x
-# grid_points floats (0.64 MB at 8 x 721); with one array per temporary,
-# whether a block page-faults depends on glibc's dynamic trim threshold, i.e.
-# on the process's earlier allocations. On a 2-vCPU AMD EPYC host one
-# 721 x 721 scan took 21.6 / 18.5 / 18.1 / 17.7 ms at 4 / 8 / 12 / 16 rows,
-# and the points benchmark gave the same op_p90_ms at 8 rows as at 12 (50.2
-# against 50.4 ms), with no phase query faulting after the first in a fresh
-# process or once the benchmark's checks have run. A workspace of 12 rows or
-# more raises glibc's trim threshold so far that it keeps about 1 MiB more of
-# freed heap, which showed as that much more peak RSS
-_PHASE_BLOCK = 8
+# grid_points floats (1.2 MB at 16 x 721). In the points benchmark (one
+# 721 x 721 scan per phase query; 2-vCPU AMD EPYC host, 20 s runs, seeds
+# 901-903) op_p90_ms was 25.0-25.9 / 21.8-22.0 / 20.9-21.4 ms at 8 / 16 / 24
+# rows, and peak_rss_mb 40.7-40.9 / 41.7-41.8 / 41.8-42.0 MiB: a workspace of
+# 12 rows or more raises glibc's dynamic trim threshold so far that it keeps
+# about 1 MiB more of freed heap
+_PHASE_BLOCK = 16
 # flat indices into rho of the entries that <m, e| rho |n, e> weights by
 # u u, u v, u v* and |v|^2 (rows), for (m, n) = (0, 0), (0, 1), (1, 1) (columns)
 _Q_ENTRIES = np.array([[0, 2, 10], [1, 3, 11], [4, 6, 14], [5, 7, 15]])
@@ -133,23 +132,43 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     rho = np.asarray(rho, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     phi = np.asarray(phi, dtype=float)
-    phase = phi.ndim != 0 or phi != 0.0
-    batch = rho.shape[:-2]
     angles = np.broadcast_shapes(ts.shape, phi.shape)
     ts = _distinct(ts)
+    real_rows = phi == 0.0
+    if real_rows.all():
+        return _curve(rho, ts, angles)
+    total = _curve(rho, ts, angles, _distinct(phi))
+    if real_rows.any():
+        # phi = 0 entries keep the real family's bits, from one call on the distinct ts
+        np.copyto(total, _curve(rho, ts, (1,) * (len(angles) - ts.ndim) + ts.shape),
+                  where=real_rows)
+    return total
+
+
+def _curve(rho, ts, angles, phi=None):
+    """conditional_entropy_curve at the angles ts broadcast to shape angles.
+
+    phi None is the real family; otherwise phi is an array without stride-0
+    axes that broadcasts against ts to angles.
+    """
+    batch = rho.shape[:-2]
     # axis 0 of every array below is the outcome (0 or 1), then the states,
-    # then the angles; angle-only arrays keep length 1 on the state axes
+    # then the angles; angle-only arrays keep length 1 on the state axes, and
+    # the per-t coefficients of the phase rows have only the angle axes of ts
     full = (2,) + batch + angles
     n = math.prod(full)
     angle_shape = (1,) * (len(full) - 1 - ts.ndim) + ts.shape
     n_ang = math.prod(angle_shape)
+    coef_shape = (2,) + batch + angle_shape[len(batch):]
+    n_coef = 0 if phi is None else math.prod(coef_shape)
 
     # one allocation per call for every temporary (see _PHASE_BLOCK)
     n_flags = -(-3 * n // 8)   # floats holding 3 n bools
-    ws = np.empty(6 * n + n_flags + 9 * n_ang)
+    n_real = 6 * n + n_flags + 9 * n_ang   # all that the real family needs
+    ws = np.empty(n_real + 7 * n_coef)
     big = ws[:6 * n].reshape((6,) + full)
     flags = ws[6 * n:6 * n + n_flags].view(np.bool_)[:3 * n].reshape((3,) + full)
-    small = ws[6 * n + n_flags:].reshape((9,) + angle_shape)
+    small = ws[6 * n + n_flags:n_real].reshape((9,) + angle_shape)
     q, tmp = big[0:3], big[3:6]
 
     # measured kets (u, e^{i phi} v) with (u, v) = (cos t, sin t), (sin t, -cos t);
@@ -163,19 +182,26 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     uv = np.multiply(u, v, out=small[5:7])
     vv = np.multiply(v, v, out=small[7:9])
 
-    # Re <m, e| rho |n, e> for (m, n) = (0, 0), (0, 1), (1, 1) at once: rows of
-    # r are rho's entries weighted by u u, u v e^{i phi}, u v e^{-i phi} and v v,
-    # so cos(phi) folds into rows 1 and 2 (a product with 1.0 at phi = 0)
+    # rows of r are rho's entries that <m, e| rho |n, e> weights by u u,
+    # u v e^{i phi}, u v e^{-i phi} and v v, for (m, n) = (0, 0), (0, 1), (1, 1)
     r = rho.reshape(-1, 16).T[_Q_ENTRIES].reshape((4, 3, 1) + batch + (1,) * len(angles))
-    r_uv, r_uvc = r[1], r[2]
-    if phase:
-        phi = _distinct(phi)
-        cos_phi = np.cos(phi)
-        r_uv, r_uvc = r_uv * cos_phi, r_uvc * cos_phi
-    np.multiply(uu, r[0], out=q)
-    q += np.multiply(uv, r_uv, out=tmp)
-    q += np.multiply(uv, r_uvc, out=tmp)
-    q += np.multiply(vv, r[3], out=tmp)
+    if phi is None:
+        np.multiply(uu, r[0], out=q)
+        q += np.multiply(uv, r[1], out=tmp)
+        q += np.multiply(uv, r[2], out=tmp)
+        q += np.multiply(vv, r[3], out=tmp)
+    else:
+        # Re q = a + b cos(phi) and Im q01 = g sin(phi), with a, b and g per
+        # (outcome, state, t): each entry of the full grid takes one
+        # multiply-add
+        coef = ws[n_real:].reshape((7,) + coef_shape)
+        a, b, g = coef[0:3], coef[3:6], coef[6]
+        np.multiply(uu, r[0], out=a)
+        a += np.multiply(vv, r[3], out=b)
+        np.multiply(uv, r[1] + r[2], out=b)
+        np.multiply(uv, r[1, 1] - r[2, 1], out=g)
+        np.multiply(b, np.cos(phi), out=q)
+        q += a
     q00, q01, q11 = q
 
     # branch probability p and the conditional spectrum p/2 +- rad of clone a,
@@ -183,19 +209,15 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     p = np.add(q00, q11, out=tmp[0])
     d = np.subtract(q00, q11, out=tmp[1])
     d *= 0.5
-    if phase:
-        # one sqrt of d^2 + Re^2 + Im^2, Im q01 = u v sin(phi) (rho[0, 3] - rho[1, 2]);
-        # phi = 0 entries keep the real family's hypot bits
-        im = np.multiply(uv, (r[1, 1] - r[2, 1]) * np.sin(phi), out=tmp[2])
+    if phi is None:
+        rad = np.hypot(d, np.abs(q01, out=tmp[2]), out=tmp[2])
+    else:
+        # one sqrt of Im^2 + Re^2 + d^2
+        im = np.multiply(g, np.sin(phi), out=tmp[2])
         im *= im
         im += np.multiply(q01, q01, out=q[0])
         im += np.multiply(d, d, out=q[2])
-        rad = np.sqrt(im, out=tmp[2])
-        real_rows = phi == 0.0
-        if real_rows.any():
-            np.hypot(d, np.abs(q01, out=q[0]), out=rad, where=real_rows)
-    else:
-        rad = np.hypot(d, np.abs(q01, out=tmp[2]), out=tmp[2])
+        rad = np.sqrt(im, out=im)
     half = np.multiply(p, 0.5, out=tmp[1])
     lam = q[0:2]
     np.add(half, rad, out=lam[0])

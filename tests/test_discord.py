@@ -5,7 +5,7 @@ from clonecorr import (InputState, MeasurementBasis, build_output_batch, build_o
                        conditional_entropy, conditional_entropy_curve, discord_at,
                        discord_min, discord_surface, eig_herm2, eig_sym4, jacobi_eigvals,
                        mutual_info_i, mutual_info_j, partial_trace, swap_qubits,
-                       vn_entropy)
+                       valid_j_range, vn_entropy)
 import clonecorr.discord as discord_module
 from clonecorr.discord import DiscordResult
 from clonecorr.hermat import plogp, validate_state
@@ -211,6 +211,24 @@ class TestConditionalEntropy:
         got = discord_module._conditional_entropy_at(discord_module._bloch(rho), t, 0.0)
         assert abs(got - conditional_entropy_curve(rho, [t])[0]) <= 1e-15
 
+    def test_phase_rows_are_elementwise(self):
+        # a block of phase rows is the per-phase calls side by side, whether ts
+        # is a row, a broadcast view or materialized, and the phi = 0 rows of a
+        # mixed block are the real family's
+        ts = np.r_[np.linspace(0.0, np.pi, 37), np.pi / 4, 0.3]
+        phis = np.array([0.9, -2.0, np.pi / 2, np.pi, 1e-9])[:, None]
+        mixed = np.array([0.0, 0.9, -0.0, 2.5, 0.0])[:, None]
+        view = np.broadcast_to(ts, (len(phis), ts.size))
+        for k, rho in enumerate(oracle_states()):
+            rows = np.stack([conditional_entropy_curve(rho, ts, phi) for phi in phis[:, 0]], -2)
+            for t_arg in (ts, view, np.array(view)):
+                assert same_bits(conditional_entropy_curve(rho, t_arg, phis), rows), k
+            block = conditional_entropy_curve(rho, view, mixed)
+            real = conditional_entropy_curve(rho, ts)
+            for r, phi in enumerate(mixed[:, 0]):
+                want = real if phi == 0.0 else conditional_entropy_curve(rho, ts, phi)
+                assert same_bits(block[..., r, :], want), (k, r)
+
     def test_broadcast_view_ts_matches_materialized(self):
         rho = build_output_state(0.7, 0.22)
         ts = np.linspace(0.0, np.pi / 2, 97, endpoint=False)
@@ -357,6 +375,22 @@ class TestDiscordMin:
     def test_phase_scan_equals_per_phase_loop(self, alpha, j):
         rho = build_output_state(alpha, j)
         assert discord_min(rho, scan_phase=True) == phase_scan_reference(rho)
+
+    def test_phase_scan_matches_closed_form(self):
+        # measuring sigma_y on clone b attains the copier's projective discord
+        # (ROADMAP item 4), D_full = h(n) - S(rho) + h(sqrt(n^2 + 4 j^2)) with
+        # n = 1 - 2j and h(x) the entropy of a qubit of Bloch length x
+        def h(x):
+            return vn_entropy(np.array([(1 + x) / 2, (1 - x) / 2]))
+
+        for alpha in (0.3, 0.5, 0.6, 0.7, 0.8, 0.9):
+            lo, hi = valid_j_range(alpha)
+            for j in lo + (hi - lo) * np.array([0.1, 0.35, 0.6, 0.85]):
+                rho = build_output_state(alpha, j)
+                n = 1 - 2 * j
+                exact = h(n) - vn_entropy(validate_state(rho)) + h(np.hypot(n, 2 * j))
+                got = discord_min(rho, scan_phase=True).discord
+                assert abs(got - exact) <= 1e-8, (alpha, j)
 
     def test_phase_scan_tie_rule(self, monkeypatch):
         # rounded to 0.01 bit, the grid ties within rows, within phase blocks
