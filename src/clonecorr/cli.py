@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -428,24 +428,8 @@ def point_report(alpha, j, scan_phase=False):
         "valid_j_range": [lo, hi],
         "fidelity": clone_fidelity(state, j),
         "machine_constraints_satisfied": constraints.satisfied,
-        "discord": {
-            "discord": result.discord,
-            "optimal_t": result.optimal_t,
-            "optimal_phi": result.optimal_phi,
-            "entropy_joint": result.entropy_joint,
-            "entropy_a": result.entropy_a,
-            "entropy_b": result.entropy_b,
-            "conditional_entropy": result.conditional_entropy,
-            "mutual_info_j": result.mutual_info_j,
-            "mutual_info_i": result.mutual_info_i,
-        },
-        "separability": {
-            "classification": verdict.classification,
-            "w3": verdict.w3,
-            "w4": verdict.w4,
-            "min_ppt_eigenvalue": verdict.min_ppt_eigenvalue,
-            "agreement": verdict.agreement,
-        },
+        "discord": asdict(result),
+        "separability": asdict(verdict),
         "discordant_but_separable": (
             verdict.classification == "Separable" and result.discord > 1e-6),
     }

@@ -140,42 +140,30 @@ def clone_fidelity(state, machine):
 
 
 def valid_j_range(state):
-    """Maximal interval of j in [0, 1/2] on which the output state is physical.
+    """Interval (lo, 1/2) of j in [0, 1/2] on which the output state is physical.
 
-    Physical means minimum eigenvalue >= -1e-10. A grid scan at
-    WINDOW_GRID_STEP (one batched LAPACK call) locates the interval; each
-    interior boundary is refined by bisection to WINDOW_TOL. Returns (lo, hi),
-    never empty: at j = 1/2 the state has spectrum {1, 0, 0, 0} for every
-    alpha.
+    Physical means minimum eigenvalue >= -1e-10. With k = alpha^2 beta^2 and
+    n = 1 - 2j, rho's spectrum is 0 and the roots of the triplet cubic
+    lambda^3 - lambda^2 + 2jn lambda - k n^2 (2j - n/2). For j >= 1/6 its
+    coefficients alternate in sign (2j - n/2 = 3j - 1/2 >= 0), so by
+    Descartes' rule no root is negative. Below 1/6 the grid points that pass
+    the floor form a suffix of the grid: verified on a grid of alphas, not
+    derived, and guarded by tests/test_cloner.py. So one batched LAPACK call
+    on the WINDOW_GRID_STEP grid finds the last unphysical point, and one
+    bisection to WINDOW_TOL after it gives lo.
     """
     st = _as_input(state)
     js = np.round(np.arange(0.0, 0.5 + WINDOW_GRID_STEP / 2, WINDOW_GRID_STEP), 12)
     min_eigs = np.linalg.eigvalsh(build_output_batch(st, js))[:, 0]
-    phys = min_eigs >= hermat.STATE_EIG_FLOOR
-
-    # longest contiguous run of physical grid points (first on ties)
-    best = None
-    i = 0
-    while i < len(js):
-        if phys[i]:
-            k = i
-            while k + 1 < len(js) and phys[k + 1]:
-                k += 1
-            if best is None or (k - i) > (best[1] - best[0]):
-                best = (i, k)
-            i = k + 1
-        else:
-            i += 1
-    i0, i1 = best
+    unphysical = np.flatnonzero(min_eigs < hermat.STATE_EIG_FLOOR)
+    if unphysical.size == 0:
+        return (0.0, 0.5)
+    i = unphysical[-1]
 
     def is_physical(j):
-        rho = build_output_state(st, j)
-        return hermat.eig_sym4(rho)[-1] >= hermat.STATE_EIG_FLOOR
+        return hermat.eig_sym4(build_output_state(st, j))[-1] >= hermat.STATE_EIG_FLOOR
 
-    lo = js[i0] if i0 == 0 else bisect_boundary(is_physical, js[i0 - 1], js[i0], WINDOW_TOL)
-    hi = (js[i1] if i1 == len(js) - 1
-          else bisect_boundary(is_physical, js[i1 + 1], js[i1], WINDOW_TOL))
-    return (float(lo), float(hi))
+    return (float(bisect_boundary(is_physical, js[i], js[i + 1], WINDOW_TOL)), 0.5)
 
 
 def check_machine_constraints(machine):

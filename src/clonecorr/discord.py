@@ -327,12 +327,13 @@ def discord_min(rho, grid_points=721, scan_phase=False):
 
     Dense grid of grid_points angles over t in [0, pi/2) guards against the
     conditional entropy's local minima; golden-section then refines around
-    the best grid point to REFINE_TOL. With scan_phase the grid extends to
-    phi in [0, pi) at the same density, evaluated _PHASE_BLOCK phase rows
-    per conditional_entropy_curve call; the best grid point is the first phase
-    row that strictly improves on the rows before it, at the first t of
-    that row's minimum. The refinement then alternates between the two
-    angles. The grids go through conditional_entropy_curve and the
+    the best grid point to REFINE_TOL. The grid has grid_points phase rows
+    phi in [0, pi) with scan_phase and only the phi = 0 row, the real
+    family, without it; either way it is evaluated _PHASE_BLOCK rows per
+    conditional_entropy_curve call. The best grid point is the first row
+    that strictly improves on the rows before it, at the first t of that
+    row's minimum. With scan_phase the refinement then alternates between
+    the two angles. The grids go through conditional_entropy_curve and the
     refinement through the scalar _conditional_entropy_at (see the module
     docstring), so the result agrees with an all-kernel search to rounding.
     """
@@ -355,34 +356,28 @@ def discord_min(rho, grid_points=721, scan_phase=False):
         return _conditional_entropy_at(bloch, t, phi)
 
     ts = np.linspace(0.0, np.pi / 2, grid_points, endpoint=False)
-    dt = (np.pi / 2) / grid_points
-
+    dt, dphi = (np.pi / 2) / grid_points, np.pi / grid_points
+    # the real family is the phase grid's phi = 0 row
+    phis = np.linspace(0.0, np.pi, grid_points, endpoint=False) if scan_phase else np.zeros(1)
+    best_t, best_phi, best_h = 0.0, 0.0, np.inf
+    for k in range(0, len(phis), _PHASE_BLOCK):
+        block = phis[k:k + _PHASE_BLOCK, None]
+        # ts at the block's full shape, so np.size(ts) counts the (t, phi)
+        # pairs evaluated (the benchmark tracer's angle count)
+        curves = conditional_entropy_curve(
+            rho, np.broadcast_to(ts, (len(block), grid_points)), block)
+        # flat argmin: the block's first minimal row, then its first t
+        r, i = np.unravel_index(np.argmin(curves), curves.shape)
+        if curves[r, i] < best_h:
+            best_t, best_phi, best_h = float(ts[i]), float(block[r, 0]), float(curves[r, i])
+    # one-dimensional refinements around the best grid point, alternating
+    # between the angles when phi was scanned
+    best_t, best_h = golden_min(lambda t: h_at(t, best_phi),
+                                best_t - dt, best_t + dt, REFINE_TOL)
     if scan_phase:
-        phis = np.linspace(0.0, np.pi, grid_points, endpoint=False)
-        dphi = np.pi / grid_points
-        best_t, best_phi, best_h = 0.0, 0.0, np.inf
-        for k in range(0, grid_points, _PHASE_BLOCK):
-            block = phis[k:k + _PHASE_BLOCK, None]
-            # ts at the block's full shape, so np.size(ts) counts the (t, phi)
-            # pairs evaluated (the benchmark tracer's angle count)
-            curves = conditional_entropy_curve(
-                rho, np.broadcast_to(ts, (len(block), grid_points)), block)
-            # flat argmin: the block's first minimal row, then its first t
-            r, i = np.unravel_index(np.argmin(curves), curves.shape)
-            if curves[r, i] < best_h:
-                best_t, best_phi, best_h = float(ts[i]), float(block[r, 0]), float(curves[r, i])
-        # alternate one-dimensional refinements around the best grid point
-        best_t, best_h = golden_min(lambda t: h_at(t, best_phi),
-                                    best_t - dt, best_t + dt, REFINE_TOL)
         best_phi, best_h = golden_min(lambda phi: h_at(best_t, phi),
                                       best_phi - dphi, best_phi + dphi, REFINE_TOL)
         best_t, best_h = golden_min(lambda t: h_at(t, best_phi),
-                                    best_t - dt, best_t + dt, REFINE_TOL)
-    else:
-        curve = conditional_entropy_curve(rho, ts, 0.0)
-        i = int(np.argmin(curve))
-        best_t, best_phi, best_h = float(ts[i]), 0.0, float(curve[i])
-        best_t, best_h = golden_min(lambda t: h_at(t, 0.0),
                                     best_t - dt, best_t + dt, REFINE_TOL)
 
     best_t = best_t % (np.pi / 2)

@@ -13,11 +13,13 @@ evaluates its agreement with the spectral check on every call and surfaces
 it in the verdict rather than assuming it. ppt_data computes W3, W4 (as
 cofactor determinants) and the minimum PPT eigenvalue for one state (LAPACK)
 or a whole stack of states (Jacobi); classify, w_direct and scan_grid go
-through it, and w3_closed/w4_closed keep the formulas above as cross-checks.
+through it.
 
-separable_intervals uses the formulas themselves: W3 changes sign only at
-j3 = beta^2 / (2 (1 + beta^2)), and W4 = (j/2) g(j) with a cubic g, so the
-window endpoints are j3 and the roots of g, with no grid and no bisection.
+separable_intervals uses the formulas themselves, w3_closed and w4_closed:
+W3 changes sign only at j3 = beta^2 / (2 (1 + beta^2)), and W4 = (j/2) g(j)
+with a cubic g, so the window endpoints are j3 and the roots of g, and each
+piece between them is kept when w3_closed and w4_closed are nonnegative at
+its midpoint; there is no grid and no bisection.
 """
 
 from dataclasses import dataclass
@@ -126,8 +128,10 @@ def scan_grid(state, scan_step=1e-4):
 
     Returns (js, w3s, w4s, min_ppt) arrays. The dense determinant-versus-PPT
     cross-check used by selftest and the tests; separable_intervals does not
-    scan.
+    scan. scan_step must be finite and positive.
     """
+    if not 0.0 < scan_step < np.inf:
+        raise DomainError(f"scan_step must be finite and positive, got {scan_step}")
     st = _as_input(state)
     lo, hi = valid_j_range(st)
     js = np.round(np.arange(scan_step, 0.5 + scan_step / 2, scan_step), 12)
@@ -145,10 +149,10 @@ def separable_intervals(state):
     for the cubic g(j) = k (1-2j)^2 (6j-1) - 2j^3, and for alpha != 0 and
     j in (0, 1/2), W3 >= 0 exactly when j >= j3 = beta^2 / (2 (1 + beta^2)).
     The physical window (one valid_j_range call) is cut at j3 and at the
-    real parts of the roots of g; each piece whose midpoint has j >= j3
-    and g >= 0 is kept, and touching pieces are merged. A complex root only
-    adds a cut inside a piece of constant sign. For alpha in {0, +-1},
-    g = -2j^3 < 0 and the list is empty.
+    real parts of the roots of g; each piece at whose midpoint w3_closed
+    and w4_closed are nonnegative is kept, and touching pieces are merged.
+    A complex root only adds a cut inside a piece of constant sign. For
+    alpha in {0, +-1}, g = -2j^3 < 0 and the list is empty.
     """
     st = _as_input(state)
     lo, hi = valid_j_range(st)
@@ -159,7 +163,7 @@ def separable_intervals(state):
     pieces = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         j = 0.5 * (a + b)
-        if j >= j3 and k * (1.0 - 2.0 * j) ** 2 * (6.0 * j - 1.0) - 2.0 * j ** 3 >= 0.0:
+        if w3_closed(st, j) >= 0.0 and w4_closed(st, j) >= 0.0:
             if pieces and pieces[-1][1] == a:
                 pieces[-1][1] = b
             else:

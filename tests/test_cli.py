@@ -436,6 +436,19 @@ class TestPoint:
         report = cli.point_report(alpha, j)
         assert report["separability"] == dataclasses.asdict(classify(alpha, j))
 
+    @pytest.mark.parametrize("alpha,j,digest", [
+        ("0.7", "0.22", "dc15bd61f0fc3944e02a64be1287a722a8fef0a3b7c127920082a624ab8c49fc"),
+        ("1.0", "0.3", "cb03d1ce251acc3dd1d05ebcd9c2f7fd04db22a9e29f4d7ee63129de5b657e22"),
+        ("0.5", "0.5", "32e394a9a9f0c125d6dbd84a3184a1470734e8a1458badc09d3537c82ccf7fac"),
+        ("0.9", "0.19", "f1ecb721542feff25a9290ee6b3470b81dd88c68bdaf5790f58bcab05c4c1df9"),
+        ("0.0", "0.3", "e9779927d64f388c28a6c866c18a035271508281d4f85ab33b327fa3b6fdd002"),
+    ])
+    def test_pinned_json_bytes(self, capsys, alpha, j, digest):
+        # plain queries only: a phase query's last digits move with any
+        # rounding-level change to the kernel (see CHANGES.md)
+        assert main(["point", alpha, j, "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_unphysical_point_exits_2_with_range(self, capsys):
         rc = main(["point", "0.5", "0.1"])
         assert rc == cli.EXIT_CONFIG

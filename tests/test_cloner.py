@@ -5,6 +5,7 @@ from clonecorr import (FEASIBLE_J, InputState, MachineParams, build_output_batch
                        build_output_state, check_machine_constraints, clone_fidelity,
                        eig_sym4, reduced_clone, swap_qubits, valid_j_range)
 from clonecorr import hermat
+from clonecorr.cloner import WINDOW_GRID_STEP
 from clonecorr.errors import DomainError
 from oracles import valid_j_range_jacobi
 
@@ -145,6 +146,19 @@ class TestValidJRange:
         alphas = [*np.linspace(-1.0, 1.0, 201), 1e-3, 1e-5, 1e-8, 1 - 1e-9]
         for alpha in alphas:
             assert valid_j_range(alpha) == valid_j_range_jacobi(alpha), alpha
+
+    def test_physical_grid_points_are_a_suffix(self):
+        # valid_j_range bisects only below its last unphysical grid point; the
+        # window's upper edge is 1/2 because the physical grid points, by the
+        # batched eigvalsh minimum, are exactly those from some index on
+        js = np.round(np.arange(0.0, 0.5 + WINDOW_GRID_STEP / 2, WINDOW_GRID_STEP), 12)
+        assert len(js) == 501 and js[-1] == 0.5
+        alphas = [*np.linspace(-1.0, 1.0, 2001), 0.0, 1e-9, -1e-9, 1 - 1e-12]
+        for alpha in alphas:
+            min_eigs = np.linalg.eigvalsh(build_output_batch(alpha, js))[:, 0]
+            phys = min_eigs >= hermat.STATE_EIG_FLOOR
+            # argmax is the first physical point; all after it must be physical
+            assert phys[-1] and phys[np.argmax(phys):].all(), alpha
 
     def test_window_takes_no_jacobi_stack(self, monkeypatch):
         # the grid is one batched eigvalsh call; each bisection step is one eig_sym4

@@ -195,6 +195,11 @@ class TestScanConsistency:
         disagree = det_sep != ppt_sep
         assert not disagree.any(), f"alpha={alpha}, j={js[disagree]}"
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_bad_scan_step(self, step):
+        with pytest.raises(DomainError, match="scan_step"):
+            scan_grid(0.7, scan_step=step)
+
     def test_at_most_one_negative_ppt_eigenvalue(self):
         for alpha in (0.25, 0.6, 0.85):
             js = np.round(np.arange(0.17, 0.5001, 0.005), 12)
