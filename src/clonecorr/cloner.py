@@ -139,29 +139,44 @@ def clone_fidelity(state, machine):
     return float(chi @ rho_a @ chi)
 
 
+def _triplet_cubic_at_floor(k, j):
+    """f(-eps) for the triplet cubic f, eps = -STATE_EIG_FLOOR; k = alpha^2 beta^2.
+
+    Elementwise: the same float expression serves an array of j and one
+    float, so the window's grid and its bisection apply one criterion.
+    """
+    eps = -hermat.STATE_EIG_FLOOR
+    n = 1.0 - 2.0 * j
+    return ((-eps - 1.0) * eps - 2.0 * j * n) * eps - k * n * n * (2.0 * j - 0.5 * n)
+
+
 def valid_j_range(state):
     """Interval (lo, 1/2) of j in [0, 1/2] on which the output state is physical.
 
-    Physical means minimum eigenvalue >= -1e-10. With k = alpha^2 beta^2 and
-    n = 1 - 2j, rho's spectrum is 0 and the roots of the triplet cubic
-    lambda^3 - lambda^2 + 2jn lambda - k n^2 (2j - n/2). For j >= 1/6 its
-    coefficients alternate in sign (2j - n/2 = 3j - 1/2 >= 0), so by
-    Descartes' rule no root is negative. Below 1/6 the grid points that pass
-    the floor form a suffix of the grid: verified on a grid of alphas, not
-    derived, and guarded by tests/test_cloner.py. So one batched LAPACK call
-    on the WINDOW_GRID_STEP grid finds the last unphysical point, and one
-    bisection to WINDOW_TOL after it gives lo.
+    Physical means minimum eigenvalue >= -eps, eps = 1e-10. With
+    k = alpha^2 beta^2 and n = 1 - 2j, rho's spectrum is 0 and the roots of
+    the triplet cubic f(lambda) = lambda^3 - lambda^2 + 2jn lambda
+    - k n^2 (2j - n/2), all real since rho is symmetric. The shifted cubic
+    f(x - eps) has coefficients 1, -(1 + 3 eps), 3 eps^2 + 2 eps + 2jn and
+    f(-eps), so by Descartes' rule its roots are all >= 0, i.e. rho is
+    physical, exactly when f(-eps) <= 0. As a function of j, f(-eps) is
+    negative on [1/6, 1/2], where both of its j-dependent terms are <= 0,
+    and strictly decreasing on [0, 1/6], where its derivative
+    -2 eps (1 - 4j) - k n (5 - 18j) is negative. So the physical j form one
+    interval ending at 1/2: the WINDOW_GRID_STEP grid finds the last
+    unphysical point, and one bisection to WINDOW_TOL after it gives lo. No
+    state is built and no spectrum is taken.
     """
     st = _as_input(state)
+    k = (st.alpha * st.beta) ** 2
     js = np.round(np.arange(0.0, 0.5 + WINDOW_GRID_STEP / 2, WINDOW_GRID_STEP), 12)
-    min_eigs = np.linalg.eigvalsh(build_output_batch(st, js))[:, 0]
-    unphysical = np.flatnonzero(min_eigs < hermat.STATE_EIG_FLOOR)
+    unphysical = np.flatnonzero(_triplet_cubic_at_floor(k, js) > 0.0)
     if unphysical.size == 0:
         return (0.0, 0.5)
     i = unphysical[-1]
 
     def is_physical(j):
-        return hermat.eig_sym4(build_output_state(st, j))[-1] >= hermat.STATE_EIG_FLOOR
+        return _triplet_cubic_at_floor(k, j) <= 0.0
 
     return (float(bisect_boundary(is_physical, js[i], js[i + 1], WINDOW_TOL)), 0.5)
 

@@ -19,16 +19,19 @@ array that broadcasts against the angles, so the (t, phi) grid of the phase
 scan is evaluated a block of phase rows per call rather than one call per
 phase. It uses no complex arithmetic: the measured ket is (u, e^{i phi} v)
 with u and v real, so each compressed entry of rho is a + b cos(phi) and
-the imaginary part of the off-diagonal one is g sin(phi), where a, b and g
-depend only on the outcome, the state and t. A call computes them once on
-its distinct t, and each entry of the (t, phi) grid then takes one
-multiply-add per compressed entry. Entries at phi = 0 are those of the real
-family, computed by its own float operations in their original order, so
-they equal the complex-arithmetic kernel it replaced (tests/oracles.py's
+the square of the imaginary part of the off-diagonal one is
+g^2 sin^2(phi), where a, b and g depend only on the outcome, the state and
+t. A call computes them once on its distinct t, and each entry of the
+(t, phi) grid then takes one multiply-add per compressed entry, and one
+divide for its conditional spectrum 1/2 +- rad/p relative to the branch
+probability p. Entries at phi = 0 are those of the real family, computed by
+its own float operations in their original order, so they equal the
+complex-arithmetic kernel it replaced (tests/oracles.py's
 conditional_entropy_curve_complex) bit for bit; other phases differ from it
 by rounding. It takes cos and sin once per distinct angle (a stride-0 axis
-of a broadcast ts is evaluated once) and puts all temporaries of a call in
-one workspace allocation (see _PHASE_BLOCK).
+of a broadcast ts is evaluated once), puts all temporaries of a call in one
+workspace allocation (see _PHASE_BLOCK) and runs the phase rows with a
+small ufunc buffer (see _PHASE_BUFSIZE).
 
 discord_min's golden-section refinement takes one (t, phi) at a time from
 _conditional_entropy_at, the same quantity in scalar math from the state's
@@ -66,6 +69,15 @@ REFINE_TOL = 1e-9
 # 12 rows or more raises glibc's dynamic trim threshold so far that it keeps
 # about 1 MiB more of freed heap
 _PHASE_BLOCK = 16
+# ufunc buffer size, in elements, while conditional_entropy_curve evaluates
+# phase rows; restored on return. The phase rows' products with cos(phi) and
+# sin(phi) broadcast per-t coefficients over the rows, so numpy's loops run
+# one t row at a time, and numpy copies the operands through its ufunc
+# buffer when a row is shorter than about a third of that buffer. With the
+# default of 8192 elements, 721-point rows made those products about 3x
+# slower per entry (2-vCPU Xeon host, numpy 2.4). 64 is the shortest row
+# discord_min makes (grid_points >= 64)
+_PHASE_BUFSIZE = 64
 # flat indices into rho of the entries that <m, e| rho |n, e> weights by
 # u u, u v, u v* and |v|^2 (rows), for (m, n) = (0, 0), (0, 1), (1, 1) (columns)
 _Q_ENTRIES = np.array([[0, 2, 10], [1, 3, 11], [4, 6, 14], [5, 7, 15]])
@@ -137,7 +149,12 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     real_rows = phi == 0.0
     if real_rows.all():
         return _curve(rho, ts, angles)
-    total = _curve(rho, ts, angles, _distinct(phi))
+    # see _PHASE_BUFSIZE
+    bufsize = np.setbufsize(_PHASE_BUFSIZE)
+    try:
+        total = _curve(rho, ts, angles, _distinct(phi))
+    finally:
+        np.setbufsize(bufsize)
     if real_rows.any():
         # phi = 0 entries keep the real family's bits, from one call on the distinct ts
         np.copyto(total, _curve(rho, ts, (1,) * (len(angles) - ts.ndim) + ts.shape),
@@ -191,15 +208,16 @@ def _curve(rho, ts, angles, phi=None):
         q += np.multiply(uv, r[2], out=tmp)
         q += np.multiply(vv, r[3], out=tmp)
     else:
-        # Re q = a + b cos(phi) and Im q01 = g sin(phi), with a, b and g per
-        # (outcome, state, t): each entry of the full grid takes one
+        # Re q = a + b cos(phi) and (Im q01)^2 = g^2 sin^2(phi), with a, b and
+        # g^2 per (outcome, state, t): each entry of the full grid takes one
         # multiply-add
         coef = ws[n_real:].reshape((7,) + coef_shape)
-        a, b, g = coef[0:3], coef[3:6], coef[6]
+        a, b, g2 = coef[0:3], coef[3:6], coef[6]
         np.multiply(uu, r[0], out=a)
         a += np.multiply(vv, r[3], out=b)
         np.multiply(uv, r[1] + r[2], out=b)
-        np.multiply(uv, r[1, 1] - r[2, 1], out=g)
+        np.multiply(uv, r[1, 1] - r[2, 1], out=g2)
+        g2 *= g2
         np.multiply(b, np.cos(phi), out=q)
         q += a
     q00, q01, q11 = q
@@ -213,28 +231,37 @@ def _curve(rho, ts, angles, phi=None):
         rad = np.hypot(d, np.abs(q01, out=tmp[2]), out=tmp[2])
     else:
         # one sqrt of Im^2 + Re^2 + d^2
-        im = np.multiply(g, np.sin(phi), out=tmp[2])
-        im *= im
+        im = np.multiply(g2, np.square(np.sin(phi)), out=tmp[2])
         im += np.multiply(q01, q01, out=q[0])
         im += np.multiply(d, d, out=q[2])
         rad = np.sqrt(im, out=im)
-    half = np.multiply(p, 0.5, out=tmp[1])
-    lam = q[0:2]
-    np.add(half, rad, out=lam[0])
-    np.subtract(half, rad, out=lam[1])
 
-    # H = -sum over live branches of p sum x log2(x), x = lam / p > 0. Dead
-    # branches divide by 1, and every other x is set to 1, so its x log2(x) is
-    # +0.0 and the divide and log2 need no mask. Subtracting from +0.0
-    # outcome by outcome rounds (signed zeros included) as adding -x log2(x)
+    # H = -sum over live branches of p sum x log2(x), x = (p/2 +- rad) / p > 0.
+    # Dead branches divide by 1, and every other x is set to 1, so its
+    # x log2(x) is +0.0 and the divide and log2 need no mask. Subtracting from
+    # +0.0 outcome by outcome rounds (signed zeros included) as adding
+    # -x log2(x)
     dead = np.less_equal(p, DEGENERATE_P, out=flags[0])
     divisor = tmp[1]
     np.copyto(divisor, p)
     np.copyto(divisor, 1.0, where=dead)
-    x = np.divide(lam, divisor, out=lam)
-    skip = np.less_equal(x, 0.0, out=flags[1:3])
-    skip |= dead
-    np.copyto(x, 1.0, where=skip)
+    x = q[0:2]
+    if phi is None:
+        half = np.multiply(p, 0.5, out=x[0])
+        np.subtract(half, rad, out=x[1])
+        np.add(half, rad, out=x[0])
+        np.divide(x, divisor, out=x)
+        skip = np.less_equal(x, 0.0, out=flags[1:3])
+        skip |= dead
+        np.copyto(x, 1.0, where=skip)
+    else:
+        # x = 1/2 +- rad/p, one divide; a dead branch takes rad/p = 1/2, so
+        # x = (1, 0), and only the minus branch can reach x <= 0
+        y = np.divide(rad, divisor, out=rad)
+        np.copyto(y, 0.5, where=dead)
+        np.add(0.5, y, out=x[0])
+        np.subtract(0.5, y, out=x[1])
+        np.copyto(x[1], 1.0, where=np.less_equal(x[1], 0.0, out=flags[1]))
     xlogx = np.log2(x, out=tmp[1:3])
     xlogx *= x
     weighted = np.add(xlogx[0], xlogx[1], out=xlogx[0])

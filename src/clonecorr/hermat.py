@@ -13,9 +13,9 @@ Jacobi serves only the two stacks behind the sha256-pinned surface files
 discord.discord_surface and their partial transposes in a stack call of
 separability.ppt_data. There eigvalsh changes the last printed digit of
 some rows, and the benchmark pins Jacobi's per-op stack count. Every other
-spectrum is LAPACK: one matrix through eig_sym4, and the 501-point window
-grid of cloner.valid_j_range through one batched np.linalg.eigvalsh call. A
-single eigvalsh call is about 80x faster than a one-matrix Jacobi batch, and
+spectrum is LAPACK, one matrix through eig_sym4. cloner.valid_j_range takes
+no spectrum: it tests the sign of the triplet cubic at the eigenvalue floor.
+A single eigvalsh call is about 80x faster than a one-matrix Jacobi batch, and
 on copier states and their partial transposes the two agree to about 2e-15.
 The exact spectra planned in ROADMAP.md revise those pins and then delete
 Jacobi outright.

@@ -5,7 +5,8 @@ from clonecorr import (FEASIBLE_J, InputState, MachineParams, build_output_batch
                        build_output_state, check_machine_constraints, clone_fidelity,
                        eig_sym4, reduced_clone, swap_qubits, valid_j_range)
 from clonecorr import hermat
-from clonecorr.cloner import WINDOW_GRID_STEP
+from clonecorr.cli import point_report
+from clonecorr.cloner import WINDOW_GRID_STEP, _triplet_cubic_at_floor
 from clonecorr.errors import DomainError
 from oracles import valid_j_range_jacobi
 
@@ -160,23 +161,51 @@ class TestValidJRange:
             # argmax is the first physical point; all after it must be physical
             assert phys[-1] and phys[np.argmax(phys):].all(), alpha
 
-    def test_window_takes_no_jacobi_stack(self, monkeypatch):
-        # the grid is one batched eigvalsh call; each bisection step is one eig_sym4
-        calls = {"jacobi_eigvals": 0, "eig_sym4": 0}
+    def test_cubic_flags_match_eigvalsh_on_grid(self):
+        # the window's one criterion, f(-eps) <= 0 for the triplet cubic f,
+        # flags the same grid points as the batched eigvalsh floor test
+        js = np.round(np.arange(0.0, 0.5 + WINDOW_GRID_STEP / 2, WINDOW_GRID_STEP), 12)
+        alphas = [*np.linspace(-1.0, 1.0, 2001), 0.0, 1e-9, -1e-9, 1e-3, 1e-5, 1e-8,
+                  1 - 1e-12]
+        for alpha in alphas:
+            st = InputState.from_alpha(alpha)
+            min_eigs = np.linalg.eigvalsh(build_output_batch(st, js))[:, 0]
+            cubic = _triplet_cubic_at_floor((st.alpha * st.beta) ** 2, js)
+            assert np.array_equal(cubic <= 0.0, min_eigs >= hermat.STATE_EIG_FLOOR), alpha
 
-        def counting(name):
-            inner = getattr(hermat, name)
+    def test_window_edge_agrees_with_point_report(self):
+        # point_report's own eig_sym4 physicality test accepts j just above lo
+        # and rejects j just below it
+        alphas = [*np.linspace(-0.99, 0.99, 199), 1e-3, 1e-4, 1e-5, 1 - 1e-9]
+        edged = 0
+        for alpha in alphas:
+            lo, _ = valid_j_range(alpha)
+            if lo == 0.0:
+                continue
+            edged += 1
+            assert point_report(alpha, lo + 1e-6)["physical"], alpha
+            with pytest.raises(DomainError, match="physical j range"):
+                point_report(alpha, lo - 1e-6)
+        assert edged > 150
+
+    def test_window_takes_no_jacobi_stack(self, monkeypatch):
+        # the window takes no 4x4 spectrum at all: grid and bisection both
+        # evaluate the triplet cubic
+        calls = {"jacobi_eigvals": 0, "eig_sym4": 0, "eigvalsh": 0}
+
+        def counting(module, name):
+            inner = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return inner(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(hermat, name, counting(name))
-        valid_j_range(0.7)
-        assert calls["jacobi_eigvals"] == 0
-        assert calls["eig_sym4"] > 0
+        counting(hermat, "jacobi_eigvals")
+        counting(hermat, "eig_sym4")
+        counting(np.linalg, "eigvalsh")
+        assert valid_j_range(0.7)[0] > 0.0
+        assert calls == {"jacobi_eigvals": 0, "eig_sym4": 0, "eigvalsh": 0}
 
     def test_grid_step_is_not_a_keyword(self):
         # the scan spacing and the bisection tolerance are the module

@@ -205,11 +205,13 @@ class TestConditionalEntropy:
             checked += 1
         assert checked == len(rhos) - 4
         # a branch with 0 < p <= DEGENERATE_P contributes 0 in both (here p = 5e-13
-        # and clone a's conditional state is I/2, worth 5e-13 bits if counted)
+        # and clone a's conditional state is I/2, worth 5e-13 bits if counted),
+        # in the real family and in a phase row
         rho = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
         t = np.arcsin(np.sqrt(5e-13))
-        got = discord_module._conditional_entropy_at(discord_module._bloch(rho), t, 0.0)
-        assert abs(got - conditional_entropy_curve(rho, [t])[0]) <= 1e-15
+        for phi in (0.0, 0.7):
+            got = discord_module._conditional_entropy_at(discord_module._bloch(rho), t, phi)
+            assert abs(got - conditional_entropy_curve(rho, [t], phi)[0]) <= 1e-15, phi
 
     def test_phase_rows_are_elementwise(self):
         # a block of phase rows is the per-phase calls side by side, whether ts
