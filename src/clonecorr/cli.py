@@ -135,7 +135,7 @@ OPTIONS = {
     "t_points": ("--t-points", int, {"type": int}),
     "output_format": ("--format", str, {"choices": ("csv", "json")}),
     "output_path": ("--out", str, {
-        "metavar": "OUT", "help": "output directory (surface) or file (table1)"}),
+        "metavar": "OUT", "help": "output directory, created if missing"}),
     "enforce_psd": ("--enforce-psd", _parse_bool, {
         "action": "store_true", "default": None,
         "help": "drop rows where the state is not positive semidefinite"}),
@@ -396,9 +396,11 @@ def run_table1(cfg, out_stream=None):
                         _fmt(row["match"]) if row["match"] is not None else "-",
                     ]))
             text = "\n".join(lines) + "\n"
-        with open(cfg.output_path, "w") as fh:
+        os.makedirs(cfg.output_path, exist_ok=True)
+        path = os.path.join(cfg.output_path, f"table1.{cfg.output_format}")
+        with open(path, "w") as fh:
             fh.write(text)
-        print(f"wrote {cfg.output_path}", file=out_stream)
+        print(f"wrote {path}", file=out_stream)
 
     return EXIT_MISMATCH if any_mismatch else EXIT_OK
 

@@ -10,7 +10,10 @@ for input alpha|0> + beta|1> is
      [ 0,      c,  c,  b^2 n ]]
 
 The |01>/|10> rows are identical, so the singlet (|01> - |10>)/sqrt(2) is
-annihilated exactly for every (alpha, j).
+annihilated exactly for every (alpha, j). The state is physical on the j
+window (lo, 1/2), where lo is the one root in [0, 1/6] of F(j), the triplet
+cubic at the eigenvalue floor, to 1e-15, or 0 when F(0) <= 0, i.e.
+k = alpha^2 beta^2 <= 2 (1 + eps) eps^2 (see valid_j_range).
 """
 
 import math
@@ -24,10 +27,8 @@ from .search import bisect_boundary
 
 # machine-vector norms and overlaps admit a solution only on this j interval
 FEASIBLE_J = (1.0 / 6.0, 0.5)
-# j spacing of the grid that valid_j_range scans before bisecting
-WINDOW_GRID_STEP = 1e-3
-# bracket width at which valid_j_range's bisection stops
-WINDOW_TOL = 1e-6
+# bracket width at which valid_j_range's bisection on [0, 1/6] stops
+WINDOW_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -140,11 +141,7 @@ def clone_fidelity(state, machine):
 
 
 def _triplet_cubic_at_floor(k, j):
-    """f(-eps) for the triplet cubic f, eps = -STATE_EIG_FLOOR; k = alpha^2 beta^2.
-
-    Elementwise: the same float expression serves an array of j and one
-    float, so the window's grid and its bisection apply one criterion.
-    """
+    """f(-eps) for the triplet cubic f, eps = -STATE_EIG_FLOOR; k = alpha^2 beta^2."""
     eps = -hermat.STATE_EIG_FLOOR
     n = 1.0 - 2.0 * j
     return ((-eps - 1.0) * eps - 2.0 * j * n) * eps - k * n * n * (2.0 * j - 0.5 * n)
@@ -158,27 +155,23 @@ def valid_j_range(state):
     the triplet cubic f(lambda) = lambda^3 - lambda^2 + 2jn lambda
     - k n^2 (2j - n/2), all real since rho is symmetric. The shifted cubic
     f(x - eps) has coefficients 1, -(1 + 3 eps), 3 eps^2 + 2 eps + 2jn and
-    f(-eps), so by Descartes' rule its roots are all >= 0, i.e. rho is
-    physical, exactly when f(-eps) <= 0. As a function of j, f(-eps) is
-    negative on [1/6, 1/2], where both of its j-dependent terms are <= 0,
-    and strictly decreasing on [0, 1/6], where its derivative
-    -2 eps (1 - 4j) - k n (5 - 18j) is negative. So the physical j form one
-    interval ending at 1/2: the WINDOW_GRID_STEP grid finds the last
-    unphysical point, and one bisection to WINDOW_TOL after it gives lo. No
+    F(j) = f(-eps), so by Descartes' rule its roots are all >= 0, i.e. rho
+    is physical, exactly when F(j) <= 0. F is negative on [1/6, 1/2], where
+    both of its j-dependent terms are <= 0, and strictly decreasing on
+    [0, 1/6], where its derivative -2 eps (1 - 4j) - k n (5 - 18j) is
+    negative. So lo is 0 when F(0) <= 0, i.e. k <= 2 (1 + eps) eps^2, and
+    otherwise the one root of F in [0, 1/6], bisected to WINDOW_TOL. No
     state is built and no spectrum is taken.
     """
     st = _as_input(state)
     k = (st.alpha * st.beta) ** 2
-    js = np.round(np.arange(0.0, 0.5 + WINDOW_GRID_STEP / 2, WINDOW_GRID_STEP), 12)
-    unphysical = np.flatnonzero(_triplet_cubic_at_floor(k, js) > 0.0)
-    if unphysical.size == 0:
+    if _triplet_cubic_at_floor(k, 0.0) <= 0.0:
         return (0.0, 0.5)
-    i = unphysical[-1]
 
     def is_physical(j):
         return _triplet_cubic_at_floor(k, j) <= 0.0
 
-    return (float(bisect_boundary(is_physical, js[i], js[i + 1], WINDOW_TOL)), 0.5)
+    return (bisect_boundary(is_physical, 0.0, 1.0 / 6.0, WINDOW_TOL), 0.5)
 
 
 def check_machine_constraints(machine):

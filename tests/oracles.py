@@ -7,8 +7,9 @@ exceptions are phase_scan_loop, a slower arrangement of the package's own
 arithmetic that its batched code must reproduce bit for bit, and
 valid_j_range_jacobi, the physical-window search with every spectrum,
 bisection steps included, from the package's Jacobi solver; the package's
-valid_j_range, whose grid and bisection take LAPACK spectra, must match it
-bit for bit.
+valid_j_range, one bisection of the triplet cubic on [0, 1/6], must match
+it within 5e-7. window_edge_roots is the exact lower edge of that window:
+the root in [0, 1/6] of the same cubic written as a polynomial in j.
 conditional_entropy_curve_complex is the complex-arithmetic kernel that the
 package's real-arithmetic one replaced: equal bit for bit at phi = 0, within
 rounding elsewhere. separable_intervals_scan is the grid-scan-plus-bisection
@@ -21,7 +22,7 @@ import json
 
 import numpy as np
 
-from clonecorr.cloner import WINDOW_GRID_STEP, build_output_batch
+from clonecorr.cloner import build_output_batch
 from clonecorr.discord import DEGENERATE_P, conditional_entropy_curve
 from clonecorr.hermat import STATE_EIG_FLOOR, jacobi_eigvals, plogp
 from clonecorr.search import bisect_boundary
@@ -213,11 +214,11 @@ def separable_intervals_scan(alpha, scan_step=1e-4, tol=1e-6, floor=-1e-10):
 def valid_j_range_jacobi(alpha, tol=1e-6):
     """Physical j window (lo, hi) with every spectrum from jacobi_eigvals.
 
-    The grid scan at WINDOW_GRID_STEP picks the longest run of physical
-    grid points (first on ties), and each interior edge is bisected to tol
-    with one-matrix Jacobi stacks as the physicality predicate.
+    The grid scan at step 1e-3 picks the longest run of physical grid
+    points (first on ties), and each interior edge is bisected to tol with
+    one-matrix Jacobi stacks as the physicality predicate.
     """
-    js = np.round(np.arange(0.0, 0.5 + WINDOW_GRID_STEP / 2, WINDOW_GRID_STEP), 12)
+    js = np.round(np.arange(0.0, 0.5 + 5e-4, 1e-3), 12)
     phys = jacobi_eigvals(build_output_batch(alpha, js))[:, -1] >= STATE_EIG_FLOOR
     best = None
     i = 0
@@ -239,6 +240,23 @@ def valid_j_range_jacobi(alpha, tol=1e-6):
     lo = js[i0] if i0 == 0 else bisect_boundary(is_physical, js[i0 - 1], js[i0], tol)
     hi = js[i1] if i1 == len(js) - 1 else bisect_boundary(is_physical, js[i1 + 1], js[i1], tol)
     return (float(lo), float(hi))
+
+
+def window_edge_roots(alpha):
+    """Roots in [0, 1/6] of the window's j-cubic, by np.roots.
+
+    With k = alpha^2 beta^2 and eps = -STATE_EIG_FLOOR, the triplet cubic
+    at -eps, expanded in j, is -12k j^3 + (14k + 4 eps) j^2
+    - (5k + 2 eps) j + k/2 - (1 + eps) eps^2; the state is physical where
+    it is <= 0. Returns the real roots in [0, 1/6], ascending.
+    """
+    eps = -STATE_EIG_FLOOR
+    k = alpha * alpha * (1.0 - alpha * alpha)
+    coeffs = [-12.0 * k, 14.0 * k + 4.0 * eps, -(5.0 * k + 2.0 * eps),
+              k / 2.0 - (1.0 + eps) * eps * eps]
+    roots = np.roots(np.trim_zeros(coeffs, "f"))
+    real = roots[np.abs(roots.imag) <= 1e-12 * np.maximum(1.0, np.abs(roots))].real
+    return sorted(float(r) for r in real if 0.0 <= r <= 1.0 / 6.0)
 
 
 SURFACE_FIELDS = ("alpha", "j", "t", "discord", "w3", "w4", "min_ppt_eig", "physical",

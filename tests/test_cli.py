@@ -172,6 +172,18 @@ class TestConfig:
         assert "j_step must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("order", [("surface", "table1"), ("table1", "surface")])
+    def test_shared_config_output_path_serves_both_writers(self, tmp_path, order):
+        # output_path names a directory for surface and table1 alike
+        out = tmp_path / "results"
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(f"alpha_list = 0.7\nj_min = 0.2\nj_max = 0.24\nj_step = 0.01\n"
+                       f"t_points = 5\noutput_path = {out}\n")
+        for command in order:
+            assert main([command, "--config", str(cfg)]) == cli.EXIT_OK, command
+        assert (out / "table1.csv").is_file()
+        assert (out / "surface_alpha0.7.csv").is_file()
+
     def test_each_command_applies_only_its_fields(self, tmp_path):
         values = {"alpha_list": [0.3], "t_points": 5, "output_format": "json", "seed": 7}
         cfg = tmp_path / "shared.cfg"
@@ -378,10 +390,10 @@ class TestTable1:
         assert "MISMATCH" in capsys.readouterr().out
 
     def test_file_output(self, tmp_path):
-        out = tmp_path / "table.csv"
+        out = tmp_path / "out"
         rc = main(["table1", "--alpha", "0.6", "--out", str(out)])
         assert rc == 0
-        lines = out.read_text().splitlines()
+        lines = (out / "table1.csv").read_text().splitlines()
         assert lines[0] == "alpha,lo,hi,classification,reference_lo,reference_hi,match"
         assert lines[1].startswith("0.6,0.196")
 
@@ -391,9 +403,9 @@ class TestTable1:
     ])
     def test_pinned_bytes(self, tmp_path, fmt, digest):
         # one row without a window (0.5) and one with exact endpoints (0.7)
-        out = tmp_path / f"table.{fmt}"
+        out = tmp_path / "out"
         assert main(["table1", "--alpha", "0.5,0.7", "--format", fmt, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256((out / f"table1.{fmt}").read_bytes()).hexdigest() == digest
 
 
 class TestPoint:
@@ -437,10 +449,10 @@ class TestPoint:
         assert report["separability"] == dataclasses.asdict(classify(alpha, j))
 
     @pytest.mark.parametrize("alpha,j,digest", [
-        ("0.7", "0.22", "dc15bd61f0fc3944e02a64be1287a722a8fef0a3b7c127920082a624ab8c49fc"),
+        ("0.7", "0.22", "f9c96ead2b71a377e9c9c17267dd4887cc3f07d513a8565f806d714d47059001"),
         ("1.0", "0.3", "cb03d1ce251acc3dd1d05ebcd9c2f7fd04db22a9e29f4d7ee63129de5b657e22"),
-        ("0.5", "0.5", "32e394a9a9f0c125d6dbd84a3184a1470734e8a1458badc09d3537c82ccf7fac"),
-        ("0.9", "0.19", "f1ecb721542feff25a9290ee6b3470b81dd88c68bdaf5790f58bcab05c4c1df9"),
+        ("0.5", "0.5", "bcc04c180b98be04e568765b12bb61bf15967d5f4c2439e107a9702cc3e57161"),
+        ("0.9", "0.19", "50b8a233526f5bfee27c85208f1a1e7a6951588c28b297f26933a3a8a8a286ae"),
         ("0.0", "0.3", "e9779927d64f388c28a6c866c18a035271508281d4f85ab33b327fa3b6fdd002"),
     ])
     def test_pinned_json_bytes(self, capsys, alpha, j, digest):

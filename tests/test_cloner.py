@@ -6,12 +6,14 @@ from clonecorr import (FEASIBLE_J, InputState, MachineParams, build_output_batch
                        eig_sym4, reduced_clone, swap_qubits, valid_j_range)
 from clonecorr import hermat
 from clonecorr.cli import point_report
-from clonecorr.cloner import WINDOW_GRID_STEP, _triplet_cubic_at_floor
+from clonecorr.cloner import _triplet_cubic_at_floor
 from clonecorr.errors import DomainError
-from oracles import valid_j_range_jacobi
+from oracles import valid_j_range_jacobi, window_edge_roots
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 X_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
+# 501 j values, 0 to 1/2 in steps of 1e-3
+J_GRID = np.round(np.arange(0.0, 0.5 + 5e-4, 1e-3), 12)
 
 
 def random_alpha_j(rng):
@@ -141,18 +143,36 @@ class TestValidJRange:
             lo, hi = window
             assert lo <= 1 / 6 + 1e-9 <= hi
 
-    def test_matches_jacobi_oracle_bitwise(self):
-        # the bisection predicate takes LAPACK spectra; the windows are those
-        # of the all-Jacobi search bit for bit
+    def test_matches_jacobi_oracle_within_5e7(self):
+        # the grid-plus-bisection search with Jacobi spectra, bisected to
+        # 1e-6, finds the same window to within its own half tolerance
         alphas = [*np.linspace(-1.0, 1.0, 201), 1e-3, 1e-5, 1e-8, 1 - 1e-9]
         for alpha in alphas:
-            assert valid_j_range(alpha) == valid_j_range_jacobi(alpha), alpha
+            (lo, hi), (ref_lo, ref_hi) = valid_j_range(alpha), valid_j_range_jacobi(alpha)
+            assert hi == ref_hi == 0.5, alpha
+            assert abs(lo - ref_lo) <= 5e-7, alpha
+
+    def test_edge_is_the_cubic_root(self):
+        # lo is the root in [0, 1/6] of the triplet cubic at the eigenvalue
+        # floor as a polynomial in j (np.roots), and 0 exactly when it has none
+        alphas = [*np.linspace(-1.0, 1.0, 4001), 1e-3, 1e-5, 1e-8, 1e-9, 2e-10, 1e-10,
+                  1 - 1e-9, 1 - 1e-12]
+        rooted = 0
+        for alpha in alphas:
+            lo, _ = valid_j_range(alpha)
+            roots = window_edge_roots(alpha)
+            assert len(roots) <= 1, alpha
+            if roots:
+                rooted += 1
+                assert abs(lo - roots[0]) <= 1e-12, alpha
+            else:
+                assert lo == 0.0, alpha
+        assert rooted > 3900
 
     def test_physical_grid_points_are_a_suffix(self):
-        # valid_j_range bisects only below its last unphysical grid point; the
-        # window's upper edge is 1/2 because the physical grid points, by the
-        # batched eigvalsh minimum, are exactly those from some index on
-        js = np.round(np.arange(0.0, 0.5 + WINDOW_GRID_STEP / 2, WINDOW_GRID_STEP), 12)
+        # the window's upper edge is 1/2 because the physical grid points, by
+        # the batched eigvalsh minimum, are exactly those from some index on
+        js = J_GRID
         assert len(js) == 501 and js[-1] == 0.5
         alphas = [*np.linspace(-1.0, 1.0, 2001), 0.0, 1e-9, -1e-9, 1 - 1e-12]
         for alpha in alphas:
@@ -164,7 +184,7 @@ class TestValidJRange:
     def test_cubic_flags_match_eigvalsh_on_grid(self):
         # the window's one criterion, f(-eps) <= 0 for the triplet cubic f,
         # flags the same grid points as the batched eigvalsh floor test
-        js = np.round(np.arange(0.0, 0.5 + WINDOW_GRID_STEP / 2, WINDOW_GRID_STEP), 12)
+        js = J_GRID
         alphas = [*np.linspace(-1.0, 1.0, 2001), 0.0, 1e-9, -1e-9, 1e-3, 1e-5, 1e-8,
                   1 - 1e-12]
         for alpha in alphas:
@@ -176,21 +196,21 @@ class TestValidJRange:
     def test_window_edge_agrees_with_point_report(self):
         # point_report's own eig_sym4 physicality test accepts j just above lo
         # and rejects j just below it
-        alphas = [*np.linspace(-0.99, 0.99, 199), 1e-3, 1e-4, 1e-5, 1 - 1e-9]
+        alphas = [*np.linspace(-0.99, 0.99, 199), 1e-3, 1e-4, 1e-5, 6e-6, 1e-6, 1 - 1e-9]
         edged = 0
         for alpha in alphas:
             lo, _ = valid_j_range(alpha)
             if lo == 0.0:
                 continue
             edged += 1
-            assert point_report(alpha, lo + 1e-6)["physical"], alpha
+            assert point_report(alpha, lo + 1e-8)["physical"], alpha
             with pytest.raises(DomainError, match="physical j range"):
-                point_report(alpha, lo - 1e-6)
+                point_report(alpha, lo - 1e-8)
         assert edged > 150
 
     def test_window_takes_no_jacobi_stack(self, monkeypatch):
-        # the window takes no 4x4 spectrum at all: grid and bisection both
-        # evaluate the triplet cubic
+        # the window takes no 4x4 spectrum at all: its bisection evaluates
+        # the triplet cubic
         calls = {"jacobi_eigvals": 0, "eig_sym4": 0, "eigvalsh": 0}
 
         def counting(module, name):
@@ -208,8 +228,7 @@ class TestValidJRange:
         assert calls == {"jacobi_eigvals": 0, "eig_sym4": 0, "eigvalsh": 0}
 
     def test_grid_step_is_not_a_keyword(self):
-        # the scan spacing and the bisection tolerance are the module
-        # constants WINDOW_GRID_STEP and WINDOW_TOL
+        # the bracket [0, 1/6] and the tolerance WINDOW_TOL are fixed
         for keyword in ("grid_step", "tol"):
             with pytest.raises(TypeError):
                 valid_j_range(0.7, **{keyword: 1e-3})
