@@ -24,7 +24,7 @@ import numpy as np
 from . import hermat
 from .cloner import (InputState, build_output_batch, build_output_state,
                      check_machine_constraints, clone_fidelity, valid_j_range)
-from .discord import (MeasurementBasis, conditional_entropy_curve, discord_at,
+from .discord import (MeasurementBasis, _discord_min, conditional_entropy_curve, discord_at,
                       discord_min, discord_surface, mutual_info_i, mutual_info_j)
 from .errors import DomainError
 from .separability import (_ppt_verdict, ppt_data, scan_grid, separable_intervals, w3_closed,
@@ -410,7 +410,8 @@ def point_report(alpha, j, scan_phase=False):
     state = InputState.from_alpha(alpha)
     lo, hi = valid_j_range(state)
     rho = build_output_state(state, j)
-    min_eig = float(hermat.eig_sym4(rho)[-1])
+    spectrum = hermat.eig_sym4(rho)
+    min_eig = float(spectrum[-1])
     if min_eig < hermat.STATE_EIG_FLOOR:
         exc = DomainError(
             f"output state unphysical at alpha={alpha}, j={j} "
@@ -418,7 +419,8 @@ def point_report(alpha, j, scan_phase=False):
             f"alpha={alpha} is [{lo:.6f}, {hi:.6f}]")
         exc.min_eigenvalue = min_eig
         raise exc
-    result = discord_min(rho, scan_phase=scan_phase)
+    # a copier state has unit trace, so the check above validates it for discord_min
+    result = _discord_min(rho, spectrum, scan_phase=scan_phase)
     # the check above is classify's physicality test; only its PPT half remains
     verdict = _ppt_verdict(rho)
     constraints = check_machine_constraints(j)

@@ -17,20 +17,33 @@ default value is an upper bound on the projective discord.
 conditional_entropy_curve is elementwise in (state, t, phi): phi may be an
 array that broadcasts against the angles, so the (t, phi) grid of the phase
 scan is evaluated a block of phase rows per call rather than one call per
-phase. It uses no complex arithmetic: the measured ket is (u, e^{i phi} v)
-with u and v real, so each compressed entry of rho is a + b cos(phi) and
-the square of the imaginary part of the off-diagonal one is
-g^2 sin^2(phi), where a, b and g depend only on the outcome, the state and
-t. A call computes them once on its distinct t, and each entry of the
-(t, phi) grid then takes one multiply-add per compressed entry, and one
-divide for its conditional spectrum 1/2 +- rad/p relative to the branch
-probability p. Entries at phi = 0 are those of the real family, computed by
-its own float operations in their original order, so they equal the
-complex-arithmetic kernel it replaced (tests/oracles.py's
-conditional_entropy_curve_complex) bit for bit; other phases differ from it
-by rounding. It takes cos and sin once per distinct angle (a stride-0 axis
-of a broadcast ts is evaluated once), puts all temporaries of a call in one
-workspace allocation (see _PHASE_BLOCK) and runs the phase rows with a
+phase. It uses no complex arithmetic. Entries at phi = 0 are the real
+family's, computed by its own float operations in their original order, so
+they equal the complex-arithmetic kernel it replaced (tests/oracles.py's
+conditional_entropy_curve_complex) bit for bit. Other phases differ from it
+by rounding: they take rho's Bloch form r_a, T (R. & M. Horodecki, PRA 54,
+1838 (1996); Luo, PRA 77, 042303 (2008)). With c = cos(phi), s = sin 2t,
+c2 = cos 2t and sigma = +-1 the outcome, the branch leaves clone a the
+spectrum p (1/2 +- rad/p), where
+
+    p = (b00 c + a00) + (b11 c + a11),
+    rad^2 = |r_a + sigma T m|^2 / 16 = A + B c + C c^2,
+    X0 = a_x + sigma T_xz c2,  X1 = sigma T_xx s,  Y = T_yy s,
+    Z0 = a_z + sigma T_zz c2,  Z1 = sigma T_zx s,
+    16 A = X0^2 + Z0^2 + Y^2,  8 B = X0 X1 + Z0 Z1,  16 C = X1^2 + Z1^2 - Y^2.
+
+These are the only Bloch terms of a real rho. p keeps the real family's
+compressed-entry sum (a and b weight rho's entries by u u, u v, v v): the
+forms (1 +- r_b.m)/2 and (b00 + b11) c + (a00 + a11) lose up to 7e-14 bits
+on the copier at j = 0. rad^2 goes by Horner, clamped at 0 before its sqrt.
+The seven coefficients per (outcome, state, t) are computed once per phase
+query: a one-entry cache, keyed on rho's and the distinct ts's shapes and
+bytes and on the angle rank, keeps them across discord_min's block calls.
+It is a cache rather than a private entry point because those calls must
+stay calls of conditional_entropy_curve, whose calls and angles the
+benchmark traces. A call takes cos and sin once per distinct angle (a
+stride-0 axis of a broadcast ts is evaluated once), puts its full-size
+temporaries in one workspace allocation (see _PHASE_BLOCK) and runs with a
 small ufunc buffer (see _PHASE_BUFSIZE).
 
 discord_min's golden-section refinement takes one (t, phi) at a time from
@@ -61,22 +74,23 @@ DEGENERATE_P = 1e-12
 # bracket width at which discord_min's golden-section refinement stops
 REFINE_TOL = 1e-9
 # phase rows per conditional_entropy_curve call in the scan_phase grid. A call
-# keeps all its temporaries in one workspace of about 6.4 x 2 x rows x
-# grid_points floats (1.2 MB at 16 x 721). In the points benchmark (one
-# 721 x 721 scan per phase query; 2-vCPU AMD EPYC host, 20 s runs, seeds
-# 901-903) op_p90_ms was 25.0-25.9 / 21.8-22.0 / 20.9-21.4 ms at 8 / 16 / 24
-# rows, and peak_rss_mb 40.7-40.9 / 41.7-41.8 / 41.8-42.0 MiB: a workspace of
-# 12 rows or more raises glibc's dynamic trim threshold so far that it keeps
-# about 1 MiB more of freed heap
+# keeps its full-size temporaries in one workspace of about 4.1 x 2 x rows x
+# grid_points floats (0.76 MB at 16 x 721; 6.4 x before the phase rows took
+# the Bloch form). With that 6.4 x workspace, in the points benchmark (2-vCPU
+# AMD EPYC host, 20 s runs, seeds 901-903) op_p90_ms was 25.0-25.9 /
+# 21.8-22.0 / 20.9-21.4 ms at 8 / 16 / 24 rows, and peak_rss_mb 40.7-40.9 /
+# 41.7-41.8 / 41.8-42.0 MiB: a workspace of 12 rows or more raised glibc's
+# dynamic trim threshold so far that it kept about 1 MiB more of freed heap
 _PHASE_BLOCK = 16
-# ufunc buffer size, in elements, while conditional_entropy_curve evaluates
-# phase rows; restored on return. The phase rows' products with cos(phi) and
-# sin(phi) broadcast per-t coefficients over the rows, so numpy's loops run
-# one t row at a time, and numpy copies the operands through its ufunc
-# buffer when a row is shorter than about a third of that buffer. With the
-# default of 8192 elements, 721-point rows made those products about 3x
-# slower per entry (2-vCPU Xeon host, numpy 2.4). 64 is the shortest row
-# discord_min makes (grid_points >= 64)
+# ufunc buffer size, in elements, while conditional_entropy_curve runs;
+# restored on return. Both the phase rows and the real family broadcast
+# per-t arrays against per-state or per-phase ones, so numpy's loops run one
+# t row at a time, and numpy copies the operands through its ufunc buffer
+# when a row is shorter than about a third of that buffer. With the default
+# of 8192 elements, 721-point phase rows made those products about 3x slower
+# per entry (2-vCPU Xeon host, numpy 2.4), and a sweep-shaped real-family
+# call (99 states x 91 t) took 0.60 ms against 0.51 ms. 64 is the shortest
+# row discord_min makes (grid_points >= 64)
 _PHASE_BUFSIZE = 64
 # flat indices into rho of the entries that <m, e| rho |n, e> weights by
 # u u, u v, u v* and |v|^2 (rows), for (m, n) = (0, 0), (0, 1), (1, 1) (columns)
@@ -84,6 +98,8 @@ _Q_ENTRIES = np.array([[0, 2, 10], [1, 3, 11], [4, 6, 14], [5, 7, 15]])
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # _PAULI_PAIRS[i, k] = sigma_i (x) sigma_k, sigma_0 = I
 _PAULI_PAIRS = np.einsum("iab,kcd->ikacbd", _PAULI, _PAULI).reshape(4, 4, 4, 4)
+# (key, coefficients) of the last phase query (see _phase_coefficients)
+_phase_cache = (None, None)
 
 
 @dataclass(frozen=True)
@@ -131,15 +147,15 @@ def _distinct(x):
 def conditional_entropy_curve(rho, ts, phi=0.0):
     """H(a | measure b at angles (t, phi)) for arrays of angles, in bits.
 
-    rho may be one state or a stack of shape (..., 4, 4); phi may be a
-    scalar or an array that broadcasts against ts. The result has shape
-    rho.shape[:-2] + np.broadcast_shapes(ts.shape, np.shape(phi)), with a
-    scalar t treated as shape (1,). The arithmetic is elementwise, so each
-    entry equals the single-state, single-angle value bit for bit.
-    Degenerate branches contribute 0; conditional spectra are clipped to
-    their positive part, which leaves valid states untouched and keeps the
-    value finite when rho is not positive semidefinite (unphysical sweep
-    regions).
+    rho may be one real symmetric state or a stack of them, of shape
+    (..., 4, 4); phi may be a scalar or an array that broadcasts against
+    ts. The result has shape rho.shape[:-2] + np.broadcast_shapes(ts.shape,
+    np.shape(phi)), with a scalar t treated as shape (1,). The arithmetic
+    is elementwise, so each entry equals the single-state, single-angle
+    value bit for bit. Degenerate branches contribute 0; conditional
+    spectra are clipped to their positive part, which leaves valid states
+    untouched and keeps the value finite when rho is not positive
+    semidefinite (unphysical sweep regions).
     """
     rho = np.asarray(rho, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -147,79 +163,40 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     angles = np.broadcast_shapes(ts.shape, phi.shape)
     ts = _distinct(ts)
     real_rows = phi == 0.0
-    if real_rows.all():
-        return _curve(rho, ts, angles)
-    # see _PHASE_BUFSIZE
-    bufsize = np.setbufsize(_PHASE_BUFSIZE)
+    bufsize = np.setbufsize(_PHASE_BUFSIZE)   # see _PHASE_BUFSIZE
     try:
-        total = _curve(rho, ts, angles, _distinct(phi))
+        if real_rows.all():
+            return _curve(rho, ts, angles)
+        total = _phase_rows(rho, ts, angles, _distinct(phi))
+        if real_rows.any():
+            # phi = 0 entries keep the real family's bits, from one call on the distinct ts
+            np.copyto(total, _curve(rho, ts, (1,) * (len(angles) - ts.ndim) + ts.shape),
+                      where=real_rows)
+        return total
     finally:
         np.setbufsize(bufsize)
-    if real_rows.any():
-        # phi = 0 entries keep the real family's bits, from one call on the distinct ts
-        np.copyto(total, _curve(rho, ts, (1,) * (len(angles) - ts.ndim) + ts.shape),
-                  where=real_rows)
-    return total
 
 
-def _curve(rho, ts, angles, phi=None):
-    """conditional_entropy_curve at the angles ts broadcast to shape angles.
-
-    phi None is the real family; otherwise phi is an array without stride-0
-    axes that broadcasts against ts to angles.
-    """
+def _curve(rho, ts, angles):
+    """The real family (phi = 0) at the angles ts broadcast to shape angles."""
     batch = rho.shape[:-2]
     # axis 0 of every array below is the outcome (0 or 1), then the states,
-    # then the angles; angle-only arrays keep length 1 on the state axes, and
-    # the per-t coefficients of the phase rows have only the angle axes of ts
+    # then the angles; angle-only arrays keep length 1 on the state axes
     full = (2,) + batch + angles
     n = math.prod(full)
-    angle_shape = (1,) * (len(full) - 1 - ts.ndim) + ts.shape
-    n_ang = math.prod(angle_shape)
-    coef_shape = (2,) + batch + angle_shape[len(batch):]
-    n_coef = 0 if phi is None else math.prod(coef_shape)
-
-    # one allocation per call for every temporary (see _PHASE_BLOCK)
-    n_flags = -(-3 * n // 8)   # floats holding 3 n bools
-    n_real = 6 * n + n_flags + 9 * n_ang   # all that the real family needs
-    ws = np.empty(n_real + 7 * n_coef)
+    ws = np.empty(6 * n + -(-3 * n // 8))   # 6 full-size floats and 3 n bools
     big = ws[:6 * n].reshape((6,) + full)
-    flags = ws[6 * n:6 * n + n_flags].view(np.bool_)[:3 * n].reshape((3,) + full)
-    small = ws[6 * n + n_flags:n_real].reshape((9,) + angle_shape)
+    flags = ws[6 * n:].view(np.bool_)[:3 * n].reshape((3,) + full)
     q, tmp = big[0:3], big[3:6]
-
-    # measured kets (u, e^{i phi} v) with (u, v) = (cos t, sin t), (sin t, -cos t);
-    # uc holds (cos t, sin t, -cos t), so u = uc[0:2] and v = uc[1:3]
-    uc = small[0:3]
-    np.cos(ts, out=uc[0])
-    np.sin(ts, out=uc[1])
-    np.negative(uc[0], out=uc[2])
-    u, v = uc[0:2], uc[1:3]
-    uu = np.multiply(u, u, out=small[3:5])
-    uv = np.multiply(u, v, out=small[5:7])
-    vv = np.multiply(v, v, out=small[7:9])
+    uu, uv, vv = _ket_products(ts, len(batch), len(angles))
 
     # rows of r are rho's entries that <m, e| rho |n, e> weights by u u,
-    # u v e^{i phi}, u v e^{-i phi} and v v, for (m, n) = (0, 0), (0, 1), (1, 1)
+    # u v, u v and v v, for (m, n) = (0, 0), (0, 1), (1, 1)
     r = rho.reshape(-1, 16).T[_Q_ENTRIES].reshape((4, 3, 1) + batch + (1,) * len(angles))
-    if phi is None:
-        np.multiply(uu, r[0], out=q)
-        q += np.multiply(uv, r[1], out=tmp)
-        q += np.multiply(uv, r[2], out=tmp)
-        q += np.multiply(vv, r[3], out=tmp)
-    else:
-        # Re q = a + b cos(phi) and (Im q01)^2 = g^2 sin^2(phi), with a, b and
-        # g^2 per (outcome, state, t): each entry of the full grid takes one
-        # multiply-add
-        coef = ws[n_real:].reshape((7,) + coef_shape)
-        a, b, g2 = coef[0:3], coef[3:6], coef[6]
-        np.multiply(uu, r[0], out=a)
-        a += np.multiply(vv, r[3], out=b)
-        np.multiply(uv, r[1] + r[2], out=b)
-        np.multiply(uv, r[1, 1] - r[2, 1], out=g2)
-        g2 *= g2
-        np.multiply(b, np.cos(phi), out=q)
-        q += a
+    np.multiply(uu, r[0], out=q)
+    q += np.multiply(uv, r[1], out=tmp)
+    q += np.multiply(uv, r[2], out=tmp)
+    q += np.multiply(vv, r[3], out=tmp)
     q00, q01, q11 = q
 
     # branch probability p and the conditional spectrum p/2 +- rad of clone a,
@@ -227,48 +204,111 @@ def _curve(rho, ts, angles, phi=None):
     p = np.add(q00, q11, out=tmp[0])
     d = np.subtract(q00, q11, out=tmp[1])
     d *= 0.5
-    if phi is None:
-        rad = np.hypot(d, np.abs(q01, out=tmp[2]), out=tmp[2])
-    else:
-        # one sqrt of Im^2 + Re^2 + d^2
-        im = np.multiply(g2, np.square(np.sin(phi)), out=tmp[2])
-        im += np.multiply(q01, q01, out=q[0])
-        im += np.multiply(d, d, out=q[2])
-        rad = np.sqrt(im, out=im)
+    rad = np.hypot(d, np.abs(q01, out=tmp[2]), out=tmp[2])
 
-    # H = -sum over live branches of p sum x log2(x), x = (p/2 +- rad) / p > 0.
-    # Dead branches divide by 1, and every other x is set to 1, so its
-    # x log2(x) is +0.0 and the divide and log2 need no mask. Subtracting from
-    # +0.0 outcome by outcome rounds (signed zeros included) as adding
-    # -x log2(x)
+    # x = (p/2 +- rad) / p. Dead branches divide by 1, and every other x is
+    # set to 1, so its x log2(x) is +0.0 and the divide and log2 need no mask
     dead = np.less_equal(p, DEGENERATE_P, out=flags[0])
     divisor = tmp[1]
     np.copyto(divisor, p)
     np.copyto(divisor, 1.0, where=dead)
     x = q[0:2]
-    if phi is None:
-        half = np.multiply(p, 0.5, out=x[0])
-        np.subtract(half, rad, out=x[1])
-        np.add(half, rad, out=x[0])
-        np.divide(x, divisor, out=x)
-        skip = np.less_equal(x, 0.0, out=flags[1:3])
-        skip |= dead
-        np.copyto(x, 1.0, where=skip)
+    half = np.multiply(p, 0.5, out=x[0])
+    np.subtract(half, rad, out=x[1])
+    np.add(half, rad, out=x[0])
+    np.divide(x, divisor, out=x)
+    skip = np.less_equal(x, 0.0, out=flags[1:3])
+    skip |= dead
+    np.copyto(x, 1.0, where=skip)
+    return _entropy_sum(x, p, tmp[2])
+
+
+def _ket_products(ts, n_batch, n_angles):
+    """u u, u v and v v of the measured kets (u, e^{i phi} v) on the angle axes.
+
+    Axis 0 is the outcome: (u, v) = (cos t, sin t), (sin t, -cos t).
+    """
+    shape = (1,) * (n_batch + n_angles - ts.ndim) + ts.shape
+    c, s = np.cos(ts).reshape(shape), np.sin(ts).reshape(shape)
+    u, v = np.stack([c, s]), np.stack([s, -c])
+    return u * u, u * v, v * v
+
+
+def _phase_rows(rho, ts, angles, phi):
+    """_curve's counterpart at phases phi (no stride-0 axes); see the module docstring."""
+    a00, a11, b00, b11, a, b, c2 = _phase_coefficients(rho, ts, len(angles))
+    full = (2,) + rho.shape[:-2] + angles
+    n = math.prod(full)
+    ws = np.empty(4 * n + -(-n // 8))   # 4 full-size floats and n bools (see _PHASE_BLOCK)
+    w, flags = ws[:4 * n].reshape((4,) + full), ws[4 * n:].view(np.bool_)[:n].reshape(full)
+    c = np.cos(phi)
+    p = np.add(np.multiply(b00, c, out=w[0]), a00, out=w[0])
+    p += np.add(np.multiply(b11, c, out=w[1]), a11, out=w[1])
+    # rad^2 by Horner, clamped at 0: rounding can take it below, and sqrt to NaN
+    rad = np.add(np.multiply(c2, c, out=w[1]), b, out=w[1])
+    rad *= c
+    rad += a
+    np.sqrt(np.maximum(rad, 0.0, out=rad), out=rad)
+    # x = 1/2 +- rad/p, one divide. A dead branch takes rad/p = 1/2, so
+    # x = (1, 0); only x- can reach x <= 0, and is set to 1 (x log2 x = +0.0)
+    dead = np.less_equal(p, DEGENERATE_P, out=flags)
+    if dead.any():
+        np.copyto(np.divide(rad, p, out=rad, where=~dead), 0.5, where=dead)
     else:
-        # x = 1/2 +- rad/p, one divide; a dead branch takes rad/p = 1/2, so
-        # x = (1, 0), and only the minus branch can reach x <= 0
-        y = np.divide(rad, divisor, out=rad)
-        np.copyto(y, 0.5, where=dead)
-        np.add(0.5, y, out=x[0])
-        np.subtract(0.5, y, out=x[1])
-        np.copyto(x[1], 1.0, where=np.less_equal(x[1], 0.0, out=flags[1]))
-    xlogx = np.log2(x, out=tmp[1:3])
-    xlogx *= x
-    weighted = np.add(xlogx[0], xlogx[1], out=xlogx[0])
-    weighted *= p
-    total = np.subtract(0.0, weighted[0])
-    total -= weighted[1]
+        np.divide(rad, p, out=rad)
+    x = w[2:4]
+    np.add(0.5, rad, out=x[0])
+    np.subtract(0.5, rad, out=x[1])
+    np.copyto(x[1], 1.0, where=np.less_equal(x[1], 0.0, out=flags))
+    return _entropy_sum(x, p, w[1])
+
+
+def _entropy_sum(x, p, scratch):
+    """-sum over outcomes of p (x+ log2 x+ + x- log2 x-); overwrites x[0] and scratch.
+
+    Subtracting from +0.0 outcome by outcome rounds (signed zeros included)
+    as adding -x log2(x).
+    """
+    plus = np.log2(x[0], out=scratch)
+    plus *= x[0]
+    minus = np.log2(x[1], out=x[0])
+    minus *= x[1]
+    plus += minus
+    plus *= p
+    total = np.subtract(0.0, plus[0])
+    total -= plus[1]
     return total
+
+
+def _phase_coefficients(rho, ts, n_angles):
+    """(a00, a11, b00, b11, A, B, C) stacked, each (2,) + batch + ts's angle axes.
+
+    One-entry cache (see the module docstring): a mutated or different rho misses.
+    """
+    global _phase_cache
+    key = (rho.shape, rho.tobytes(), ts.shape, ts.tobytes(), n_angles)
+    cached_key, coef = _phase_cache   # one read: a consistent pair across threads
+    if cached_key == key:
+        return coef
+    batch = rho.shape[:-2]
+    state = batch + (1,) * n_angles
+    tail = (1,) * (n_angles - ts.ndim) + ts.shape
+    uu, uv, vv = _ket_products(ts, len(batch), n_angles)
+    # the (0, 0) and (1, 1) columns of _Q_ENTRIES: q = a + b cos(phi)
+    r = rho.reshape(-1, 16).T[_Q_ENTRIES[:, ::2]].reshape((4, 2, 1) + state)
+    (a00, a11), (b00, b11) = uu * r[0] + vv * r[3], uv * (r[1] + r[2])
+    # r_a = bl[1:, 0] and T = bl[1:, 1:]; a real rho has only these terms
+    bl = np.moveaxis(np.einsum("...xy,ikyx->...ik", rho, _PAULI_PAIRS).real, (-2, -1), (0, 1))
+    bl = bl.reshape((4, 4) + state)
+    sig = np.array([1.0, -1.0]).reshape((2,) + (1,) * len(state))
+    s, c2 = np.sin(2.0 * ts).reshape(tail), np.cos(2.0 * ts).reshape(tail)
+    x0, x1 = bl[1, 0] + sig * bl[1, 3] * c2, sig * bl[1, 1] * s
+    z0, z1, y = bl[3, 0] + sig * bl[3, 3] * c2, sig * bl[3, 1] * s, bl[2, 2] * s
+    coef = np.stack([a00, a11, b00, b11, (x0 * x0 + z0 * z0 + y * y) / 16,
+                     (x0 * x1 + z0 * z1) / 8, (x1 * x1 + z1 * z1 - y * y) / 16])
+    coef.flags.writeable = False
+    _phase_cache = (key, coef)
+    return coef
 
 
 def _bloch(rho):
@@ -371,8 +411,11 @@ def discord_min(rho, grid_points=721, scan_phase=False):
         raise DomainError(f"grid_points must be an integer, got {grid_points!r}") from None
     if grid_points < 64:
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
-    rho = np.asarray(rho, dtype=float)
+    return _discord_min(np.asarray(rho, dtype=float), spectrum, grid_points, scan_phase)
 
+
+def _discord_min(rho, spectrum, grid_points=721, scan_phase=False):
+    """discord_min of a validated float state rho with its descending spectrum."""
     ha = _marginal_entropy(rho, "a")
     hb = _marginal_entropy(rho, "b")
     hab = hermat.vn_entropy(spectrum)

@@ -461,6 +461,17 @@ class TestPoint:
         assert main(["point", alpha, j, "--format", "json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("scan_phase", [False, True])
+    def test_state_spectrum_is_taken_once(self, monkeypatch, scan_phase):
+        # one spectrum of rho (reused by discord_min) and one of its partial transpose
+        calls = []
+        eig_sym4 = cli.hermat.eig_sym4
+        monkeypatch.setattr(cli.hermat, "eig_sym4", lambda m: calls.append(m) or eig_sym4(m))
+        report = cli.point_report(0.7, 0.22, scan_phase=scan_phase)
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], build_output_state(0.7, 0.22))
+        assert report["min_eigenvalue"] == float(eig_sym4(calls[0])[-1])
+
     def test_unphysical_point_exits_2_with_range(self, capsys):
         rc = main(["point", "0.5", "0.1"])
         assert rc == cli.EXIT_CONFIG

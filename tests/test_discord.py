@@ -183,6 +183,76 @@ class TestConditionalEntropy:
                         - conditional_entropy_curve_complex(rho, ts, phi))
                 assert np.max(np.abs(diff)) <= 1e-14, k
 
+    def test_phase_rows_match_complex_oracle_on_copier_grid(self):
+        # 41 j on [0, 1/2], the unphysical j < 1/6 included, 97 t and 24 phi over
+        # discord_min's scanned range [0, pi)
+        js = np.linspace(0.0, 0.5, 41)
+        ts = np.linspace(0.0, np.pi / 2, 97)
+        phis = np.linspace(0.0, np.pi, 24, endpoint=False)[:, None]
+        for alpha in (0.0, 0.3, 2 ** -0.5, 0.9, 1.0):
+            rhos = build_output_batch(alpha, js)
+            diff = (conditional_entropy_curve(rhos, ts, phis)
+                    - conditional_entropy_curve_complex(rhos, ts, phis))
+            assert np.max(np.abs(diff)) <= 1e-14, alpha
+        # phi = pi is left out above: at j = 0 there, the complex oracle is itself
+        # 1.9e-14 off the 40-digit value (mpmath, at these float inputs) at t =
+        # ts[47], where a one-ulp change of t moves H by 4e-14. The kernel is
+        # within 1e-15 of it
+        rho = build_output_state(2 ** -0.5, 0.0)
+        got = conditional_entropy_curve(rho, ts[47], np.pi)[0]
+        assert abs(got - -1.659049792390732) <= 1e-15
+
+    def test_phase_coefficient_cache_is_invisible(self):
+        # the per-(outcome, state, t) coefficients of the last phase query are
+        # cached; every call must equal a computation from an empty cache
+        def fresh(rho, ts, phi):
+            discord_module._phase_cache = (None, None)
+            return conditional_entropy_curve(rho, ts, phi)
+
+        rho = build_output_state(0.7, 0.22)
+        other = build_output_state(0.3, 0.4)
+        stack = build_output_batch(0.6, [0.1, 0.3, 0.45])
+        ts = np.linspace(0.0, np.pi / 2, 41, endpoint=False)
+        phis = np.linspace(0.1, np.pi, 5)[:, None]
+        mutable = rho.copy()
+        calls = [(rho, ts, phis), (rho, ts, phis), (other, ts, phis), (rho, ts, phis),
+                 (rho, ts, phis[:, :, None]), (rho, ts[::-1], phis),   # angle rank 3, then 2
+                 (rho, ts[:, None], phis.T),   # the same ts bytes as a column
+                 (rho, np.broadcast_to(ts, (5, 41)), phis), (stack, ts, phis),
+                 (stack[1], ts, phis), (rho[None], ts, phis), (rho, ts, phis),
+                 (mutable, ts, phis), (mutable, ts, 0.4)]
+        for k, (state, t_arg, phi) in enumerate(calls):
+            if k == len(calls) - 1:
+                mutable[:] = other   # in place, between two calls on the same array
+            got = conditional_entropy_curve(state, t_arg, phi)
+            assert same_bits(got, fresh(state, t_arg, phi)), k
+        # a repeated query reuses the cached coefficients
+        cached = discord_module._phase_cache[1]
+        conditional_entropy_curve(mutable, ts, 1.1)
+        assert discord_module._phase_cache[1] is cached
+
+    def test_phase_rows_are_finite(self):
+        ts = np.linspace(0.0, np.pi, 121)
+        phis = np.linspace(0.0, 2 * np.pi, 48)[:, None]
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            for k, rho in enumerate(oracle_states()):
+                assert np.isfinite(conditional_entropy_curve(rho, ts, phis)).all(), k
+        # r_a = -T m at (t, phi), so outcome + leaves clone a in I/2 and
+        # rad^2 = A + B cos(phi) + C cos(phi)^2 cancels O(1) terms to 0; here
+        # it rounds below 0, where only the clamp keeps sqrt from a NaN
+        t, phi, txx, tzz = 0.05, 0.1, 0.4, 0.4
+        sx, sz, i2 = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]), np.eye(2)
+        ax, az = -txx * np.sin(2 * t) * np.cos(phi), -tzz * np.cos(2 * t)
+        rho = (np.eye(4) + ax * np.kron(sx, i2) + az * np.kron(sz, i2)
+               + txx * np.kron(sx, sx) + tzz * np.kron(sz, sz)) / 4
+        assert np.linalg.eigvalsh(rho)[0] > 0
+        discord_module._phase_cache = (None, None)
+        got = conditional_entropy_curve(rho, t, phi)
+        a, b, c2 = discord_module._phase_cache[1][4:, 0, 0]
+        assert (c2 * np.cos(phi) + b) * np.cos(phi) + a < 0.0
+        assert np.isfinite(got).all()
+        assert abs(got[0] - conditional_entropy_curve_complex(rho, [t], phi)[0]) <= 1e-14
+
     def test_scalar_evaluator_matches_kernel_and_complex_oracle(self):
         # discord_min's refinement evaluator, in Bloch form. Skipped: states
         # that are not positive semidefinite while clone b's marginal is pure
