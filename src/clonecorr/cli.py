@@ -24,11 +24,11 @@ import numpy as np
 from . import hermat
 from .cloner import (InputState, build_output_batch, build_output_state,
                      check_machine_constraints, clone_fidelity, valid_j_range)
-from .discord import (MeasurementBasis, _discord_min, conditional_entropy_curve, discord_at,
-                      discord_min, discord_surface, mutual_info_i, mutual_info_j)
+from .discord import (_discord_min, conditional_entropy_curve, discord_at, discord_min,
+                      discord_surface, mutual_info_i, mutual_info_j)
 from .errors import DomainError
 from .separability import (_ppt_verdict, ppt_data, scan_grid, separable_intervals, w3_closed,
-                           w4_closed, w_direct)
+                           w4_closed)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -300,6 +300,12 @@ def surface_records(alpha, cfg):
 def run_surface(cfg, out_stream=None):
     out_stream = out_stream if out_stream is not None else sys.stdout
     out_dir = cfg.output_path or "surface_out"
+    names = {}   # file name -> the first alpha that takes it
+    for alpha in cfg.alpha_list:
+        first = names.setdefault(_fmt(alpha), alpha)
+        if first != alpha:
+            raise ConfigError(f"alphas {first!r} and {alpha!r} share the file name "
+                              f"surface_alpha{_fmt(alpha)}.{cfg.output_format}")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for alpha in cfg.alpha_list:
@@ -314,14 +320,6 @@ def run_surface(cfg, out_stream=None):
     return written
 
 
-def reference_for(alpha):
-    """(key_found, expected interval or None) for a table1 row."""
-    for key, expected in REFERENCE_INTERVALS.items():
-        if abs(alpha - key) < 1e-9:
-            return True, expected
-    return False, None
-
-
 def table1_rows(cfg):
     """Computed separable intervals per alpha with reference comparison.
 
@@ -333,9 +331,10 @@ def table1_rows(cfg):
     any_mismatch = False
     for alpha in cfg.alpha_list:
         intervals = separable_intervals(alpha)
-        has_ref, expected = reference_for(alpha)
+        key = next((k for k in REFERENCE_INTERVALS if abs(alpha - k) < 1e-9), None)
+        expected = REFERENCE_INTERVALS.get(key)
         match = None
-        if has_ref:
+        if key is not None:
             if expected is None:
                 match = len(intervals) == 0
             else:
@@ -348,8 +347,7 @@ def table1_rows(cfg):
             "alpha": alpha,
             "intervals": intervals,
             "classification": "Separable" if intervals else "Inseparable",
-            "expected": expected if has_ref else None,
-            "has_reference": has_ref,
+            "expected": expected,
             "match": match,
         })
     return rows, any_mismatch
@@ -366,7 +364,7 @@ def run_table1(cfg, out_stream=None):
           file=out_stream)
     for row in rows:
         ivs = ", ".join(_format_interval(iv) for iv in row["intervals"]) or "(none)"
-        if not row["has_reference"]:
+        if row["match"] is None:
             ref, mark = "-", "-"
         elif row["expected"] is None:
             ref, mark = "(none)", "ok" if row["match"] else "MISMATCH"
@@ -506,9 +504,8 @@ def run_selftest(cfg, out_stream=None):
         rho = build_output_state(alpha, j)
         t = rng.uniform(0.0, np.pi)
         phi = rng.uniform(0.0, np.pi)
-        basis = MeasurementBasis(t, phi)
-        lhs = discord_at(rho, basis)
-        rhs = mutual_info_j(rho) - mutual_info_i(rho, basis)
+        lhs = discord_at(rho, t, phi)
+        rhs = mutual_info_j(rho) - mutual_info_i(rho, t, phi)
         ok &= abs(lhs - rhs) <= 1e-12
         curve = conditional_entropy_curve(rho, [t, t + np.pi / 2], phi)
         ok &= abs(curve[0] - curve[1]) <= 1e-12
@@ -527,7 +524,7 @@ def run_selftest(cfg, out_stream=None):
     for _ in range(500):
         alpha, j = random_state_pair()
         rho = build_output_state(alpha, j)
-        w3d, w4d = w_direct(rho)
+        w3d, w4d, _ = ppt_data(rho)
         ok &= abs(w3_closed(alpha, j) - w3d) <= 1e-12
         ok &= abs(w4_closed(alpha, j) - w4d) <= 1e-12
     check("closed-form determinants match direct minors", bool(ok))

@@ -52,20 +52,6 @@ class InputState:
 
 
 @dataclass(frozen=True)
-class MachineParams:
-    """Copier strength j; the output mixes in the symmetric |+><+| with weight 2j.
-
-    Any float is accepted so that check_machine_constraints can report on
-    out-of-range values; build_output_state enforces j in [0, 1/2].
-    """
-    j: float
-
-    @property
-    def n(self):
-        return 1.0 - 2.0 * self.j
-
-
-@dataclass(frozen=True)
 class MachineConstraintReport:
     """Existence check for machine vectors with the required inner products."""
     j: float
@@ -84,22 +70,16 @@ def _as_input(state):
     return InputState.from_alpha(state)
 
 
-def _as_machine(machine):
-    if isinstance(machine, MachineParams):
-        return machine
-    return MachineParams(float(machine))
-
-
-def build_output_state(state, machine):
+def build_output_state(state, j):
     """Two-clone 4x4 output density matrix for the given input and machine.
 
-    Parameters may be given as InputState / MachineParams or as bare floats
-    (alpha and j). j outside [0, 1/2] raises DomainError; positivity of the
+    state is an InputState or a bare alpha, j the machine parameter (a
+    number). j outside [0, 1/2] raises DomainError; positivity of the
     result is alpha-dependent and deliberately not enforced here -- scans
     cover non-positive parameter regions too. Use valid_j_range for the
     physical window. The one-element case of build_output_batch.
     """
-    return build_output_batch(state, _as_machine(machine).j)
+    return build_output_batch(state, float(j))
 
 
 def build_output_batch(state, js):
@@ -129,13 +109,13 @@ def reduced_clone(rho, which="b"):
     return hermat.partial_trace(rho, keep=which)
 
 
-def clone_fidelity(state, machine):
+def clone_fidelity(state, j):
     """Overlap of one clone with the source state, <chi| rho_a |chi>.
 
     Analytically equal to 1 - j for every normalized real input.
     """
     st = _as_input(state)
-    rho_a = reduced_clone(build_output_state(st, machine), "a")
+    rho_a = reduced_clone(build_output_state(st, j), "a")
     chi = np.array([st.alpha, st.beta])
     return float(chi @ rho_a @ chi)
 
@@ -174,15 +154,16 @@ def valid_j_range(state):
     return (bisect_boundary(is_physical, 0.0, 1.0 / 6.0, WINDOW_TOL), 0.5)
 
 
-def check_machine_constraints(machine):
+def check_machine_constraints(j):
     """Report whether machine vectors with the required overlaps can exist.
 
     Needs <Q|Q> = 1 - 2j >= 0, <Y|Y> = j >= 0, and the cross overlap n/2 to
     respect Cauchy-Schwarz, |n/2| <= sqrt(j(1-2j)); the last holds exactly
-    for j in [1/6, 1/2], with equality at j = 1/6.
+    for j in [1/6, 1/2], with equality at j = 1/6. Any number j is accepted,
+    so out-of-range values get a report too.
     """
-    mp = _as_machine(machine)
-    j, n = mp.j, mp.n
+    j = float(j)
+    n = 1.0 - 2.0 * j
     norms_ok = j >= 0.0 and n >= 0.0
     bound = math.sqrt(j * n) if norms_ok else math.nan
     overlap = n / 2.0

@@ -103,17 +103,6 @@ _phase_cache = (None, None)
 
 
 @dataclass(frozen=True)
-class MeasurementBasis:
-    """Projective basis {cos t|0> + e^{i phi} sin t|1>, sin t|0> - e^{i phi} cos t|1>}.
-
-    The projector pair is invariant under t -> t + pi and outcome-swapped
-    under t -> t + pi/2, so [0, pi/2) is a canonical range for t.
-    """
-    t: float
-    phi: float = 0.0
-
-
-@dataclass(frozen=True)
 class DiscordResult:
     """Discord at the minimizing basis together with all entropy components (bits)."""
     discord: float
@@ -125,12 +114,6 @@ class DiscordResult:
     conditional_entropy: float
     mutual_info_j: float
     mutual_info_i: float
-
-
-def _as_basis(basis):
-    if isinstance(basis, MeasurementBasis):
-        return basis
-    return MeasurementBasis(float(basis))
 
 
 def _distinct(x):
@@ -147,15 +130,18 @@ def _distinct(x):
 def conditional_entropy_curve(rho, ts, phi=0.0):
     """H(a | measure b at angles (t, phi)) for arrays of angles, in bits.
 
-    rho may be one real symmetric state or a stack of them, of shape
-    (..., 4, 4); phi may be a scalar or an array that broadcasts against
-    ts. The result has shape rho.shape[:-2] + np.broadcast_shapes(ts.shape,
-    np.shape(phi)), with a scalar t treated as shape (1,). The arithmetic
-    is elementwise, so each entry equals the single-state, single-angle
-    value bit for bit. Degenerate branches contribute 0; conditional
-    spectra are clipped to their positive part, which leaves valid states
-    untouched and keeps the value finite when rho is not positive
-    semidefinite (unphysical sweep regions).
+    Clone b is measured in {cos t|0> + e^{i phi} sin t|1>, sin t|0> -
+    e^{i phi} cos t|1>}. The projector pair is invariant under t -> t + pi
+    and outcome-swapped under t -> t + pi/2, so [0, pi/2) is a canonical
+    range for t. rho may be one real symmetric state or a stack of them,
+    of shape (..., 4, 4); phi may be a scalar or an array that broadcasts
+    against ts. The result has shape rho.shape[:-2] +
+    np.broadcast_shapes(ts.shape, np.shape(phi)), with a scalar t treated
+    as shape (1,). The arithmetic is elementwise, so each entry equals the
+    single-state, single-angle value bit for bit. Degenerate branches
+    contribute 0; conditional spectra are clipped to their positive part,
+    which leaves valid states untouched and keeps the value finite when rho
+    is not positive semidefinite (unphysical sweep regions).
     """
     rho = np.asarray(rho, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -354,11 +340,10 @@ def _marginal_entropy(rho, keep):
     return hermat.vn_entropy(hermat.eig_herm2(hermat.partial_trace(rho, keep)))
 
 
-def conditional_entropy(rho, basis):
-    """Probability-weighted entropy of clone a after measuring clone b."""
+def conditional_entropy(rho, t, phi=0.0):
+    """Probability-weighted entropy of clone a after measuring clone b at numbers (t, phi)."""
     hermat.validate_state(rho)
-    basis = _as_basis(basis)
-    curve = conditional_entropy_curve(np.asarray(rho, dtype=float), [basis.t], basis.phi)
+    curve = conditional_entropy_curve(np.asarray(rho, dtype=float), [float(t)], float(phi))
     return float(curve[0])
 
 
@@ -370,22 +355,21 @@ def mutual_info_j(rho):
     return ha + hb - hermat.vn_entropy(spectrum)
 
 
-def mutual_info_i(rho, basis):
-    """Measurement-based mutual information H(a) - H(a | measure b), in bits."""
+def mutual_info_i(rho, t, phi=0.0):
+    """Measurement-based mutual information H(a) - H(a | measure b at (t, phi)), in bits."""
     ha = _marginal_entropy(rho, "a")
-    return ha - conditional_entropy(rho, basis)
+    return ha - conditional_entropy(rho, t, phi)
 
 
-def discord_at(rho, basis):
-    """Discord H(b) - H(ab) + H(a | measure b) at one basis (not minimized).
+def discord_at(rho, t, phi=0.0):
+    """Discord H(b) - H(ab) + H(a | measure b) at one basis (t, phi) (not minimized).
 
     Equals mutual_info_j - mutual_info_i at the same basis.
     """
     spectrum = hermat.validate_state(rho)
-    basis = _as_basis(basis)
     hb = _marginal_entropy(rho, "b")
     hab = hermat.vn_entropy(spectrum)
-    curve = conditional_entropy_curve(np.asarray(rho, dtype=float), [basis.t], basis.phi)
+    curve = conditional_entropy_curve(np.asarray(rho, dtype=float), [float(t)], float(phi))
     return float(hb - hab + curve[0])
 
 

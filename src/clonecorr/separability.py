@@ -12,8 +12,7 @@ give an equivalent shortcut test (both nonnegative <=> separable). classify
 evaluates its agreement with the spectral check on every call and surfaces
 it in the verdict rather than assuming it. ppt_data computes W3, W4 (as
 cofactor determinants) and the minimum PPT eigenvalue for one state (LAPACK)
-or a whole stack of states (Jacobi); classify, w_direct and scan_grid go
-through it.
+or a whole stack of states (Jacobi); classify and scan_grid go through it.
 
 separable_intervals uses the formulas themselves, w3_closed and w4_closed:
 W3 changes sign only at j3 = beta^2 / (2 (1 + beta^2)), and W4 = (j/2) g(j)
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermat
-from .cloner import _as_input, _as_machine, build_output_batch, build_output_state, valid_j_range
+from .cloner import _as_input, build_output_batch, build_output_state, valid_j_range
 from .errors import DomainError
 # unused; bench/test_bench.py::test_every_binding_is_traced_and_restored checks this binding
 from .search import bisect_boundary  # noqa: F401
@@ -54,17 +53,17 @@ class JInterval:
             raise DomainError(f"need 0 <= lo <= hi <= 1/2, got [{self.lo}, {self.hi}]")
 
 
-def w3_closed(state, machine):
+def w3_closed(state, j):
     """Order-3 leading principal minor of the partial transpose, closed form."""
-    st, mp = _as_input(state), _as_machine(machine)
-    j, n = mp.j, mp.n
+    st, j = _as_input(state), float(j)
+    n = 1.0 - 2.0 * j
     return (st.alpha ** 2 * j * n / 2.0) * (2.0 * j - st.beta ** 2 * n)
 
 
-def w4_closed(state, machine):
+def w4_closed(state, j):
     """Determinant of the partial transpose, closed form."""
-    st, mp = _as_input(state), _as_machine(machine)
-    j, n = mp.j, mp.n
+    st, j = _as_input(state), float(j)
+    n = 1.0 - 2.0 * j
     a2 = st.alpha ** 2
     b2 = st.beta ** 2
     return 0.5 * (a2 * b2 * j * n * n * (6.0 * j - 1.0) - 2.0 * j ** 4)
@@ -84,13 +83,7 @@ def ppt_data(rhos):
     return hermat._det3(sigmas[..., :3, :3]), hermat._det4(sigmas), spectra[..., -1]
 
 
-def w_direct(rho):
-    """(W3, W4) computed directly as minors of the partially transposed matrix."""
-    w3, w4, _ = ppt_data(hermat._require_real_symmetric(rho))
-    return float(w3), float(w4)
-
-
-def classify(state, machine):
+def classify(state, j):
     """Separable/Entangled verdict for the output state at (alpha, j).
 
     Refuses unphysical points (minimum eigenvalue of the state below
@@ -99,12 +92,12 @@ def classify(state, machine):
     shortcut is evaluated alongside and any disagreement is reported in the
     verdict's agreement flag.
     """
-    st, mp = _as_input(state), _as_machine(machine)
-    rho = build_output_state(st, mp)
+    st, j = _as_input(state), float(j)
+    rho = build_output_state(st, j)
     min_eig = hermat.eig_sym4(rho)[-1]
     if min_eig < hermat.STATE_EIG_FLOOR:
         exc = DomainError(
-            f"output state unphysical at alpha={st.alpha}, j={mp.j}: "
+            f"output state unphysical at alpha={st.alpha}, j={j}: "
             f"minimum eigenvalue {min_eig:.6e}")
         exc.min_eigenvalue = float(min_eig)
         raise exc

@@ -10,10 +10,10 @@ import time
 
 import numpy as np
 
-from clonecorr import (InputState, MeasurementBasis, build_output_batch,
+from clonecorr import (InputState, build_output_batch,
                        build_output_state, classify, clone_fidelity, discord_at,
                        discord_min, jacobi_eigvals, mutual_info_i, mutual_info_j,
-                       swap_qubits, w3_closed, w4_closed, w_direct)
+                       ppt_data, swap_qubits, w3_closed, w4_closed)
 from clonecorr.cli import RunConfig, main, run_table1, table1_rows
 from clonecorr.separability import scan_grid
 from oracles import random_product_state
@@ -66,7 +66,7 @@ def test_criterion_2_closed_form_determinant_equivalence():
     for _ in range(10_000):
         alpha = rng.uniform(0.0, 1.0)
         j = rng.uniform(0.0, 0.5)
-        w3d, w4d = w_direct(build_output_state(alpha, j))
+        w3d, w4d, _ = ppt_data(build_output_state(alpha, j))
         worst3 = max(worst3, abs(w3_closed(alpha, j) - w3d))
         worst4 = max(worst4, abs(w4_closed(alpha, j) - w4d))
     assert worst3 <= 1e-12, f"max |W3 closed - direct| = {worst3:.3e}"
@@ -133,9 +133,9 @@ def test_criterion_6_structural_invariants():
     for _ in range(1000):
         alpha, j = rng.uniform(0.0, 1.0), rng.uniform(1 / 6, 0.5)
         rho = build_output_state(alpha, j)
-        basis = MeasurementBasis(rng.uniform(0.0, np.pi), rng.uniform(0.0, np.pi))
-        gap = abs(discord_at(rho, basis)
-                  - (mutual_info_j(rho) - mutual_info_i(rho, basis)))
+        t, phi = rng.uniform(0.0, np.pi), rng.uniform(0.0, np.pi)
+        gap = abs(discord_at(rho, t, phi)
+                  - (mutual_info_j(rho) - mutual_info_i(rho, t, phi)))
         assert gap <= 1e-12, f"D != J - I by {gap:.3e} at alpha={alpha}, j={j}"
 
     for _ in range(100):

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import clonecorr.cli as cli
-from clonecorr import (MeasurementBasis, build_output_state, classify, discord_at, w3_closed,
-                       w4_closed)
+from clonecorr import build_output_state, classify, discord_at, w3_closed, w4_closed
 from clonecorr.cli import (CSV_HEADER, ConfigError, RunConfig, build_config,
                            load_config_file, main, table1_rows)
 from oracles import surface_text_rows
@@ -307,7 +306,7 @@ class TestSurface:
             alpha, j, t = float(cells[0]), float(cells[1]), float(cells[2])
             rho = build_output_state(alpha, j)
             assert float(cells[3]) == pytest.approx(
-                discord_at(rho, MeasurementBasis(t)), abs=1e-10)
+                discord_at(rho, t), abs=1e-10)
             assert float(cells[4]) == pytest.approx(w3_closed(alpha, j), abs=1e-10)
             assert float(cells[5]) == pytest.approx(w4_closed(alpha, j), abs=1e-10)
             assert cells[7] == "true"
@@ -345,6 +344,24 @@ class TestSurface:
         rc = main(["surface", *SMALL_SURFACE, "--out", str(blocker / "sub")])
         assert rc == cli.EXIT_IO
         assert "i/o error" in capsys.readouterr().err
+
+    def test_alphas_sharing_a_file_name_exit_2(self, tmp_path, capsys):
+        # _fmt keeps 12 significant digits, so both alphas name surface_alpha0.3.csv
+        out = tmp_path / "out"
+        rc = main(["surface", "--alpha", "0.3,0.3000000000001", "--j-min", "0.2",
+                   "--j-max", "0.2", "--t-points", "2", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "0.3 and 0.3000000000001" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_repeated_alpha_rewrites_its_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["surface", "--alpha", "0.3,0.3", "--j-min", "0.2", "--j-max", "0.2",
+                   "--t-points", "2", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.count("-> ") == 2
+        assert [p.name for p in out.iterdir()] == ["surface_alpha0.3.csv"]
 
     def test_default_run_emits_nine_finite_tables(self, tmp_path):
         out = tmp_path / "full"

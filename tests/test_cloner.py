@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clonecorr import (FEASIBLE_J, InputState, MachineParams, build_output_batch,
+from clonecorr import (FEASIBLE_J, InputState, build_output_batch,
                        build_output_state, check_machine_constraints, clone_fidelity,
                        eig_sym4, reduced_clone, swap_qubits, valid_j_range)
 from clonecorr import hermat
@@ -66,7 +66,7 @@ class TestBuildOutputState:
         assert rho[0, 3] == 0.0
 
     def test_accepts_dataclasses_and_floats(self):
-        a = build_output_state(InputState.from_alpha(0.6), MachineParams(0.2))
+        a = build_output_state(InputState.from_alpha(0.6), 0.2)
         b = build_output_state(0.6, 0.2)
         assert np.array_equal(a, b)
 

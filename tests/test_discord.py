@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clonecorr import (InputState, MeasurementBasis, build_output_batch, build_output_state,
+from clonecorr import (InputState, build_output_batch, build_output_state,
                        conditional_entropy, conditional_entropy_curve, discord_at,
                        discord_min, discord_surface, eig_herm2, eig_sym4, jacobi_eigvals,
                        mutual_info_i, mutual_info_j, partial_trace, swap_qubits,
@@ -87,24 +87,38 @@ class TestConditionalEntropy:
         rho, a, _ = product_state()
         ha = vn_entropy(np.linalg.eigvalsh(a))
         for t in np.linspace(0, np.pi / 2, 7):
-            assert conditional_entropy(rho, MeasurementBasis(t)) == pytest.approx(
+            assert conditional_entropy(rho, t) == pytest.approx(
                 ha, abs=1e-12)
 
     def test_bell_state_is_zero(self):
         for t in (0.0, 0.4, 1.2):
-            assert abs(conditional_entropy(bell_phi_plus(), MeasurementBasis(t))) <= 1e-12
+            assert abs(conditional_entropy(bell_phi_plus(), t)) <= 1e-12
 
     def test_frozen_regression_alpha05_j03_t0(self):
         rho = build_output_state(0.5, 0.3)
-        value = conditional_entropy(rho, MeasurementBasis(0.0))
+        value = conditional_entropy(rho, 0.0)
         assert value == pytest.approx(COND_ENTROPY_A05_J03_T0, abs=1e-12)
+
+    def test_plain_number_forms_are_bitwise(self):
+        # the angles are plain numbers, phi defaulting to the real family's 0.0
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            rho = build_output_state(rng.uniform(0, 1), rng.uniform(1 / 6, 0.5))
+            t, phi = rng.uniform(0, np.pi), rng.uniform(0, np.pi)
+            assert discord_at(rho, t) == discord_at(rho, t, 0.0)
+            assert conditional_entropy(rho, t) == conditional_entropy(rho, t, 0.0)
+            assert (conditional_entropy(rho, t, phi)
+                    == conditional_entropy_curve(rho, [t], phi)[0])
+        # one basis per call: an array of phases is refused, not cut to its first entry
+        with pytest.raises(TypeError):
+            conditional_entropy(rho, t, [0.0, phi])
 
     def test_matches_projector_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(60):
             rho = build_output_state(rng.uniform(0, 1), rng.uniform(1 / 6, 0.5))
             t, phi = rng.uniform(0, np.pi), rng.uniform(0, np.pi)
-            assert conditional_entropy(rho, MeasurementBasis(t, phi)) == pytest.approx(
+            assert conditional_entropy(rho, t, phi) == pytest.approx(
                 conditional_entropy_projector(rho, t, phi), abs=1e-12)
 
     def test_period_pi_over_2(self):
@@ -339,15 +353,15 @@ class TestMutualInformation:
     def test_product_state(self):
         rho, _, _ = product_state()
         assert abs(mutual_info_j(rho)) <= 1e-12
-        assert abs(mutual_info_i(rho, MeasurementBasis(0.7))) <= 1e-12
+        assert abs(mutual_info_i(rho, 0.7)) <= 1e-12
 
     def test_bell_state(self):
         assert mutual_info_j(bell_phi_plus()) == pytest.approx(2.0, abs=1e-12)
-        assert mutual_info_i(bell_phi_plus(), MeasurementBasis(0.0)) == pytest.approx(
+        assert mutual_info_i(bell_phi_plus(), 0.0) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_classically_correlated(self):
-        assert mutual_info_i(CLASSICAL_CORRELATED, MeasurementBasis(0.0)) == pytest.approx(
+        assert mutual_info_i(CLASSICAL_CORRELATED, 0.0) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_universal_point_frozen(self):
@@ -359,27 +373,27 @@ class TestDiscordAt:
     def test_product_state_zero(self):
         rho, _, _ = product_state()
         for t in (0.0, 0.5, 1.3):
-            assert abs(discord_at(rho, MeasurementBasis(t))) <= 1e-12
+            assert abs(discord_at(rho, t)) <= 1e-12
 
     def test_classically_correlated_zero(self):
-        assert abs(discord_at(CLASSICAL_CORRELATED, MeasurementBasis(0.0))) <= 1e-12
+        assert abs(discord_at(CLASSICAL_CORRELATED, 0.0)) <= 1e-12
 
     def test_bell_state_one_bit(self):
-        assert discord_at(bell_phi_plus(), MeasurementBasis(0.0)) == pytest.approx(
+        assert discord_at(bell_phi_plus(), 0.0) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_frozen_regression(self):
         rho = build_output_state(0.5, 0.3)
-        assert discord_at(rho, MeasurementBasis(0.0)) == pytest.approx(
+        assert discord_at(rho, 0.0) == pytest.approx(
             DISCORD_AT_A05_J03_T0, abs=1e-12)
 
     def test_equals_j_minus_i(self):
         rng = np.random.default_rng(33)
         for _ in range(200):
             rho = build_output_state(rng.uniform(0, 1), rng.uniform(1 / 6, 0.5))
-            basis = MeasurementBasis(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
-            lhs = discord_at(rho, basis)
-            rhs = mutual_info_j(rho) - mutual_info_i(rho, basis)
+            t, phi = rng.uniform(0, np.pi), rng.uniform(0, np.pi)
+            lhs = discord_at(rho, t, phi)
+            rhs = mutual_info_j(rho) - mutual_info_i(rho, t, phi)
             assert abs(lhs - rhs) <= 1e-12
 
 
@@ -422,8 +436,7 @@ class TestDiscordMin:
         result = discord_min(rho)
         assert result.discord == pytest.approx(
             result.mutual_info_j - result.mutual_info_i, abs=1e-12)
-        basis = MeasurementBasis(result.optimal_t, result.optimal_phi)
-        assert conditional_entropy(rho, basis) == pytest.approx(
+        assert conditional_entropy(rho, result.optimal_t, result.optimal_phi) == pytest.approx(
             result.conditional_entropy, abs=1e-12)
         assert result.discord >= -1e-9
 
@@ -510,7 +523,7 @@ class TestDiscordSurface:
         assert discord.shape == (1, 1) and physical.shape == (1,)
         rho = build_output_state(0.6, 0.2)
         assert discord[0, 0] == pytest.approx(
-            discord_at(rho, MeasurementBasis(0.4)), abs=1e-12)
+            discord_at(rho, 0.4), abs=1e-12)
         assert physical[0]
 
     def test_grid_matches_per_j_loop_bitwise(self):

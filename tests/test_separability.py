@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from clonecorr import (JInterval, build_output_batch, build_output_state, classify,
-                       eig_sym4, jacobi_eigvals, partial_transpose_b, ppt_data,
-                       principal_minor, separable_intervals, valid_j_range, w3_closed,
-                       w4_closed, w_direct)
+from clonecorr import (JInterval, build_output_batch, build_output_state,
+                       check_machine_constraints, classify, clone_fidelity, eig_sym4,
+                       jacobi_eigvals, partial_transpose_b, ppt_data, principal_minor,
+                       separable_intervals, valid_j_range, w3_closed, w4_closed)
 from clonecorr.errors import DomainError
 from clonecorr.separability import scan_grid
 from oracles import bell_phi_plus, separable_intervals_scan
@@ -41,9 +41,22 @@ class TestClosedForms:
                 assert w4_closed(alpha, j) < 0.0
 
 
+class TestNumpyScalarJ:
+    def test_same_results_as_float(self):
+        # j goes through float(j): numpy scalars and ints give a float's bits and types
+        for j, plain in ((np.float64(0.22), 0.22), (0, 0.0)):
+            for f in (w3_closed, w4_closed, clone_fidelity):
+                assert type(f(0.7, j)) is float and f(0.7, j) == f(0.7, plain)
+            assert check_machine_constraints(j) == check_machine_constraints(plain)
+            assert type(check_machine_constraints(j).j) is float
+        assert classify(0.7, np.float64(0.22)) == classify(0.7, 0.22)
+
+
 class TestWDirect:
+    """W3 and W4 as minors of the partial transpose, from ppt_data."""
+
     def test_matches_closed_forms_at_hand_point(self):
-        w3, w4 = w_direct(build_output_state(0.6, 0.2))
+        w3, w4, _ = ppt_data(build_output_state(0.6, 0.2))
         assert abs(w3 - w3_closed(0.6, 0.2)) <= 1e-12
         assert abs(w4 - w4_closed(0.6, 0.2)) <= 1e-12
         assert abs(w3 - 3.456e-4) <= 1e-12
@@ -53,14 +66,14 @@ class TestWDirect:
         sigma = partial_transpose_b(bell_phi_plus())
         np.testing.assert_allclose(eig_sym4(sigma), [0.5, 0.5, 0.5, -0.5],
                                    rtol=0, atol=1e-14)
-        _, w4 = w_direct(bell_phi_plus())
+        _, w4, _ = ppt_data(bell_phi_plus())
         assert w4 == pytest.approx(-1 / 16, abs=1e-15)
 
     def test_diagonal_state(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
             d = rng.dirichlet([1.0] * 4)
-            w3, w4 = w_direct(np.diag(d))
+            w3, w4, _ = ppt_data(np.diag(d))
             assert w3 == pytest.approx(d[0] * d[1] * d[2], abs=1e-15)
             assert w4 == pytest.approx(np.prod(d), abs=1e-15)
             assert w3 >= 0.0 and w4 >= 0.0
@@ -69,7 +82,7 @@ class TestWDirect:
         rng = np.random.default_rng(47)
         for _ in range(2000):
             alpha, j = rng.uniform(0, 1), rng.uniform(0, 0.5)
-            w3, w4 = w_direct(build_output_state(alpha, j))
+            w3, w4, _ = ppt_data(build_output_state(alpha, j))
             assert abs(w3 - w3_closed(alpha, j)) <= 1e-12
             assert abs(w4 - w4_closed(alpha, j)) <= 1e-12
 
@@ -212,5 +225,5 @@ class TestScanConsistency:
             js = np.round(np.arange(0.05, 0.5001, 0.05), 12)
             for j in js:
                 sigma = partial_transpose_b(build_output_state(alpha, float(j)))
-                _, w4 = w_direct(build_output_state(alpha, float(j)))
+                _, w4, _ = ppt_data(build_output_state(alpha, float(j)))
                 assert abs(w4 - np.prod(eig_sym4(sigma))) <= 1e-10
