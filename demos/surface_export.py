@@ -7,14 +7,14 @@ import sys
 
 import numpy as np
 
-from clonecorr import InputState, discord_surface
+from clonecorr import discord_surface
 from clonecorr.cli import RunConfig, run_surface
 
 alpha = float(sys.argv[1]) if len(sys.argv) > 1 else 0.5
 
 js = np.round(np.arange(0.05, 0.501, 0.025), 12)
 ts = np.linspace(0.0, np.pi / 2, 33)
-discord, physical = discord_surface(InputState.from_alpha(alpha), js, ts)
+discord, physical = discord_surface(alpha, js, ts)
 
 print("=" * 70)
 print(f"Unminimized discord D(j, t) for alpha = {alpha}")

@@ -7,9 +7,8 @@ classifies separability through the Peres-Horodecki (PPT) criterion, both
 spectrally and via closed-form determinants of the partial transpose.
 """
 
-from .cloner import (FEASIBLE_J, InputState, MachineConstraintReport, build_output_batch,
-                     build_output_state, check_machine_constraints, clone_fidelity,
-                     reduced_clone, valid_j_range)
+from .cloner import (FEASIBLE_J, MachineConstraintReport, build_output_batch, build_output_state,
+                     check_machine_constraints, clone_fidelity, reduced_clone, valid_j_range)
 from .discord import (DiscordResult, conditional_entropy, conditional_entropy_curve, discord_at,
                       discord_min, discord_surface, mutual_info_i, mutual_info_j)
 from .errors import ConvergenceError, DomainError, InvalidStateError
@@ -22,8 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "DiscordResult", "DomainError", "FEASIBLE_J",
-    "InputState", "InvalidStateError", "JInterval", "MachineConstraintReport",
-    "SeparabilityVerdict",
+    "InvalidStateError", "JInterval", "MachineConstraintReport", "SeparabilityVerdict",
     "build_output_batch", "build_output_state", "check_machine_constraints",
     "classify", "clone_fidelity", "conditional_entropy",
     "conditional_entropy_curve", "discord_at", "discord_min", "discord_surface",

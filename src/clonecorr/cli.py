@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import hermat
-from .cloner import (InputState, build_output_batch, build_output_state,
-                     check_machine_constraints, clone_fidelity, valid_j_range)
+from .cloner import (build_output_batch, build_output_state, check_machine_constraints,
+                     clone_fidelity, valid_j_range)
 from .discord import (_discord_min, conditional_entropy_curve, discord_at, discord_min,
                       discord_surface, mutual_info_i, mutual_info_j)
 from .errors import DomainError
@@ -77,9 +77,14 @@ class RunConfig:
     def validate(self):
         if not self.alpha_list:
             raise ConfigError("alpha_list is empty")
+        labels = {}   # 12-digit label (surface file name, table1 row) -> first alpha with it
         for a in self.alpha_list:
             if not -1.0 <= a <= 1.0:
                 raise ConfigError(f"alpha {a} outside [-1, 1]")
+            first = labels.setdefault(_fmt(a), a)
+            if first != a:
+                raise ConfigError(f"alphas {first!r} and {a!r} share the label {_fmt(a)} "
+                                  "(surface file name and table1 row)")
         if not all(math.isfinite(x) for x in (self.j_min, self.j_max, self.j_step)):
             raise ConfigError(f"j grid bounds and step must be finite, got "
                               f"[{self.j_min}, {self.j_max}] step {self.j_step}")
@@ -283,12 +288,11 @@ def surface_records(alpha, cfg):
     (alpha, j, t, discord[j, t], then the per-j fields). With enforce_psd
     the unphysical j are dropped, so J may be 0.
     """
-    state = InputState.from_alpha(alpha)
     j_grid, t_grid = cfg.j_grid(), cfg.t_grid()
     if j_grid.size == 0:
         raise ConfigError("empty j grid")
-    discord, physical = discord_surface(state, j_grid, t_grid)
-    w3, w4, min_ppt = ppt_data(build_output_batch(state, j_grid))
+    discord, physical = discord_surface(alpha, j_grid, t_grid)
+    w3, w4, min_ppt = ppt_data(build_output_batch(alpha, j_grid))
     classification = np.where(
         physical, np.where(min_ppt >= hermat.STATE_EIG_FLOOR, "Separable", "Entangled"),
         "Unphysical")
@@ -300,12 +304,6 @@ def surface_records(alpha, cfg):
 def run_surface(cfg, out_stream=None):
     out_stream = out_stream if out_stream is not None else sys.stdout
     out_dir = cfg.output_path or "surface_out"
-    names = {}   # file name -> the first alpha that takes it
-    for alpha in cfg.alpha_list:
-        first = names.setdefault(_fmt(alpha), alpha)
-        if first != alpha:
-            raise ConfigError(f"alphas {first!r} and {alpha!r} share the file name "
-                              f"surface_alpha{_fmt(alpha)}.{cfg.output_format}")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for alpha in cfg.alpha_list:
@@ -405,9 +403,8 @@ def run_table1(cfg, out_stream=None):
 
 def point_report(alpha, j, scan_phase=False):
     """All single-point quantities as a plain dict (JSON-ready)."""
-    state = InputState.from_alpha(alpha)
-    lo, hi = valid_j_range(state)
-    rho = build_output_state(state, j)
+    lo, hi = valid_j_range(alpha)
+    rho = build_output_state(alpha, j)
     spectrum = hermat.eig_sym4(rho)
     min_eig = float(spectrum[-1])
     if min_eig < hermat.STATE_EIG_FLOOR:
@@ -428,7 +425,7 @@ def point_report(alpha, j, scan_phase=False):
         "physical": True,
         "min_eigenvalue": min_eig,
         "valid_j_range": [lo, hi],
-        "fidelity": clone_fidelity(state, j),
+        "fidelity": clone_fidelity(alpha, j),
         "machine_constraints_satisfied": constraints.satisfied,
         "discord": asdict(result),
         "separability": asdict(verdict),

@@ -1,8 +1,9 @@
 """Buzek-Hillery copier model: two-clone output state and its diagnostics.
 
 The machine is characterized by a single parameter j (the squared norm of
-the failure vectors); the two-clone output in basis |00>, |01>, |10>, |11>
-for input alpha|0> + beta|1> is
+the failure vectors). The input is alpha|0> + beta|1>, given by alpha alone
+(a number in [-1, 1]), with beta = +sqrt(1 - alpha^2). The two-clone output
+in basis |00>, |01>, |10>, |11> is
 
     [[ a^2 n,  c,  c,  0     ],
      [ c,      j,  j,  c     ],      n = 1 - 2j,  c = alpha*beta*n/2.
@@ -32,26 +33,6 @@ WINDOW_TOL = 1e-15
 
 
 @dataclass(frozen=True)
-class InputState:
-    """Real-amplitude qubit state alpha|0> + beta|1> to be copied."""
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        norm = self.alpha ** 2 + self.beta ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise DomainError(f"amplitudes not normalized: alpha^2+beta^2 = {norm!r}")
-
-    @classmethod
-    def from_alpha(cls, alpha):
-        """Construct with beta = +sqrt(1 - alpha^2)."""
-        alpha = float(alpha)
-        if not -1.0 <= alpha <= 1.0:
-            raise DomainError(f"alpha must lie in [-1, 1], got {alpha}")
-        return cls(alpha, math.sqrt(1.0 - alpha * alpha))
-
-
-@dataclass(frozen=True)
 class MachineConstraintReport:
     """Existence check for machine vectors with the required inner products."""
     j: float
@@ -64,32 +45,33 @@ class MachineConstraintReport:
     feasible_j: tuple     # j interval on which all constraints hold
 
 
-def _as_input(state):
-    if isinstance(state, InputState):
-        return state
-    return InputState.from_alpha(state)
+def _amplitudes(alpha):
+    """(alpha, beta) as floats, beta = +sqrt(1 - alpha^2); DomainError outside [-1, 1]."""
+    alpha = float(alpha)
+    if not -1.0 <= alpha <= 1.0:
+        raise DomainError(f"alpha must lie in [-1, 1], got {alpha}")
+    return alpha, math.sqrt(1.0 - alpha * alpha)
 
 
-def build_output_state(state, j):
+def build_output_state(alpha, j):
     """Two-clone 4x4 output density matrix for the given input and machine.
 
-    state is an InputState or a bare alpha, j the machine parameter (a
-    number). j outside [0, 1/2] raises DomainError; positivity of the
-    result is alpha-dependent and deliberately not enforced here -- scans
-    cover non-positive parameter regions too. Use valid_j_range for the
-    physical window. The one-element case of build_output_batch.
+    alpha and j are numbers. alpha outside [-1, 1] or j outside [0, 1/2]
+    raises DomainError; positivity of the result is alpha-dependent and
+    deliberately not enforced here -- scans cover non-positive parameter
+    regions too. Use valid_j_range for the physical window. The
+    one-element case of build_output_batch.
     """
-    return build_output_batch(state, float(j))
+    return build_output_batch(alpha, float(j))
 
 
-def build_output_batch(state, js):
+def build_output_batch(alpha, js):
     """Stack of output states, shape np.shape(js) + (4, 4), for an array of j values."""
-    st = _as_input(state)
+    a, b = _amplitudes(alpha)
     js = np.asarray(js, dtype=float)
     bad = js[~((js >= 0.0) & (js <= 0.5))]
     if bad.size:
         raise DomainError(f"machine parameter j={bad.flat[0]} outside [0, 1/2]")
-    a, b = st.alpha, st.beta
     n = 1.0 - 2.0 * js
     c = a * b * n / 2.0
     z = np.zeros_like(js)
@@ -109,14 +91,13 @@ def reduced_clone(rho, which="b"):
     return hermat.partial_trace(rho, keep=which)
 
 
-def clone_fidelity(state, j):
+def clone_fidelity(alpha, j):
     """Overlap of one clone with the source state, <chi| rho_a |chi>.
 
     Analytically equal to 1 - j for every normalized real input.
     """
-    st = _as_input(state)
-    rho_a = reduced_clone(build_output_state(st, j), "a")
-    chi = np.array([st.alpha, st.beta])
+    chi = np.array(_amplitudes(alpha))
+    rho_a = reduced_clone(build_output_state(alpha, j), "a")
     return float(chi @ rho_a @ chi)
 
 
@@ -127,7 +108,7 @@ def _triplet_cubic_at_floor(k, j):
     return ((-eps - 1.0) * eps - 2.0 * j * n) * eps - k * n * n * (2.0 * j - 0.5 * n)
 
 
-def valid_j_range(state):
+def valid_j_range(alpha):
     """Interval (lo, 1/2) of j in [0, 1/2] on which the output state is physical.
 
     Physical means minimum eigenvalue >= -eps, eps = 1e-10. With
@@ -143,8 +124,8 @@ def valid_j_range(state):
     otherwise the one root of F in [0, 1/6], bisected to WINDOW_TOL. No
     state is built and no spectrum is taken.
     """
-    st = _as_input(state)
-    k = (st.alpha * st.beta) ** 2
+    a, b = _amplitudes(alpha)
+    k = (a * b) ** 2
     if _triplet_cubic_at_floor(k, 0.0) <= 0.0:
         return (0.0, 0.5)
 

@@ -449,7 +449,7 @@ def _discord_min(rho, spectrum, grid_points=721, scan_phase=False):
     )
 
 
-def discord_surface(state, j_grid, t_grid):
+def discord_surface(alpha, j_grid, t_grid):
     """Unminimized discord at every (j, t) grid point.
 
     Returns (discord, physical): discord has shape (len(j_grid),
@@ -462,7 +462,7 @@ def discord_surface(state, j_grid, t_grid):
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if j_grid.size == 0 or t_grid.size == 0:
         raise DomainError("j and t grids must be nonempty")
-    rhos = build_output_batch(state, j_grid)
+    rhos = build_output_batch(alpha, j_grid)
     spectra = hermat.jacobi_eigvals(rhos)
     physical = spectra[:, -1] >= hermat.STATE_EIG_FLOOR
     hab = hermat.plogp(spectra).sum(axis=-1)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermat
-from .cloner import _as_input, build_output_batch, build_output_state, valid_j_range
+from .cloner import _amplitudes, build_output_batch, build_output_state, valid_j_range
 from .errors import DomainError
 # unused; bench/test_bench.py::test_every_binding_is_traced_and_restored checks this binding
 from .search import bisect_boundary  # noqa: F401
@@ -53,19 +53,19 @@ class JInterval:
             raise DomainError(f"need 0 <= lo <= hi <= 1/2, got [{self.lo}, {self.hi}]")
 
 
-def w3_closed(state, j):
+def w3_closed(alpha, j):
     """Order-3 leading principal minor of the partial transpose, closed form."""
-    st, j = _as_input(state), float(j)
+    (alpha, beta), j = _amplitudes(alpha), float(j)
     n = 1.0 - 2.0 * j
-    return (st.alpha ** 2 * j * n / 2.0) * (2.0 * j - st.beta ** 2 * n)
+    return (alpha ** 2 * j * n / 2.0) * (2.0 * j - beta ** 2 * n)
 
 
-def w4_closed(state, j):
+def w4_closed(alpha, j):
     """Determinant of the partial transpose, closed form."""
-    st, j = _as_input(state), float(j)
+    (alpha, beta), j = _amplitudes(alpha), float(j)
     n = 1.0 - 2.0 * j
-    a2 = st.alpha ** 2
-    b2 = st.beta ** 2
+    a2 = alpha ** 2
+    b2 = beta ** 2
     return 0.5 * (a2 * b2 * j * n * n * (6.0 * j - 1.0) - 2.0 * j ** 4)
 
 
@@ -83,7 +83,7 @@ def ppt_data(rhos):
     return hermat._det3(sigmas[..., :3, :3]), hermat._det4(sigmas), spectra[..., -1]
 
 
-def classify(state, j):
+def classify(alpha, j):
     """Separable/Entangled verdict for the output state at (alpha, j).
 
     Refuses unphysical points (minimum eigenvalue of the state below
@@ -92,12 +92,12 @@ def classify(state, j):
     shortcut is evaluated alongside and any disagreement is reported in the
     verdict's agreement flag.
     """
-    st, j = _as_input(state), float(j)
-    rho = build_output_state(st, j)
+    (alpha, _), j = _amplitudes(alpha), float(j)
+    rho = build_output_state(alpha, j)
     min_eig = hermat.eig_sym4(rho)[-1]
     if min_eig < hermat.STATE_EIG_FLOOR:
         exc = DomainError(
-            f"output state unphysical at alpha={st.alpha}, j={j}: "
+            f"output state unphysical at alpha={alpha}, j={j}: "
             f"minimum eigenvalue {min_eig:.6e}")
         exc.min_eigenvalue = float(min_eig)
         raise exc
@@ -116,7 +116,7 @@ def _ppt_verdict(rho):
     )
 
 
-def scan_grid(state, scan_step=1e-4):
+def scan_grid(alpha, scan_step=1e-4):
     """Dense-grid scan over the physical j domain intersected with (0, 1/2].
 
     Returns (js, w3s, w4s, min_ppt) arrays. The dense determinant-versus-PPT
@@ -125,38 +125,38 @@ def scan_grid(state, scan_step=1e-4):
     """
     if not 0.0 < scan_step < np.inf:
         raise DomainError(f"scan_step must be finite and positive, got {scan_step}")
-    st = _as_input(state)
-    lo, hi = valid_j_range(st)
+    lo, hi = valid_j_range(alpha)
     js = np.round(np.arange(scan_step, 0.5 + scan_step / 2, scan_step), 12)
     js[js > 0.5] = 0.5
     js = js[(js >= lo) & (js <= hi)]
     if js.size == 0:
         return js, js, js, js
-    return (js, *ppt_data(build_output_batch(st, js)))
+    return (js, *ppt_data(build_output_batch(alpha, js)))
 
 
-def separable_intervals(state):
+def separable_intervals(alpha):
     """Maximal intervals of j on which the output state is separable.
 
-    Exact, from the determinants: with k = alpha^2 beta^2, W4 = (j/2) g(j)
-    for the cubic g(j) = k (1-2j)^2 (6j-1) - 2j^3, and for alpha != 0 and
-    j in (0, 1/2), W3 >= 0 exactly when j >= j3 = beta^2 / (2 (1 + beta^2)).
+    alpha is a number in [-1, 1] and beta = +sqrt(1 - alpha^2). Exact, from
+    the determinants: with k = alpha^2 beta^2, W4 = (j/2) g(j) for the cubic
+    g(j) = k (1-2j)^2 (6j-1) - 2j^3, and for alpha != 0 and j in (0, 1/2),
+    W3 >= 0 exactly when j >= j3 = beta^2 / (2 (1 + beta^2)).
     The physical window (one valid_j_range call) is cut at j3 and at the
     real parts of the roots of g; each piece at whose midpoint w3_closed
     and w4_closed are nonnegative is kept, and touching pieces are merged.
     A complex root only adds a cut inside a piece of constant sign. For
     alpha in {0, +-1}, g = -2j^3 < 0 and the list is empty.
     """
-    st = _as_input(state)
-    lo, hi = valid_j_range(st)
-    k = (st.alpha * st.beta) ** 2
-    j3 = st.beta ** 2 / (2.0 * (1.0 + st.beta ** 2))
+    alpha, beta = _amplitudes(alpha)
+    lo, hi = valid_j_range(alpha)
+    k = (alpha * beta) ** 2
+    j3 = beta ** 2 / (2.0 * (1.0 + beta ** 2))
     roots = np.roots([24.0 * k - 2.0, -28.0 * k, 10.0 * k, -k]).real
     cuts = np.unique(np.clip(np.r_[lo, hi, j3, roots], lo, hi)).tolist()
     pieces = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         j = 0.5 * (a + b)
-        if w3_closed(st, j) >= 0.0 and w4_closed(st, j) >= 0.0:
+        if w3_closed(alpha, j) >= 0.0 and w4_closed(alpha, j) >= 0.0:
             if pieces and pieces[-1][1] == a:
                 pieces[-1][1] = b
             else:

@@ -6,12 +6,12 @@ offending coordinates.
 """
 
 import io
+import math
 import time
 
 import numpy as np
 
-from clonecorr import (InputState, build_output_batch,
-                       build_output_state, classify, clone_fidelity, discord_at,
+from clonecorr import (build_output_batch, build_output_state, classify, clone_fidelity, discord_at,
                        discord_min, jacobi_eigvals, mutual_info_i, mutual_info_j,
                        ppt_data, swap_qubits, w3_closed, w4_closed)
 from clonecorr.cli import RunConfig, main, run_table1, table1_rows
@@ -127,8 +127,11 @@ def test_criterion_6_structural_invariants():
         assert np.abs(rho @ SINGLET).max() <= 1e-14
         assert np.array_equal(swap_qubits(rho), rho)
         beta = np.sqrt(1.0 - alpha ** 2)
-        mirrored = build_output_state(InputState(beta, alpha), j)
-        assert np.abs(mirrored - flip @ rho @ flip).max() <= 1e-14
+        # build_output_state(beta, j) takes the input (beta, sqrt(1 - beta^2)); its mirror
+        # image is the state built from sqrt(1 - beta^2)
+        mirrored = build_output_state(beta, j)
+        flipped = flip @ build_output_state(math.sqrt(1 - beta * beta), j) @ flip
+        assert np.abs(mirrored - flipped).max() <= 1e-14
 
     for _ in range(1000):
         alpha, j = rng.uniform(0.0, 1.0), rng.uniform(1 / 6, 0.5)

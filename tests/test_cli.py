@@ -122,7 +122,7 @@ class TestConfig:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_alpha_domain_is_that_of_from_alpha(self, tmp_path, capsys):
+    def test_alpha_domain_is_that_of_the_library(self, tmp_path, capsys):
         RunConfig(alpha_list=[-1.0, -0.7, 0.0, 1.0]).validate()
         for bad in (1.5, -1.5, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match=r"\[-1, 1\]"):
@@ -413,6 +413,16 @@ class TestTable1:
         lines = (out / "table1.csv").read_text().splitlines()
         assert lines[0] == "alpha,lo,hi,classification,reference_lo,reference_hi,match"
         assert lines[1].startswith("0.6,0.196")
+
+    def test_alphas_sharing_a_row_label_exit_2(self, tmp_path, capsys):
+        # _fmt keeps 12 significant digits, so both rows would print as 0.3
+        out = tmp_path / "d"
+        rc = main(["table1", "--alpha", "0.3,0.3000000000001", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "0.3 and 0.3000000000001" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt,digest", [
         ("csv", "aeeaaa5972648ab643c38afed676adc702fe63d72a3b011239db01f071cd82ff"),

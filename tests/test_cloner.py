@@ -1,12 +1,17 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from clonecorr import (FEASIBLE_J, InputState, build_output_batch,
-                       build_output_state, check_machine_constraints, clone_fidelity,
-                       eig_sym4, reduced_clone, swap_qubits, valid_j_range)
+from clonecorr import (FEASIBLE_J, build_output_batch, build_output_state,
+                       check_machine_constraints, classify, clone_fidelity, discord_surface,
+                       eig_sym4, reduced_clone, separable_intervals, swap_qubits, valid_j_range,
+                       w3_closed, w4_closed)
 from clonecorr import hermat
 from clonecorr.cli import point_report
-from clonecorr.cloner import _triplet_cubic_at_floor
+from clonecorr.cloner import _amplitudes, _triplet_cubic_at_floor
+from clonecorr.separability import scan_grid
 from clonecorr.errors import DomainError
 from oracles import valid_j_range_jacobi, window_edge_roots
 
@@ -20,19 +25,43 @@ def random_alpha_j(rng):
     return rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5)
 
 
-class TestInputState:
-    def test_from_alpha_sets_positive_beta(self):
-        st = InputState.from_alpha(0.6)
-        assert st.beta == pytest.approx(0.8, abs=1e-15)
-        assert st.beta >= 0.0
+# every public function that takes the input amplitude alpha, with the other arguments fixed
+ALPHA_FUNCTIONS = {
+    "build_output_state": lambda alpha: build_output_state(alpha, 0.3),
+    "build_output_batch": lambda alpha: build_output_batch(alpha, [0.2, 0.3]),
+    "clone_fidelity": lambda alpha: clone_fidelity(alpha, 0.3),
+    "valid_j_range": valid_j_range,
+    "w3_closed": lambda alpha: w3_closed(alpha, 0.3),
+    "w4_closed": lambda alpha: w4_closed(alpha, 0.3),
+    "classify": lambda alpha: classify(alpha, 0.3),
+    "scan_grid": lambda alpha: scan_grid(alpha, scan_step=1e-2),
+    "separable_intervals": separable_intervals,
+    "discord_surface": lambda alpha: discord_surface(alpha, [0.2, 0.3], [0.0, 0.4]),
+}
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(DomainError):
-            InputState(0.9, 0.9)
 
-    def test_rejects_out_of_range_alpha(self):
-        with pytest.raises(DomainError):
-            InputState.from_alpha(1.2)
+def _bits(value):
+    """Type, dtype, shape and raw bytes of a result, recursively."""
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _bits(dataclasses.astuple(value))
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, [_bits(v) for v in value]
+    a = np.asarray(value)
+    return type(value).__name__, a.dtype.str, a.shape, a.tobytes()
+
+
+class TestPlainAlpha:
+    @pytest.mark.parametrize("name", ALPHA_FUNCTIONS)
+    def test_rejects_alpha_outside_domain(self, name):
+        for bad in (1.5, -1.5, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match=r"\[-1, 1\]"):
+                ALPHA_FUNCTIONS[name](bad)
+
+    @pytest.mark.parametrize("name", ALPHA_FUNCTIONS)
+    def test_numpy_and_int_alpha_match_float_bits(self, name):
+        f = ALPHA_FUNCTIONS[name]
+        for given, plain in ((np.float64(0.7), 0.7), (0, 0.0), (1, 1.0)):
+            assert _bits(f(given)) == _bits(f(plain)), given
 
 
 class TestBuildOutputState:
@@ -65,10 +94,11 @@ class TestBuildOutputState:
             assert rho[i, k] == pytest.approx(0.144, abs=1e-15)
         assert rho[0, 3] == 0.0
 
-    def test_accepts_dataclasses_and_floats(self):
-        a = build_output_state(InputState.from_alpha(0.6), 0.2)
-        b = build_output_state(0.6, 0.2)
-        assert np.array_equal(a, b)
+    def test_beta_is_the_positive_root(self):
+        # at alpha = 0.6, j = 0.2: n = 0.6, rho[3, 3] = beta^2 n, rho[0, 1] = alpha beta n / 2
+        rho = build_output_state(0.6, 0.2)
+        assert rho[3, 3] / 0.6 == pytest.approx(0.64, abs=1e-15)
+        assert 2.0 * rho[0, 1] / (0.6 * 0.6) == pytest.approx(0.8, abs=1e-15)
 
     def test_rejects_j_outside_domain(self):
         for j in (-0.01, 0.51, 0.6, float("nan")):
@@ -188,9 +218,9 @@ class TestValidJRange:
         alphas = [*np.linspace(-1.0, 1.0, 2001), 0.0, 1e-9, -1e-9, 1e-3, 1e-5, 1e-8,
                   1 - 1e-12]
         for alpha in alphas:
-            st = InputState.from_alpha(alpha)
-            min_eigs = np.linalg.eigvalsh(build_output_batch(st, js))[:, 0]
-            cubic = _triplet_cubic_at_floor((st.alpha * st.beta) ** 2, js)
+            a, b = _amplitudes(alpha)
+            min_eigs = np.linalg.eigvalsh(build_output_batch(alpha, js))[:, 0]
+            cubic = _triplet_cubic_at_floor((a * b) ** 2, js)
             assert np.array_equal(cubic <= 0.0, min_eigs >= hermat.STATE_EIG_FLOOR), alpha
 
     def test_window_edge_agrees_with_point_report(self):
@@ -285,6 +315,8 @@ class TestStructuralInvariants:
         for _ in range(200):
             alpha, j = random_alpha_j(rng)
             beta = np.sqrt(1.0 - alpha ** 2)
-            swapped = build_output_state(InputState(beta, alpha), j)
-            conjugated = flip @ build_output_state(InputState(alpha, beta), j) @ flip
+            # the input of build_output_state(beta, j) is (beta, sqrt(1 - beta^2)),
+            # whose mirror (sqrt(1 - beta^2), beta) is built from sqrt(1 - beta^2)
+            swapped = build_output_state(beta, j)
+            conjugated = flip @ build_output_state(math.sqrt(1 - beta * beta), j) @ flip
             assert np.abs(swapped - conjugated).max() <= 1e-14

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clonecorr import (InputState, build_output_batch, build_output_state,
+from clonecorr import (build_output_batch, build_output_state,
                        conditional_entropy, conditional_entropy_curve, discord_at,
                        discord_min, discord_surface, eig_herm2, eig_sym4, jacobi_eigvals,
                        mutual_info_i, mutual_info_j, partial_trace, swap_qubits,
@@ -518,8 +518,7 @@ class TestDiscordMin:
 
 class TestDiscordSurface:
     def test_single_point_grid_equals_discord_at(self):
-        state = InputState.from_alpha(0.6)
-        discord, physical = discord_surface(state, [0.2], [0.4])
+        discord, physical = discord_surface(0.6, [0.2], [0.4])
         assert discord.shape == (1, 1) and physical.shape == (1,)
         rho = build_output_state(0.6, 0.2)
         assert discord[0, 0] == pytest.approx(
@@ -530,13 +529,13 @@ class TestDiscordSurface:
         # reference: the per-j loop, one spectrum and one entropy curve per j;
         # the surface keeps the Jacobi solver, so the per-j spectrum is a
         # one-matrix Jacobi stack, and the LAPACK eig_sym4 agrees to 1e-14
-        state = InputState.from_alpha(0.3)
+        alpha = 0.3
         js = np.round(np.arange(0.01, 0.5001, 0.01), 12)
         ts = np.linspace(0.0, np.pi / 2, 13)
-        discord, physical = discord_surface(state, js, ts)
+        discord, physical = discord_surface(alpha, js, ts)
         assert discord.shape == (len(js), len(ts))
         for row, phys, j in zip(discord, physical, js):
-            rho = build_output_state(state, float(j))
+            rho = build_output_state(alpha, float(j))
             spectrum = jacobi_eigvals(rho[None])[0]
             np.testing.assert_allclose(eig_sym4(rho), spectrum, rtol=0, atol=1e-14)
             hab = float(plogp(np.clip(spectrum, 0.0, None)).sum())
@@ -547,7 +546,7 @@ class TestDiscordSurface:
     def test_unphysical_rows_flagged_and_finite(self):
         js = np.round(np.arange(0.1, 0.46, 0.05), 12)
         ts = np.linspace(0.0, np.pi / 2, 7)
-        discord, physical = discord_surface(InputState.from_alpha(0.5), js, ts)
+        discord, physical = discord_surface(0.5, js, ts)
         assert discord.shape == (len(js), len(ts))
         assert np.isfinite(discord).all()
         flags = dict(zip(js.tolist(), physical.tolist()))
@@ -561,11 +560,11 @@ class TestDiscordSurface:
         mirrored = np.sqrt(1 - alpha ** 2)
         js = [0.2, 0.3, 0.45]
         ts = np.linspace(0.0, np.pi / 2, 9)
-        discord, _ = discord_surface(InputState.from_alpha(alpha), js, ts)
-        discord_m, _ = discord_surface(InputState.from_alpha(mirrored), js, ts[::-1])
+        discord, _ = discord_surface(alpha, js, ts)
+        discord_m, _ = discord_surface(mirrored, js, ts[::-1])
         np.testing.assert_allclose(ts, np.pi / 2 - ts[::-1], rtol=0, atol=1e-15)
         np.testing.assert_allclose(discord, discord_m, rtol=0, atol=1e-10)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(DomainError):
-            discord_surface(InputState.from_alpha(0.5), [], [0.1])
+            discord_surface(0.5, [], [0.1])

@@ -5,7 +5,7 @@ import inspect
 import clonecorr
 
 PUBLIC = {
-    "ConvergenceError", "DiscordResult", "DomainError", "FEASIBLE_J", "InputState",
+    "ConvergenceError", "DiscordResult", "DomainError", "FEASIBLE_J",
     "InvalidStateError", "JInterval", "MachineConstraintReport", "SeparabilityVerdict",
     "build_output_batch", "build_output_state", "check_machine_constraints", "classify",
     "clone_fidelity", "conditional_entropy", "conditional_entropy_curve", "discord_at",
