@@ -429,7 +429,7 @@ class TestTable1:
         ("json", "58511265335dd5279f2ffa3e3545e06b36e6d2978a7b07b6d3253674b9141bce"),
     ])
     def test_pinned_bytes(self, tmp_path, fmt, digest):
-        # one row without a window (0.5) and one with exact endpoints (0.7)
+        # one row without a window (0.5) and one with a window (0.7)
         out = tmp_path / "out"
         assert main(["table1", "--alpha", "0.5,0.7", "--format", fmt, "--out", str(out)]) == 0
         assert hashlib.sha256((out / f"table1.{fmt}").read_bytes()).hexdigest() == digest

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,20 @@ from oracles import bell_phi_plus, separable_intervals_scan
 
 # reference separability windows (3-decimal endpoints, +-0.002 comparison)
 REFERENCE = {0.6: (0.196, 0.238), 0.7: (0.191, 0.250), 0.8: (0.196, 0.238)}
+# alpha^2 (1 - alpha^2) = 27/128 at the two onsets of the separable window
+ONSETS = tuple(math.sqrt((1 + s * math.sqrt(5 / 32)) / 2) for s in (-1, 1))
+
+
+def exact_k(alpha):
+    """alpha^2 (1 - alpha^2) of the float alpha, as a Fraction."""
+    a2 = Fraction(alpha) ** 2
+    return a2 * (1 - a2)
+
+
+def exact_g(k, j):
+    """g(j) = k (1-2j)^2 (6j-1) - 2j^3 in exact rational arithmetic."""
+    j = Fraction(j)
+    return k * (1 - 2 * j) ** 2 * (6 * j - 1) - 2 * j ** 3
 
 
 class TestClosedForms:
@@ -188,15 +205,52 @@ class TestSeparableIntervals:
 
     def test_matches_grid_scan_and_bisection(self):
         # 0.5498/0.5499 straddle the onset of the window (1.1e-3 wide at
-        # 0.5499), 0.8352 its end on the beta side
+        # 0.5499), 0.8352 its end on the beta side; 0.54987/0.54988 and
+        # 0.83524/0.83525 bracket the onsets at 0.5498706 and 0.8352499
+        # (windows about 6e-4 and 8e-4 wide on the inner side)
         rng = np.random.default_rng(7)
         stratified = np.round((np.arange(40) + rng.uniform(size=40)) / 40, 4)
-        for alpha in [0.0, 1.0, 0.5498, 0.5499, 0.6, 0.7, 0.8, 0.8352, *stratified]:
+        for alpha in [0.0, 1.0, 0.5498, 0.5499, 0.6, 0.7, 0.8, 0.8352, *stratified,
+                      0.54987, 0.54988, 0.83524, 0.83525]:
             got = [(iv.lo, iv.hi) for iv in separable_intervals(alpha)]
             want = separable_intervals_scan(alpha)
             assert len(got) == len(want), f"alpha={alpha}: {got} vs {want}"
             for iv, ref in zip(got, want):
                 assert np.allclose(iv, ref, rtol=0.0, atol=1e-6), f"alpha={alpha}: {got} vs {want}"
+
+    @pytest.mark.parametrize("onset", ONSETS)
+    def test_dense_sweep_across_onset(self, onset):
+        # 10^4 alphas within 1e-6 of an onset plus the 200 floats nearest
+        # to it: no DomainError, ordered ends inside (1/6, 1/3), and a
+        # window exactly when the exact k is at least 27/128
+        alphas = np.linspace(onset - 1e-6, onset + 1e-6, 10_000).tolist()
+        x = onset
+        for _ in range(100):
+            x = math.nextafter(x, 0.0)
+        for _ in range(200):
+            alphas.append(x)
+            x = math.nextafter(x, 1.0)
+        for alpha in alphas:
+            intervals = separable_intervals(alpha)
+            assert len(intervals) == (exact_k(alpha) >= Fraction(27, 128)), alpha
+            for iv in intervals:
+                assert 1 / 6 < iv.lo <= iv.hi < 1 / 3, (alpha, iv)
+
+    def test_endpoints_within_a_few_ulp_of_exact_roots(self):
+        # exact g, at the exact k of the float alpha, changes sign within
+        # m ulp of every endpoint; m = 4, 16 or 128 as the window narrows.
+        # Alphas above the onset at 0.8352 have no window.
+        rng = np.random.default_rng(21)
+        alphas = 0.55 + 0.29 * (np.arange(200) + rng.uniform(size=200)) / 200
+        windows = [(alpha, iv) for alpha in alphas.tolist() for iv in separable_intervals(alpha)]
+        assert len(windows) == np.count_nonzero(alphas < ONSETS[1])
+        for alpha, iv in windows:
+            width = iv.hi - iv.lo
+            m = 4 if width >= 0.03 else 16 if width >= 0.01 else 128
+            k = exact_k(alpha)
+            for e in (iv.lo, iv.hi):
+                step = m * math.ulp(e)
+                assert exact_g(k, e - step) * exact_g(k, e + step) <= 0, (alpha, e, m)
 
 
 class TestScanConsistency:
