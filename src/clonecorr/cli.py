@@ -17,14 +17,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import hermat
-from .cloner import (build_output_batch, build_output_state, check_machine_constraints,
-                     clone_fidelity, valid_j_range)
-from .discord import (_discord_min, conditional_entropy_curve, discord_at, discord_min,
+from .cloner import (_fidelity, build_output_batch, build_output_state,
+                     check_machine_constraints, clone_fidelity, valid_j_range)
+from .discord import (_discord_min, _marginals, conditional_entropy_curve, discord_at, discord_min,
                       discord_surface, mutual_info_i, mutual_info_j)
 from .errors import DomainError
 from .separability import (_ppt_verdict, ppt_data, scan_grid, separable_intervals, w3_closed,
@@ -415,7 +415,8 @@ def point_report(alpha, j, scan_phase=False):
         exc.min_eigenvalue = min_eig
         raise exc
     # a copier state has unit trace, so the check above validates it for discord_min
-    result = _discord_min(rho, spectrum, scan_phase=scan_phase)
+    marginals = _marginals(rho)
+    result = _discord_min(rho, spectrum, marginals, scan_phase=scan_phase)
     # the check above is classify's physicality test; only its PPT half remains
     verdict = _ppt_verdict(rho)
     constraints = check_machine_constraints(j)
@@ -425,10 +426,10 @@ def point_report(alpha, j, scan_phase=False):
         "physical": True,
         "min_eigenvalue": min_eig,
         "valid_j_range": [lo, hi],
-        "fidelity": clone_fidelity(alpha, j),
+        "fidelity": _fidelity(alpha, marginals[0]),
         "machine_constraints_satisfied": constraints.satisfied,
-        "discord": asdict(result),
-        "separability": asdict(verdict),
+        "discord": dict(vars(result)),
+        "separability": dict(vars(verdict)),
         "discordant_but_separable": (
             verdict.classification == "Separable" and result.discord > 1e-6),
     }

@@ -73,15 +73,12 @@ def build_output_batch(alpha, js):
     if bad.size:
         raise DomainError(f"machine parameter j={bad.flat[0]} outside [0, 1/2]")
     n = 1.0 - 2.0 * js
-    c = a * b * n / 2.0
-    z = np.zeros_like(js)
-    rows = [
-        [a * a * n, c, c, z],
-        [c, js, js, c],
-        [c, js, js, c],
-        [z, c, c, b * b * n],
-    ]
-    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+    c = (a * b * n / 2.0)[..., None]
+    rho = np.zeros(js.shape + (4, 4))
+    rho[..., 0, 0], rho[..., 3, 3] = a * a * n, b * b * n
+    rho[..., 1:3, 1:3] = js[..., None, None]
+    rho[..., 0, 1:3] = rho[..., 1:3, 0] = rho[..., 3, 1:3] = rho[..., 1:3, 3] = c
+    return rho
 
 
 def reduced_clone(rho, which="b"):
@@ -96,8 +93,12 @@ def clone_fidelity(alpha, j):
 
     Analytically equal to 1 - j for every normalized real input.
     """
+    return _fidelity(alpha, reduced_clone(build_output_state(alpha, j), "a"))
+
+
+def _fidelity(alpha, rho_a):
+    """clone_fidelity from clone a's reduced state rho_a."""
     chi = np.array(_amplitudes(alpha))
-    rho_a = reduced_clone(build_output_state(alpha, j), "a")
     return float(chi @ rho_a @ chi)
 
 

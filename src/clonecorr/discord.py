@@ -46,10 +46,10 @@ stride-0 axis of a broadcast ts is evaluated once), puts its full-size
 temporaries in one workspace allocation (see _PHASE_BLOCK) and runs with a
 small ufunc buffer (see _PHASE_BUFSIZE).
 
-discord_min's golden-section refinement takes one (t, phi) at a time from
-_conditional_entropy_at, the same quantity in scalar math from the state's
-Bloch form: about 1 us an angle against 21 us for a one-angle kernel call,
-equal to rounding. The grids stay on the kernel until ROADMAP item 3
+discord_min's golden-section refinement calls a closure over rho's Bloch
+form (_conditional_entropy_at): the same quantity in scalar math, equal to
+rounding, at 1.5 us an angle against 55 us a one-angle kernel call (2-vCPU
+Xeon, numpy 2.4). The grids stay on the kernel until ROADMAP item 3
 re-pins what depends on it: the sweep's sha256-pinned surface files and
 the benchmark's count of kernel angles per phase query.
 
@@ -104,7 +104,11 @@ _phase_cache = (None, None)
 
 @dataclass(frozen=True)
 class DiscordResult:
-    """Discord at the minimizing basis together with all entropy components (bits)."""
+    """Discord at the minimizing basis together with all entropy components (bits).
+
+    optimal_t and optimal_phi are where the golden search stopped, known only to
+    about REFINE_TOL; in a phase query's flat minimum optimal_phi can move ~1e-2 rad.
+    """
     discord: float
     optimal_t: float
     optimal_phi: float
@@ -225,7 +229,8 @@ def _phase_rows(rho, ts, angles, phi):
     a00, a11, b00, b11, a, b, c2 = _phase_coefficients(rho, ts, len(angles))
     full = (2,) + rho.shape[:-2] + angles
     n = math.prod(full)
-    ws = np.empty(4 * n + -(-n // 8))   # 4 full-size floats and n bools (see _PHASE_BLOCK)
+    ws = np.empty(4 * n + -(-n // 8) + 7)   # 4 full-size floats, n bools (see _PHASE_BLOCK)
+    ws = ws[-ws.ctypes.data % 64 // 8:]   # start on 64 bytes; malloc's 16 ran up to 5 % slower
     w, flags = ws[:4 * n].reshape((4,) + full), ws[4 * n:].view(np.bool_)[:n].reshape(full)
     c = np.cos(phi)
     p = np.add(np.multiply(b00, c, out=w[0]), a00, out=w[0])
@@ -306,38 +311,46 @@ def _bloch(rho):
     return [row[0] for row in c[1:]], c[0][1:], [row[1:] for row in c[1:]]
 
 
-def _dot3(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+def _conditional_entropy_at(bloch, t=None, phi=None):
+    """x -> conditional_entropy_curve at (x, phi), or at (t, x) when phi is None.
 
-
-def _conditional_entropy_at(bloch, t, phi):
-    """conditional_entropy_curve at one (t, phi), from _bloch(rho), in scalar math.
-
-    Outcome +-m, m = (sin 2t cos phi, sin 2t sin phi, cos 2t), has probability
-    p = (1 +- r_b.m)/2 and leaves clone a the unnormalised spectrum
-    p/2 +- |r_a +- T m|/4 (R. & M. Horodecki, PRA 54, 1838 (1996); Luo,
-    PRA 77, 042303 (2008)). As in the kernel, branches with p <= DEGENERATE_P
-    and eigenvalues <= 0 contribute 0; the two agree to rounding, not bitwise.
+    Scalar math from bloch = _bloch(rho). Outcome +-m, m = (sin 2t cos phi,
+    sin 2t sin phi, cos 2t), has probability p = (1 +- r_b.m)/2 and leaves
+    clone a the unnormalised spectrum p/2 +- |r_a +- T m|/4 (R. & M.
+    Horodecki, PRA 54, 1838 (1996); Luo, PRA 77, 042303 (2008)). As in the
+    kernel, branches with p <= DEGENERATE_P and eigenvalues <= 0 contribute
+    0; the two agree to rounding, not bitwise.
     """
-    (ax, ay, az), rb, (tx, ty, tz) = bloch
-    s2 = math.sin(2.0 * t)
-    m = (s2 * math.cos(phi), s2 * math.sin(phi), math.cos(2.0 * t))
-    rb_m, tmx, tmy, tmz = _dot3(rb, m), _dot3(tx, m), _dot3(ty, m), _dot3(tz, m)
-    h = 0.0
-    for sign in (1.0, -1.0):
-        p = 0.5 + 0.5 * sign * rb_m
-        if p <= DEGENERATE_P:
-            continue
-        rad = 0.25 * math.hypot(ax + sign * tmx, ay + sign * tmy, az + sign * tmz)
-        for lam in (0.5 * p + rad, 0.5 * p - rad):
-            if lam > 0.0:
-                h -= lam * math.log2(lam / p)
-    return h
+    (ax, ay, az), (bx, by, bz), ((xx, xy, xz), (yx, yy, yz), (zx, zy, zz)) = bloch
+
+    def h_at(x):
+        tx, px = (t, x) if phi is None else (x, phi)
+        s2 = math.sin(2.0 * tx)
+        mx, my, mz = s2 * math.cos(px), s2 * math.sin(px), math.cos(2.0 * tx)
+        rb_m, tmx = bx * mx + by * my + bz * mz, xx * mx + xy * my + xz * mz
+        tmy, tmz = yx * mx + yy * my + yz * mz, zx * mx + zy * my + zz * mz
+        h = 0.0
+        for sign in (1.0, -1.0):
+            p = 0.5 + 0.5 * sign * rb_m
+            if p <= DEGENERATE_P:
+                continue
+            rad = 0.25 * math.hypot(ax + sign * tmx, ay + sign * tmy, az + sign * tmz)
+            for lam in (0.5 * p + rad, 0.5 * p - rad):
+                if lam > 0.0:
+                    h -= lam * math.log2(lam / p)
+        return h
+
+    return h_at
 
 
-def _marginal_entropy(rho, keep):
-    """Entropy in bits of the reduced state of clone `keep` ("a" or "b")."""
-    return hermat.vn_entropy(hermat.eig_herm2(hermat.partial_trace(rho, keep)))
+def _marginals(rho):
+    """The stack [tr_b rho, tr_a rho] of clone a's and clone b's reduced states."""
+    return np.stack([hermat.partial_trace(rho, "a"), hermat.partial_trace(rho, "b")])
+
+
+def _marginal_entropies(marginals):
+    """[H(a), H(b)] in bits from _marginals(rho): one spectrum call, one check."""
+    return hermat._entropies(hermat.eig_herm2(marginals)).tolist()
 
 
 def conditional_entropy(rho, t, phi=0.0):
@@ -350,14 +363,13 @@ def conditional_entropy(rho, t, phi=0.0):
 def mutual_info_j(rho):
     """Unmeasured mutual information H(a) + H(b) - H(ab), in bits."""
     spectrum = hermat.validate_state(rho)
-    ha = _marginal_entropy(rho, "a")
-    hb = _marginal_entropy(rho, "b")
+    ha, hb = _marginal_entropies(_marginals(rho))
     return ha + hb - hermat.vn_entropy(spectrum)
 
 
 def mutual_info_i(rho, t, phi=0.0):
     """Measurement-based mutual information H(a) - H(a | measure b at (t, phi)), in bits."""
-    ha = _marginal_entropy(rho, "a")
+    ha, _ = _marginal_entropies(_marginals(rho))
     return ha - conditional_entropy(rho, t, phi)
 
 
@@ -367,7 +379,7 @@ def discord_at(rho, t, phi=0.0):
     Equals mutual_info_j - mutual_info_i at the same basis.
     """
     spectrum = hermat.validate_state(rho)
-    hb = _marginal_entropy(rho, "b")
+    _, hb = _marginal_entropies(_marginals(rho))
     hab = hermat.vn_entropy(spectrum)
     curve = conditional_entropy_curve(np.asarray(rho, dtype=float), [float(t)], float(phi))
     return float(hb - hab + curve[0])
@@ -395,19 +407,15 @@ def discord_min(rho, grid_points=721, scan_phase=False):
         raise DomainError(f"grid_points must be an integer, got {grid_points!r}") from None
     if grid_points < 64:
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
-    return _discord_min(np.asarray(rho, dtype=float), spectrum, grid_points, scan_phase)
+    rho = np.asarray(rho, dtype=float)
+    return _discord_min(rho, spectrum, _marginals(rho), grid_points, scan_phase)
 
 
-def _discord_min(rho, spectrum, grid_points=721, scan_phase=False):
-    """discord_min of a validated float state rho with its descending spectrum."""
-    ha = _marginal_entropy(rho, "a")
-    hb = _marginal_entropy(rho, "b")
+def _discord_min(rho, spectrum, marginals, grid_points=721, scan_phase=False):
+    """discord_min of a validated float state rho, its descending spectrum and _marginals(rho)."""
+    ha, hb = _marginal_entropies(marginals)
     hab = hermat.vn_entropy(spectrum)
-
     bloch = _bloch(rho)
-
-    def h_at(t, phi):
-        return _conditional_entropy_at(bloch, t, phi)
 
     ts = np.linspace(0.0, np.pi / 2, grid_points, endpoint=False)
     dt, dphi = (np.pi / 2) / grid_points, np.pi / grid_points
@@ -426,12 +434,12 @@ def _discord_min(rho, spectrum, grid_points=721, scan_phase=False):
             best_t, best_phi, best_h = float(ts[i]), float(block[r, 0]), float(curves[r, i])
     # one-dimensional refinements around the best grid point, alternating
     # between the angles when phi was scanned
-    best_t, best_h = golden_min(lambda t: h_at(t, best_phi),
+    best_t, best_h = golden_min(_conditional_entropy_at(bloch, phi=best_phi),
                                 best_t - dt, best_t + dt, REFINE_TOL)
     if scan_phase:
-        best_phi, best_h = golden_min(lambda phi: h_at(best_t, phi),
+        best_phi, best_h = golden_min(_conditional_entropy_at(bloch, t=best_t),
                                       best_phi - dphi, best_phi + dphi, REFINE_TOL)
-        best_t, best_h = golden_min(lambda t: h_at(t, best_phi),
+        best_t, best_h = golden_min(_conditional_entropy_at(bloch, phi=best_phi),
                                     best_t - dt, best_t + dt, REFINE_TOL)
 
     best_t = best_t % (np.pi / 2)

@@ -170,15 +170,20 @@ def vn_entropy(spectrum):
     singular states); anything lower raises InvalidStateError, as does a
     spectrum that does not sum to 1 within 1e-10 or has a non-finite entry.
     """
-    lam = np.asarray(spectrum, dtype=float)
+    return float(_entropies(np.ravel(spectrum)))
+
+
+def _entropies(spectra):
+    """vn_entropy of each spectrum on the last axis of spectra, one check for them all."""
+    lam = np.asarray(spectra, dtype=float)
     _require_finite(lam, "spectrum")
     if lam.min() < STATE_EIG_FLOOR:
         raise InvalidStateError(
             f"eigenvalue {lam.min():.6e} below {STATE_EIG_FLOOR}; not a state")
-    if abs(lam.sum() - 1.0) > 1e-10:
-        raise InvalidStateError(f"eigenvalues sum to {lam.sum()!r}, not 1")
+    if (np.abs(lam.sum(axis=-1) - 1.0) > 1e-10).any():
+        raise InvalidStateError(f"eigenvalues sum to {lam.sum(axis=-1)!r}, not 1")
     # summing in sorted order makes the value exactly permutation-invariant
-    return float(plogp(np.sort(np.clip(lam, 0.0, None))).sum())
+    return plogp(np.sort(np.clip(lam, 0.0, None), axis=-1)).sum(axis=-1)
 
 
 def partial_trace(m, keep):

@@ -8,13 +8,21 @@ import numpy as np
 import pytest
 
 import clonecorr.cli as cli
-from clonecorr import build_output_state, classify, discord_at, w3_closed, w4_closed
+from clonecorr import (build_output_state, check_machine_constraints, classify, clone_fidelity,
+                       cloner, discord_at, discord_min, eig_sym4, hermat, partial_trace,
+                       valid_j_range, w3_closed, w4_closed)
 from clonecorr.cli import (CSV_HEADER, ConfigError, RunConfig, build_config,
                            load_config_file, main, table1_rows)
 from oracles import surface_text_rows
 
 SMALL_SURFACE = ["--alpha", "0.3,0.7", "--j-min", "0.17", "--j-max", "0.3",
                  "--j-step", "0.01", "--t-points", "13"]
+
+
+# 40 physical points: the edges of the input and machine ranges, then a seeded sample
+_RNG = np.random.default_rng(22)
+REPORT_POINTS = [(alpha, j) for alpha in (0.0, 1.0, -1.0, 2 ** -0.5) for j in (1 / 6 + 1e-9, 0.5)]
+REPORT_POINTS += zip(_RNG.uniform(-1.0, 1.0, 32).tolist(), _RNG.uniform(1 / 6, 0.5, 32).tolist())
 
 
 def _first_line_difference(got, want):
@@ -498,6 +506,44 @@ class TestPoint:
         assert len(calls) == 2
         assert np.array_equal(calls[0], build_output_state(0.7, 0.22))
         assert report["min_eigenvalue"] == float(eig_sym4(calls[0])[-1])
+
+    @pytest.mark.parametrize("scan_phase", [False, True])
+    def test_each_quantity_is_computed_once(self, monkeypatch, scan_phase):
+        # one state, one spectrum call on both marginals stacked, and the two
+        # 4x4 spectra of test_state_spectrum_is_taken_once
+        seen = {}
+        for module, name in ((cloner, "build_output_batch"), (hermat, "eig_herm2"),
+                             (hermat, "eig_sym4")):
+            def spy(*args, f=getattr(module, name), calls=seen.setdefault(name, [])):
+                calls.append(args)
+                return f(*args)
+            monkeypatch.setattr(module, name, spy)
+        cli.point_report(0.7, 0.22, scan_phase=scan_phase)
+        assert {name: len(calls) for name, calls in seen.items()} == {
+            "build_output_batch": 1, "eig_herm2": 1, "eig_sym4": 2}
+        rho = build_output_state(0.7, 0.22)
+        [(marginals,)] = seen["eig_herm2"]
+        assert np.array_equal(marginals, [partial_trace(rho, "a"), partial_trace(rho, "b")])
+
+    @pytest.mark.parametrize("scan_phase", [False, True])
+    def test_report_is_the_public_functions_bit_for_bit(self, scan_phase):
+        for alpha, j in REPORT_POINTS:
+            rho = build_output_state(alpha, j)
+            discord = dataclasses.asdict(discord_min(rho, scan_phase=scan_phase))
+            verdict = dataclasses.asdict(classify(alpha, j))
+            assert cli.point_report(alpha, j, scan_phase=scan_phase) == {
+                "alpha": alpha,
+                "j": j,
+                "physical": True,
+                "min_eigenvalue": float(eig_sym4(rho)[-1]),
+                "valid_j_range": list(valid_j_range(alpha)),
+                "fidelity": clone_fidelity(alpha, j),
+                "machine_constraints_satisfied": check_machine_constraints(j).satisfied,
+                "discord": discord,
+                "separability": verdict,
+                "discordant_but_separable": (verdict["classification"] == "Separable"
+                                             and discord["discord"] > 1e-6),
+            }, (alpha, j)
 
     def test_unphysical_point_exits_2_with_range(self, capsys):
         rc = main(["point", "0.5", "0.1"])

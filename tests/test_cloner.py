@@ -13,7 +13,7 @@ from clonecorr.cli import point_report
 from clonecorr.cloner import _amplitudes, _triplet_cubic_at_floor
 from clonecorr.separability import scan_grid
 from clonecorr.errors import DomainError
-from oracles import valid_j_range_jacobi, window_edge_roots
+from oracles import output_states, valid_j_range_jacobi, window_edge_roots
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 X_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -106,6 +106,17 @@ class TestBuildOutputState:
                 build_output_state(0.5, j)
             with pytest.raises(DomainError):
                 build_output_batch(0.5, [0.2, j])
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.7, 0.0, 1e-8, 0.3, 2 ** -0.5, 1.0])
+    def test_batch_is_the_oracle_bit_for_bit(self, alpha):
+        # equal values and the same sign on every zero, on a grid and in the 0-d case
+        js = np.r_[0.0, np.linspace(0.01, 0.49, 25), 1 / 6, 0.5]
+        want = output_states(alpha, js)
+        for got, ref in ((build_output_batch(alpha, js), want),
+                         (build_output_batch(alpha, js[-1]), want[-1])):
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
     def test_batch_matches_scalar(self):
         js = np.array([0.0, 0.1, 1 / 6, 0.37, 0.5])

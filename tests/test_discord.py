@@ -62,16 +62,14 @@ def phase_scan_reference(rho, curve=conditional_entropy_curve, grid_points=721,
     """
     best_t, best_phi, best_h = phase_scan_loop(rho, grid_points, curve)
     bloch = discord_module._bloch(rho)
-
-    def h_at(t, phi):
-        return discord_module._conditional_entropy_at(bloch, t, phi)
+    h_along = discord_module._conditional_entropy_at
 
     dt, dphi = (np.pi / 2) / grid_points, np.pi / grid_points
-    best_t, best_h = golden_min(lambda t: h_at(t, best_phi), best_t - dt, best_t + dt,
+    best_t, best_h = golden_min(h_along(bloch, phi=best_phi), best_t - dt, best_t + dt,
                                 refine_tol)
-    best_phi, best_h = golden_min(lambda phi: h_at(best_t, phi), best_phi - dphi,
+    best_phi, best_h = golden_min(h_along(bloch, t=best_t), best_phi - dphi,
                                   best_phi + dphi, refine_tol)
-    best_t, best_h = golden_min(lambda t: h_at(t, best_phi), best_t - dt, best_t + dt,
+    best_t, best_h = golden_min(h_along(bloch, phi=best_phi), best_t - dt, best_t + dt,
                                 refine_tol)
     ha = vn_entropy(eig_herm2(partial_trace(rho, "a")))
     hb = vn_entropy(eig_herm2(partial_trace(rho, "b")))
@@ -282,8 +280,11 @@ class TestConditionalEntropy:
                 continue
             bloch = discord_module._bloch(rho)
             for phi in (0.0, 0.7, np.pi / 2, -2.0):
-                got = np.array([discord_module._conditional_entropy_at(bloch, t, phi)
+                got = np.array([discord_module._conditional_entropy_at(bloch, phi=phi)(t)
                                 for t in ts])
+                # the phase-refinement evaluator is the same arithmetic
+                assert [discord_module._conditional_entropy_at(bloch, t=t)(phi)
+                        for t in ts] == got.tolist()
                 for kernel in (conditional_entropy_curve, conditional_entropy_curve_complex):
                     assert np.max(np.abs(got - kernel(rho, ts, phi))) <= 1e-14, (k, phi)
             checked += 1
@@ -294,7 +295,7 @@ class TestConditionalEntropy:
         rho = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
         t = np.arcsin(np.sqrt(5e-13))
         for phi in (0.0, 0.7):
-            got = discord_module._conditional_entropy_at(discord_module._bloch(rho), t, phi)
+            got = discord_module._conditional_entropy_at(discord_module._bloch(rho), phi=phi)(t)
             assert abs(got - conditional_entropy_curve(rho, [t], phi)[0]) <= 1e-15, phi
 
     def test_phase_rows_are_elementwise(self):
