@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hermat
-from .cloner import (_fidelity, build_output_batch, build_output_state,
+from .cloner import (_fidelity, _physical_state, build_output_batch, build_output_state,
                      check_machine_constraints, clone_fidelity, valid_j_range)
 from .discord import (_discord_min, _marginals, conditional_entropy_curve, discord_at, discord_min,
                       discord_surface, mutual_info_i, mutual_info_j)
@@ -204,8 +204,6 @@ def _fmt(x):
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, str):
-        return x
     return format(x, ".12g")
 
 
@@ -302,7 +300,6 @@ def surface_records(alpha, cfg):
 
 
 def run_surface(cfg, out_stream=None):
-    out_stream = out_stream if out_stream is not None else sys.stdout
     out_dir = cfg.output_path or "surface_out"
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -351,17 +348,12 @@ def table1_rows(cfg):
     return rows, any_mismatch
 
 
-def _format_interval(iv):
-    return f"[{iv.lo:.3f}, {iv.hi:.3f}]"
-
-
 def run_table1(cfg, out_stream=None):
-    out_stream = out_stream if out_stream is not None else sys.stdout
     rows, any_mismatch = table1_rows(cfg)
     print(f"{'alpha':>6}  {'separable j':<22} {'verdict':<12} {'reference':<18} match",
           file=out_stream)
     for row in rows:
-        ivs = ", ".join(_format_interval(iv) for iv in row["intervals"]) or "(none)"
+        ivs = ", ".join(f"[{iv.lo:.3f}, {iv.hi:.3f}]" for iv in row["intervals"]) or "(none)"
         if row["match"] is None:
             ref, mark = "-", "-"
         elif row["expected"] is None:
@@ -403,28 +395,19 @@ def run_table1(cfg, out_stream=None):
 
 def point_report(alpha, j, scan_phase=False):
     """All single-point quantities as a plain dict (JSON-ready)."""
+    # classify's physicality test; a copier state has unit trace, so it also
+    # validates rho for discord_min, and only classify's PPT half remains
+    rho, spectrum = _physical_state(alpha, j)
     lo, hi = valid_j_range(alpha)
-    rho = build_output_state(alpha, j)
-    spectrum = hermat.eig_sym4(rho)
-    min_eig = float(spectrum[-1])
-    if min_eig < hermat.STATE_EIG_FLOOR:
-        exc = DomainError(
-            f"output state unphysical at alpha={alpha}, j={j} "
-            f"(minimum eigenvalue {min_eig:.6e}); physical j range for "
-            f"alpha={alpha} is [{lo:.6f}, {hi:.6f}]")
-        exc.min_eigenvalue = min_eig
-        raise exc
-    # a copier state has unit trace, so the check above validates it for discord_min
     marginals = _marginals(rho)
     result = _discord_min(rho, spectrum, marginals, scan_phase=scan_phase)
-    # the check above is classify's physicality test; only its PPT half remains
     verdict = _ppt_verdict(rho)
     constraints = check_machine_constraints(j)
     return {
         "alpha": alpha,
         "j": j,
         "physical": True,
-        "min_eigenvalue": min_eig,
+        "min_eigenvalue": float(spectrum[-1]),
         "valid_j_range": [lo, hi],
         "fidelity": _fidelity(alpha, marginals[0]),
         "machine_constraints_satisfied": constraints.satisfied,
@@ -436,10 +419,9 @@ def point_report(alpha, j, scan_phase=False):
 
 
 def run_point(alpha, j, output_format="text", scan_phase=False, out_stream=None):
-    out_stream = out_stream if out_stream is not None else sys.stdout
     report = point_report(alpha, j, scan_phase=scan_phase)
     if output_format == "json":
-        out_stream.write(_json_text(report))
+        print(_json_text(report), end="", file=out_stream)
         return EXIT_OK
 
     d = report["discord"]
@@ -467,7 +449,6 @@ def run_point(alpha, j, output_format="text", scan_phase=False, out_stream=None)
 
 def run_selftest(cfg, out_stream=None):
     """Property suite over randomized inputs; one PASS/FAIL line per property."""
-    out_stream = out_stream if out_stream is not None else sys.stdout
     rng = np.random.default_rng(cfg.seed)
     failures = 0
 
@@ -479,15 +460,10 @@ def run_selftest(cfg, out_stream=None):
             failures += 1
             print(f"[FAIL] {name}", file=out_stream)
 
-    def random_state_pair():
-        alpha = rng.uniform(0.0, 1.0)
-        j = rng.uniform(0.0, 0.5)
-        return alpha, j
-
     ok = True
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     for _ in range(100):
-        alpha, j = random_state_pair()
+        alpha, j = rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5)
         rho = build_output_state(alpha, j)
         ok &= abs(np.trace(rho) - 1.0) <= 1e-15
         ok &= np.abs(rho @ singlet).max() <= 1e-14
@@ -520,7 +496,7 @@ def run_selftest(cfg, out_stream=None):
 
     ok = True
     for _ in range(500):
-        alpha, j = random_state_pair()
+        alpha, j = rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5)
         rho = build_output_state(alpha, j)
         w3d, w4d, _ = ppt_data(rho)
         ok &= abs(w3_closed(alpha, j) - w3d) <= 1e-12

@@ -83,8 +83,6 @@ def build_output_batch(alpha, js):
 
 def reduced_clone(rho, which="b"):
     """Reduced 2x2 state of one clone; for copier output both are equal."""
-    if which not in ("a", "b"):
-        raise ValueError(f"which must be 'a' or 'b', got {which!r}")
     return hermat.partial_trace(rho, keep=which)
 
 
@@ -134,6 +132,21 @@ def valid_j_range(alpha):
         return _triplet_cubic_at_floor(k, j) <= 0.0
 
     return (bisect_boundary(is_physical, 0.0, 1.0 / 6.0, WINDOW_TOL), 0.5)
+
+
+def _physical_state(alpha, j):
+    """(rho, its descending spectrum) at (alpha, j); the one refusal of an unphysical point."""
+    (alpha, _), j = _amplitudes(alpha), float(j)
+    rho = build_output_state(alpha, j)
+    spectrum = hermat.eig_sym4(rho)
+    if spectrum[-1] < hermat.STATE_EIG_FLOOR:
+        lo, hi = valid_j_range(alpha)
+        exc = DomainError(f"output state unphysical at alpha={alpha}, j={j} (minimum eigenvalue "
+                          f"{spectrum[-1]:.6e}); physical j range for alpha={alpha} is "
+                          f"[{lo:.6f}, {hi:.6f}]")
+        exc.min_eigenvalue = float(spectrum[-1])
+        raise exc
+    return rho, spectrum
 
 
 def check_machine_constraints(j):

@@ -75,12 +75,10 @@ DEGENERATE_P = 1e-12
 REFINE_TOL = 1e-9
 # phase rows per conditional_entropy_curve call in the scan_phase grid. A call
 # keeps its full-size temporaries in one workspace of about 4.1 x 2 x rows x
-# grid_points floats (0.76 MB at 16 x 721; 6.4 x before the phase rows took
-# the Bloch form). With that 6.4 x workspace, in the points benchmark (2-vCPU
-# AMD EPYC host, 20 s runs, seeds 901-903) op_p90_ms was 25.0-25.9 /
-# 21.8-22.0 / 20.9-21.4 ms at 8 / 16 / 24 rows, and peak_rss_mb 40.7-40.9 /
-# 41.7-41.8 / 41.8-42.0 MiB: a workspace of 12 rows or more raised glibc's
-# dynamic trim threshold so far that it kept about 1 MiB more of freed heap
+# grid_points floats (0.76 MB at 16 x 721). The size trades the points
+# benchmark's op_p90_ms, which falls as blocks grow and calls get fewer,
+# against its peak_rss_mb: a large workspace raises glibc's dynamic trim
+# threshold, so more of the freed heap stays resident
 _PHASE_BLOCK = 16
 # ufunc buffer size, in elements, while conditional_entropy_curve runs;
 # restored on return. Both the phase rows and the real family broadcast
@@ -289,8 +287,7 @@ def _phase_coefficients(rho, ts, n_angles):
     r = rho.reshape(-1, 16).T[_Q_ENTRIES[:, ::2]].reshape((4, 2, 1) + state)
     (a00, a11), (b00, b11) = uu * r[0] + vv * r[3], uv * (r[1] + r[2])
     # r_a = bl[1:, 0] and T = bl[1:, 1:]; a real rho has only these terms
-    bl = np.moveaxis(np.einsum("...xy,ikyx->...ik", rho, _PAULI_PAIRS).real, (-2, -1), (0, 1))
-    bl = bl.reshape((4, 4) + state)
+    bl = np.moveaxis(_bloch(rho), (-2, -1), (0, 1)).reshape((4, 4) + state)
     sig = np.array([1.0, -1.0]).reshape((2,) + (1,) * len(state))
     s, c2 = np.sin(2.0 * ts).reshape(tail), np.cos(2.0 * ts).reshape(tail)
     x0, x1 = bl[1, 0] + sig * bl[1, 3] * c2, sig * bl[1, 1] * s
@@ -303,12 +300,11 @@ def _phase_coefficients(rho, ts, n_angles):
 
 
 def _bloch(rho):
-    """(r_a, r_b, T) as lists of floats, with rho = (1/4) sum_ik c_ik sigma_i (x) sigma_k.
+    """c of shape rho.shape[:-2] + (4, 4), with rho = (1/4) sum_ik c_ik sigma_i (x) sigma_k.
 
     c_ik = tr(rho sigma_i (x) sigma_k): r_a = c_i0, r_b = c_0k, T = c_ik (i, k > 0).
     """
-    c = np.einsum("xy,ikyx->ik", rho, _PAULI_PAIRS).real.tolist()
-    return [row[0] for row in c[1:]], c[0][1:], [row[1:] for row in c[1:]]
+    return np.einsum("...xy,ikyx->...ik", rho, _PAULI_PAIRS).real
 
 
 def _conditional_entropy_at(bloch, t=None, phi=None):
@@ -321,7 +317,7 @@ def _conditional_entropy_at(bloch, t=None, phi=None):
     kernel, branches with p <= DEGENERATE_P and eigenvalues <= 0 contribute
     0; the two agree to rounding, not bitwise.
     """
-    (ax, ay, az), (bx, by, bz), ((xx, xy, xz), (yx, yy, yz), (zx, zy, zz)) = bloch
+    (_, bx, by, bz), (ax, xx, xy, xz), (ay, yx, yy, yz), (az, zx, zy, zz) = bloch.tolist()
 
     def h_at(x):
         tx, px = (t, x) if phi is None else (x, phi)
@@ -353,24 +349,34 @@ def _marginal_entropies(marginals):
     return hermat._entropies(hermat.eig_herm2(marginals)).tolist()
 
 
+def _admitted(rho):
+    """The one check of a user state: (rho as a real float 4x4 array, its descending spectrum)."""
+    rho = hermat._require_real_symmetric(rho, "state")
+    return rho, hermat.validate_state(rho)
+
+
+def _conditional_entropy(rho, t, phi):
+    """conditional_entropy of an admitted rho."""
+    return float(conditional_entropy_curve(rho, [float(t)], float(phi))[0])
+
+
 def conditional_entropy(rho, t, phi=0.0):
     """Probability-weighted entropy of clone a after measuring clone b at numbers (t, phi)."""
-    hermat.validate_state(rho)
-    curve = conditional_entropy_curve(np.asarray(rho, dtype=float), [float(t)], float(phi))
-    return float(curve[0])
+    rho, _ = _admitted(rho)
+    return _conditional_entropy(rho, t, phi)
 
 
 def mutual_info_j(rho):
     """Unmeasured mutual information H(a) + H(b) - H(ab), in bits."""
-    spectrum = hermat.validate_state(rho)
+    rho, spectrum = _admitted(rho)
     ha, hb = _marginal_entropies(_marginals(rho))
     return ha + hb - hermat.vn_entropy(spectrum)
 
 
 def mutual_info_i(rho, t, phi=0.0):
     """Measurement-based mutual information H(a) - H(a | measure b at (t, phi)), in bits."""
-    ha, _ = _marginal_entropies(_marginals(rho))
-    return ha - conditional_entropy(rho, t, phi)
+    rho, _ = _admitted(rho)
+    return _marginal_entropies(_marginals(rho))[0] - _conditional_entropy(rho, t, phi)
 
 
 def discord_at(rho, t, phi=0.0):
@@ -378,11 +384,9 @@ def discord_at(rho, t, phi=0.0):
 
     Equals mutual_info_j - mutual_info_i at the same basis.
     """
-    spectrum = hermat.validate_state(rho)
+    rho, spectrum = _admitted(rho)
     _, hb = _marginal_entropies(_marginals(rho))
-    hab = hermat.vn_entropy(spectrum)
-    curve = conditional_entropy_curve(np.asarray(rho, dtype=float), [float(t)], float(phi))
-    return float(hb - hab + curve[0])
+    return hb - hermat.vn_entropy(spectrum) + _conditional_entropy(rho, t, phi)
 
 
 def discord_min(rho, grid_points=721, scan_phase=False):
@@ -400,14 +404,13 @@ def discord_min(rho, grid_points=721, scan_phase=False):
     refinement through the scalar _conditional_entropy_at (see the module
     docstring), so the result agrees with an all-kernel search to rounding.
     """
-    spectrum = hermat.validate_state(rho)
+    rho, spectrum = _admitted(rho)
     try:
         grid_points = operator.index(grid_points)
     except TypeError:
         raise DomainError(f"grid_points must be an integer, got {grid_points!r}") from None
     if grid_points < 64:
         raise DomainError(f"grid_points must be >= 64, got {grid_points}")
-    rho = np.asarray(rho, dtype=float)
     return _discord_min(rho, spectrum, _marginals(rho), grid_points, scan_phase)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermat
-from .cloner import _amplitudes, build_output_batch, build_output_state, valid_j_range
+from .cloner import _amplitudes, _physical_state, build_output_batch, valid_j_range
 from .errors import DomainError
 # unused; bench/test_bench.py::test_every_binding_is_traced_and_restored checks this binding
 from .search import bisect_boundary  # noqa: F401
@@ -96,15 +96,7 @@ def classify(alpha, j):
     shortcut is evaluated alongside and any disagreement is reported in the
     verdict's agreement flag.
     """
-    (alpha, _), j = _amplitudes(alpha), float(j)
-    rho = build_output_state(alpha, j)
-    min_eig = hermat.eig_sym4(rho)[-1]
-    if min_eig < hermat.STATE_EIG_FLOOR:
-        exc = DomainError(
-            f"output state unphysical at alpha={alpha}, j={j}: "
-            f"minimum eigenvalue {min_eig:.6e}")
-        exc.min_eigenvalue = float(min_eig)
-        raise exc
+    rho, _ = _physical_state(alpha, j)
     return _ppt_verdict(rho)
 
 
@@ -147,9 +139,9 @@ def separable_intervals(alpha):
 
     alpha is a number in [-1, 1] and beta = +sqrt(1 - alpha^2). The result
     is [JInterval(r1, r2)] when g has two real roots r1 <= r2 in (1/6, 1/3)
-    (clipped to the physical window, one valid_j_range call), and []
-    otherwise. With k = alpha^2 beta^2 <= 1/4 and n = 1 - 2j,
-    W4 = (j/2) g(j) for
+    (clipped to the physical window, one valid_j_range call),
+    [JInterval(0, 0)] for alpha in {0, +-1} (see below), and [] otherwise.
+    With k = alpha^2 beta^2 <= 1/4 and n = 1 - 2j, W4 = (j/2) g(j) for
 
         g(j) = k n^2 (6j-1) - 2j^3 = (24k-2) j^3 - 28k j^2 + 10k j - k,
 
@@ -178,13 +170,16 @@ def separable_intervals(alpha):
     and rounded once, so the step corrects the Viete value's rounding. The
     step is kept only when it stays in the root's bracket, [1/6, 3/14] or
     [3/14, 1/3], so it never reorders the roots and never raises. For
-    alpha in {0, +-1}, k = 0 and the list is empty.
+    alpha in {0, +-1}, k = 0 and g(j) = -2j^3 vanishes only at j = 0, where
+    rho is the product |11><11| or |00><00|: the result is [JInterval(0, 0)].
     """
     alpha, _ = _amplitudes(alpha)
     lo, hi = valid_j_range(alpha)
     p, d = alpha.as_integer_ratio()
     p2, d2 = p * p, d * d
     kn, kd = p2 * (d2 - p2), d2 * d2   # k = alpha^2 (1 - alpha^2) = kn / kd exactly
+    if kn == 0:
+        return [JInterval(0.0, 0.0)]
     if 128 * kn < 27 * kd:
         return []
     k = kn / kd

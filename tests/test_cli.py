@@ -13,6 +13,7 @@ from clonecorr import (build_output_state, check_machine_constraints, classify, 
                        valid_j_range, w3_closed, w4_closed)
 from clonecorr.cli import (CSV_HEADER, ConfigError, RunConfig, build_config,
                            load_config_file, main, table1_rows)
+from clonecorr.errors import DomainError
 from oracles import surface_text_rows
 
 SMALL_SURFACE = ["--alpha", "0.3,0.7", "--j-min", "0.17", "--j-max", "0.3",
@@ -408,6 +409,12 @@ class TestTable1:
         assert a.lo == pytest.approx(b.lo, abs=2e-6)
         assert a.hi == pytest.approx(b.hi, abs=2e-6)
 
+    def test_product_rows_are_separable_at_j_zero(self, capsys):
+        # alpha in {0, +-1}: the state at j = 0 is a product, entangled for every j > 0
+        assert main(["table1", "--alpha", "0,1,-1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[1:4] for row in rows] == [["[0.000,", "0.000]", "Separable"]] * 3
+
     def test_mismatch_exits_3(self, monkeypatch, capsys):
         monkeypatch.setitem(cli.REFERENCE_INTERVALS, 0.6, (0.10, 0.15))
         rc = main(["table1", "--alpha", "0.6"])
@@ -551,6 +558,14 @@ class TestPoint:
         err = capsys.readouterr().err
         assert "unphysical" in err
         assert "physical j range" in err
+
+    def test_unphysical_point_is_refused_as_classify_refuses_it(self):
+        with pytest.raises(DomainError, match="physical j range") as by_report:
+            cli.point_report(0.5, 0.1)
+        with pytest.raises(DomainError) as by_classify:
+            classify(0.5, 0.1)
+        assert str(by_classify.value) == str(by_report.value)
+        assert by_classify.value.min_eigenvalue == by_report.value.min_eigenvalue < -1e-10
 
 
 class TestSelftest:

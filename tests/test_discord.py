@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from clonecorr import (build_output_batch, build_output_state,
                        valid_j_range, vn_entropy)
 import clonecorr.discord as discord_module
 from clonecorr.discord import DiscordResult
+from clonecorr import hermat
 from clonecorr.hermat import plogp, validate_state
 from clonecorr.errors import DomainError, InvalidStateError
 from clonecorr.search import golden_min
@@ -515,6 +519,45 @@ class TestDiscordMin:
         rho[3, 3] = np.nan
         with pytest.raises(InvalidStateError, match="NaN or infinite"):
             discord_min(rho)
+
+
+# the five discord functions of a user state, at one basis where they take one
+USER_STATE_FUNCTIONS = {
+    "conditional_entropy": lambda rho: conditional_entropy(rho, 0.3, 0.7),
+    "mutual_info_j": mutual_info_j,
+    "mutual_info_i": lambda rho: mutual_info_i(rho, 0.3, 0.7),
+    "discord_at": lambda rho: discord_at(rho, 0.3, 0.7),
+    "discord_min": discord_min,
+}
+
+
+class TestUserStateAdmission:
+    """Each discord function takes a user matrix through one check, discord._admitted."""
+
+    @pytest.mark.parametrize("name", USER_STATE_FUNCTIONS)
+    def test_complex_typed_state_gives_the_float_bits(self, name):
+        f = USER_STATE_FUNCTIONS[name]
+        rho = build_output_state(0.7, 0.22)
+        want = f(rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # numpy's ComplexWarning included
+            got = f(rho.astype(complex))
+        if name == "discord_min":
+            got, want = dataclasses.astuple(got), dataclasses.astuple(want)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("name", USER_STATE_FUNCTIONS)
+    def test_two_by_two_state_is_refused(self, name):
+        with pytest.raises(InvalidStateError, match="4x4 state"):
+            USER_STATE_FUNCTIONS[name](np.eye(2) / 2)
+
+    @pytest.mark.parametrize("name", USER_STATE_FUNCTIONS)
+    def test_state_is_validated_once(self, monkeypatch, name):
+        calls = []
+        eig_sym4 = hermat.eig_sym4
+        monkeypatch.setattr(hermat, "eig_sym4", lambda m: calls.append(m) or eig_sym4(m))
+        USER_STATE_FUNCTIONS[name](build_output_state(0.7, 0.22))
+        assert len(calls) == 1
 
 
 class TestDiscordSurface:

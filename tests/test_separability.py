@@ -186,7 +186,15 @@ class TestSeparableIntervals:
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
     def test_empty_for_entangled_rows(self, alpha):
-        assert separable_intervals(alpha) == []
+        # no separable j > 0; at alpha = 1 the state at j = 0 is |00><00|, a product
+        assert separable_intervals(alpha) == ([JInterval(0.0, 0.0)] if alpha == 1.0 else [])
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0])
+    def test_product_rows_are_separable_at_j_zero_only(self, alpha):
+        # k = 0, so g(j) = -2j^3; rho at j = 0 is |11><11| or |00><00|
+        assert separable_intervals(alpha) == [JInterval(0.0, 0.0)]
+        assert classify(alpha, 0.0).classification == "Separable"
+        assert classify(alpha, 1e-3).classification == "Entangled"
 
     def test_alpha_beta_symmetry(self):
         a = separable_intervals(0.6)[0]
@@ -213,7 +221,9 @@ class TestSeparableIntervals:
         for alpha in [0.0, 1.0, 0.5498, 0.5499, 0.6, 0.7, 0.8, 0.8352, *stratified,
                       0.54987, 0.54988, 0.83524, 0.83525]:
             got = [(iv.lo, iv.hi) for iv in separable_intervals(alpha)]
-            want = separable_intervals_scan(alpha)
+            # the scan starts at j = 1e-4, so it cannot see the separable j = 0
+            # of alpha in {0, 1}; there the exact set is the point j = 0
+            want = [(0.0, 0.0)] if alpha in (0.0, 1.0) else separable_intervals_scan(alpha)
             assert len(got) == len(want), f"alpha={alpha}: {got} vs {want}"
             for iv, ref in zip(got, want):
                 assert np.allclose(iv, ref, rtol=0.0, atol=1e-6), f"alpha={alpha}: {got} vs {want}"
