@@ -100,11 +100,16 @@ def _fidelity(alpha, rho_a):
     return float(chi @ rho_a @ chi)
 
 
-def _triplet_cubic_at_floor(k, j):
-    """f(-eps) for the triplet cubic f, eps = -STATE_EIG_FLOOR; k = alpha^2 beta^2."""
+def _physical_at_floor(k):
+    """j -> f(-eps) <= 0 for the triplet cubic f at k = alpha^2 beta^2; j a number or an array."""
     eps = -hermat.STATE_EIG_FLOOR
-    n = 1.0 - 2.0 * j
-    return ((-eps - 1.0) * eps - 2.0 * j * n) * eps - k * n * n * (2.0 * j - 0.5 * n)
+    head = (-eps - 1.0) * eps
+
+    def is_physical(j):
+        j2 = 2.0 * j
+        n = 1.0 - j2
+        return (head - j2 * n) * eps - k * n * n * (j2 - 0.5 * n) <= 0.0
+    return is_physical
 
 
 def valid_j_range(alpha):
@@ -120,18 +125,13 @@ def valid_j_range(alpha):
     both of its j-dependent terms are <= 0, and strictly decreasing on
     [0, 1/6], where its derivative -2 eps (1 - 4j) - k n (5 - 18j) is
     negative. So lo is 0 when F(0) <= 0, i.e. k <= 2 (1 + eps) eps^2, and
-    otherwise the one root of F in [0, 1/6], bisected to WINDOW_TOL. No
-    state is built and no spectrum is taken.
+    otherwise the one root of F in [0, 1/6], bisected to WINDOW_TOL by the
+    test F(j) <= 0, built once per alpha with F's j-free part precomputed.
     """
     a, b = _amplitudes(alpha)
-    k = (a * b) ** 2
-    if _triplet_cubic_at_floor(k, 0.0) <= 0.0:
-        return (0.0, 0.5)
-
-    def is_physical(j):
-        return _triplet_cubic_at_floor(k, j) <= 0.0
-
-    return (bisect_boundary(is_physical, 0.0, 1.0 / 6.0, WINDOW_TOL), 0.5)
+    is_physical = _physical_at_floor((a * b) ** 2)
+    lo = 0.0 if is_physical(0.0) else bisect_boundary(is_physical, 0.0, 1.0 / 6.0, WINDOW_TOL)
+    return (lo, 0.5)
 
 
 def _physical_state(alpha, j):

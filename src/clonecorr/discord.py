@@ -66,7 +66,7 @@ import numpy as np
 
 from . import hermat
 from .cloner import build_output_batch
-from .errors import DomainError
+from .errors import DomainError, InvalidStateError
 from .search import golden_min
 
 # outcome probabilities at or below this are degenerate and contribute 0
@@ -143,9 +143,13 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     single-state, single-angle value bit for bit. Degenerate branches
     contribute 0; conditional spectra are clipped to their positive part,
     which leaves valid states untouched and keeps the value finite when rho
-    is not positive semidefinite (unphysical sweep regions).
+    is not positive semidefinite (unphysical sweep regions). A complex rho
+    is refused if any imaginary part exceeds HERM_ATOL, else taken as real.
     """
-    rho = np.asarray(rho, dtype=float)
+    rho = np.asarray(rho)
+    if np.iscomplexobj(rho) and (np.abs(rho.imag) > hermat.HERM_ATOL).any():
+        raise InvalidStateError("state has complex entries")
+    rho = np.asarray(rho.real, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     phi = np.asarray(phi, dtype=float)
     angles = np.broadcast_shapes(ts.shape, phi.shape)

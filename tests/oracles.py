@@ -8,8 +8,10 @@ arithmetic that its batched code must reproduce bit for bit, and
 valid_j_range_jacobi, the physical-window search with every spectrum,
 bisection steps included, from the package's Jacobi solver; the package's
 valid_j_range, one bisection of the triplet cubic on [0, 1/6], must match
-it within 5e-7. window_edge_roots is the exact lower edge of that window:
-the root in [0, 1/6] of the same cubic written as a polynomial in j.
+it within 5e-7, and valid_j_range_reference, the same cubic bisection
+with F recomputed from scratch at each step, bit for bit.
+window_edge_roots is the exact lower edge of that window: the root in
+[0, 1/6] of the same cubic written as a polynomial in j.
 conditional_entropy_curve_complex is the complex-arithmetic kernel that the
 package's real-arithmetic one replaced: equal bit for bit at phi = 0, within
 rounding elsewhere. separable_intervals_scan is the grid-scan-plus-bisection
@@ -22,7 +24,7 @@ import json
 
 import numpy as np
 
-from clonecorr.cloner import build_output_batch
+from clonecorr.cloner import WINDOW_TOL, _amplitudes, build_output_batch
 from clonecorr.discord import DEGENERATE_P, conditional_entropy_curve
 from clonecorr.hermat import STATE_EIG_FLOOR, jacobi_eigvals, plogp
 from clonecorr.search import bisect_boundary
@@ -240,6 +242,33 @@ def valid_j_range_jacobi(alpha, tol=1e-6):
     lo = js[i0] if i0 == 0 else bisect_boundary(is_physical, js[i0 - 1], js[i0], tol)
     hi = js[i1] if i1 == len(js) - 1 else bisect_boundary(is_physical, js[i1 + 1], js[i1], tol)
     return (float(lo), float(hi))
+
+
+def valid_j_range_reference(alpha):
+    """The physical j window with F(j) = f(-eps) evaluated from scratch at each point.
+
+    The package's earlier arrangement of valid_j_range: F is a function of
+    (k, j) that recomputes eps and its j-free part on every call, wrapped in
+    a second function for the bisection, with the same float operations in
+    the same order and the same bisect_boundary call. The package's
+    valid_j_range, which builds its test once per alpha, must equal it bit
+    for bit and make the same number of predicate evaluations.
+    """
+    a, b = _amplitudes(alpha)
+    k = (a * b) ** 2
+
+    def cubic_at_floor(j):
+        eps = -STATE_EIG_FLOOR
+        n = 1.0 - 2.0 * j
+        return ((-eps - 1.0) * eps - 2.0 * j * n) * eps - k * n * n * (2.0 * j - 0.5 * n)
+
+    if cubic_at_floor(0.0) <= 0.0:
+        return (0.0, 0.5)
+
+    def is_physical(j):
+        return cubic_at_floor(j) <= 0.0
+
+    return (bisect_boundary(is_physical, 0.0, 1.0 / 6.0, WINDOW_TOL), 0.5)
 
 
 def window_edge_roots(alpha):

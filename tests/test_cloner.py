@@ -8,12 +8,15 @@ from clonecorr import (FEASIBLE_J, build_output_batch, build_output_state,
                        check_machine_constraints, classify, clone_fidelity, discord_surface,
                        eig_sym4, reduced_clone, separable_intervals, swap_qubits, valid_j_range,
                        w3_closed, w4_closed)
-from clonecorr import hermat
+from clonecorr import cloner, hermat
 from clonecorr.cli import point_report
-from clonecorr.cloner import _amplitudes, _triplet_cubic_at_floor
+from clonecorr.cloner import _amplitudes, _physical_at_floor
+from clonecorr.search import bisect_boundary
 from clonecorr.separability import scan_grid
 from clonecorr.errors import DomainError
-from oracles import output_states, valid_j_range_jacobi, window_edge_roots
+import oracles
+from oracles import (output_states, valid_j_range_jacobi, valid_j_range_reference,
+                     window_edge_roots)
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 X_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -231,8 +234,36 @@ class TestValidJRange:
         for alpha in alphas:
             a, b = _amplitudes(alpha)
             min_eigs = np.linalg.eigvalsh(build_output_batch(alpha, js))[:, 0]
-            cubic = _triplet_cubic_at_floor((a * b) ** 2, js)
-            assert np.array_equal(cubic <= 0.0, min_eigs >= hermat.STATE_EIG_FLOOR), alpha
+            flags = _physical_at_floor((a * b) ** 2)(js)
+            assert np.array_equal(flags, min_eigs >= hermat.STATE_EIG_FLOOR), alpha
+
+    def test_equals_reference_bit_for_bit(self):
+        # the test built once per alpha gives the same edges as F evaluated
+        # from scratch at every step; +-1.4e-10 and +-1.5e-10 sit either side
+        # of the F(0) <= 0 early return
+        rng = np.random.default_rng(24)
+        alphas = [*rng.uniform(-1.0, 1.0, 20000), 0.0, 1.0, -1.0, 1.4e-10, -1.4e-10,
+                  1.5e-10, -1.5e-10, 2 ** -0.5, -(2 ** -0.5), 1 - 1e-12]
+        for alpha in alphas:
+            assert valid_j_range(alpha) == valid_j_range_reference(alpha), alpha
+        assert valid_j_range(1.4e-10)[0] == 0.0 < valid_j_range(1.5e-10)[0]
+
+    @pytest.mark.parametrize("alpha, evals", [(0.7, 48), (1.4e-10, 0)])
+    def test_same_predicate_evaluations_as_reference(self, monkeypatch, alpha, evals):
+        counts = []
+
+        def counting(pred, *args):
+            def counted(x):
+                counts[-1] += 1
+                return pred(x)
+            return bisect_boundary(counted, *args)
+
+        monkeypatch.setattr(cloner, "bisect_boundary", counting)
+        monkeypatch.setattr(oracles, "bisect_boundary", counting)
+        for window in (valid_j_range, valid_j_range_reference):
+            counts.append(0)
+            window(alpha)
+        assert counts == [evals, evals]
 
     def test_window_edge_agrees_with_point_report(self):
         # point_report's own eig_sym4 physicality test accepts j just above lo

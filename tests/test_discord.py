@@ -560,6 +560,29 @@ class TestUserStateAdmission:
         assert len(calls) == 1
 
 
+class TestCurveComplexInput:
+    """conditional_entropy_curve takes rho's real part only when rho is real within HERM_ATOL."""
+
+    def test_complex_state_is_refused(self):
+        # psi = (|00> + i|11>)/sqrt 2: its real part is another state, with H(a|b) = 0.4275
+        psi = np.array([1.0, 0.0, 0.0, 1.0j]) / np.sqrt(2.0)
+        rho = np.outer(psi, psi.conj())
+        for phi in (0.0, 0.4, [0.0, 0.4]):
+            with pytest.raises(InvalidStateError, match="complex entries"):
+                conditional_entropy_curve(rho, [0.3], phi)
+
+    def test_complex_typed_stack_gives_the_float_bits(self):
+        rho = build_output_batch(0.7, [0.2, 0.3, 0.45])
+        ts = np.linspace(0.0, np.pi / 2, 9)
+        noise = 1e-13 * np.ones((3, 4, 4))
+        for phi in (0.0, np.array([[0.0], [0.4]])):
+            want = conditional_entropy_curve(rho, ts, phi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # numpy's ComplexWarning included
+                assert same_bits(conditional_entropy_curve(rho.astype(complex), ts, phi), want)
+                assert same_bits(conditional_entropy_curve(rho + 1j * noise, ts, phi), want)
+
+
 class TestDiscordSurface:
     def test_single_point_grid_equals_discord_at(self):
         discord, physical = discord_surface(0.6, [0.2], [0.4])
