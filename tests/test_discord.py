@@ -320,6 +320,23 @@ class TestConditionalEntropy:
                 want = real if phi == 0.0 else conditional_entropy_curve(rho, ts, phi)
                 assert same_bits(block[..., r, :], want), (k, r)
 
+    def test_all_real_phase_block_is_the_real_row_bitwise(self):
+        # phi all +0.0 or all -0.0 over B > 1 rows: the real family alone,
+        # its (outcome, state, t) terms broadcast up to the full (B, t) block
+        ts = np.r_[np.linspace(0.0, np.pi, 37), np.pi / 4, 0.3]
+        for k, rho in enumerate(oracle_states()):
+            real = conditional_entropy_curve(rho, ts)
+            for phis in (np.zeros((5, 1)), np.full((3, 1), -0.0)):
+                want = np.stack([real] * len(phis), -2)
+                for t_arg in (ts, np.broadcast_to(ts, (len(phis), ts.size))):
+                    assert same_bits(conditional_entropy_curve(rho, t_arg, phis), want), k
+
+    @pytest.mark.parametrize("shape", [(2, 8), (16,), (1, 16), (3, 4, 2)])
+    def test_curve_refuses_a_non_4x4_shape(self, shape):
+        for phi in (0.0, 0.4):
+            with pytest.raises(InvalidStateError, match=r"expected \(\.\.\., 4, 4\), got shape"):
+                conditional_entropy_curve(np.full(shape, 1 / 16), [0.3], phi)
+
     def test_broadcast_view_ts_matches_materialized(self):
         rho = build_output_state(0.7, 0.22)
         ts = np.linspace(0.0, np.pi / 2, 97, endpoint=False)
@@ -558,6 +575,26 @@ class TestUserStateAdmission:
         monkeypatch.setattr(hermat, "eig_sym4", lambda m: calls.append(m) or eig_sym4(m))
         USER_STATE_FUNCTIONS[name](build_output_state(0.7, 0.22))
         assert len(calls) == 1
+
+
+class TestNonFiniteAngles:
+    """A NaN or infinite basis angle raises DomainError instead of giving NaN."""
+
+    @pytest.mark.parametrize("f", [conditional_entropy, mutual_info_i, discord_at])
+    @pytest.mark.parametrize("t, phi", [(np.nan, 0.0), (np.inf, 0.0), (0.3, np.nan),
+                                        (0.3, -np.inf)])
+    def test_basis_functions_refuse(self, f, t, phi):
+        rho = build_output_state(0.7, 0.22)
+        with pytest.raises(DomainError, match="must be finite"):
+            f(rho, t, phi)
+        if phi == 0.0:
+            with pytest.raises(DomainError, match="must be finite"):
+                f(rho, t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_surface_refuses_t_grid(self, bad):
+        with pytest.raises(DomainError, match="must be finite"):
+            discord_surface(0.5, [0.2, 0.3], [0.1, bad])
 
 
 class TestCurveComplexInput:
