@@ -24,11 +24,11 @@ import numpy as np
 from . import hermat
 from .cloner import (_fidelity, _physical_state, build_output_batch, build_output_state,
                      check_machine_constraints, clone_fidelity, valid_j_range)
-from .discord import (_discord_min, _marginals, conditional_entropy_curve, discord_at, discord_min,
-                      discord_surface, mutual_info_i, mutual_info_j)
+from .discord import (_discord_min, _marginals, _surface, conditional_entropy_curve, discord_at,
+                      discord_min, mutual_info_i, mutual_info_j)
 from .errors import DomainError
-from .separability import (_ppt_verdict, ppt_data, scan_grid, separable_intervals, w3_closed,
-                           w4_closed)
+from .separability import (_ppt_triple, _ppt_verdict, ppt_data, scan_grid, separable_intervals,
+                           w3_closed, w4_closed)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -285,12 +285,19 @@ def surface_records(alpha, cfg):
     and "discord" (J, T). Row (j, t) of the output files is
     (alpha, j, t, discord[j, t], then the per-j fields). With enforce_psd
     the unphysical j are dropped, so J may be 0.
+
+    The states are built once, and they and their partial transposes take
+    one jacobi_eigvals call; _surface and _ppt_triple then give
+    discord_surface's and ppt_data's bits.
     """
     j_grid, t_grid = cfg.j_grid(), cfg.t_grid()
     if j_grid.size == 0:
         raise ConfigError("empty j grid")
-    discord, physical = discord_surface(alpha, j_grid, t_grid)
-    w3, w4, min_ppt = ppt_data(build_output_batch(alpha, j_grid))
+    rhos = build_output_batch(alpha, j_grid)
+    sigmas = hermat.partial_transpose_b(rhos)
+    spectra, ppt_spectra = hermat.jacobi_eigvals(np.stack([rhos, sigmas]))
+    discord, physical = _surface(rhos, spectra, t_grid)
+    w3, w4, min_ppt = _ppt_triple(sigmas, ppt_spectra)
     classification = np.where(
         physical, np.where(min_ppt >= hermat.STATE_EIG_FLOOR, "Separable", "Entangled"),
         "Unphysical")

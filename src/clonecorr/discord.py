@@ -57,7 +57,8 @@ the benchmark's count of kernel angles per phase query.
 
 discord_surface evaluates the unminimized discord on a whole (j, t) grid
 as arrays: one batch of output states, one batched spectrum and one
-conditional-entropy call over the (j, t) grid.
+conditional-entropy call over the (j, t) grid. Its formula and physical
+flag are written once, in _surface, which cli.surface_records shares.
 """
 
 import math
@@ -463,7 +464,11 @@ def discord_surface(alpha, j_grid, t_grid):
     if not np.isfinite(t_grid).all():
         raise DomainError("t grid must be finite")
     rhos = build_output_batch(alpha, j_grid)
-    spectra = hermat.jacobi_eigvals(rhos)
+    return _surface(rhos, hermat.jacobi_eigvals(rhos), t_grid)
+
+
+def _surface(rhos, spectra, t_grid):
+    """discord_surface's (discord, physical) from a (J, 4, 4) stack and its descending spectra."""
     physical = spectra[:, -1] >= hermat.STATE_EIG_FLOOR
     hab = hermat.plogp(spectra).sum(axis=-1)
     hb = hermat.plogp(hermat.eig_herm2(hermat.partial_trace(rhos, "b"))).sum(axis=-1)

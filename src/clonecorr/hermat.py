@@ -9,12 +9,13 @@ cofactor determinants operate on (..., n, n) batches so parameter scans
 stay cheap.
 
 Jacobi serves only the two stacks behind the sha256-pinned surface files
-(in the tests and in bench/pinned.json): the states of
-discord.discord_surface and their partial transposes in a stack call of
-separability.ppt_data. There eigvalsh changes the last printed digit of
-some rows, and the benchmark pins Jacobi's per-op stack count. Every other
-spectrum is LAPACK, one matrix through eig_sym4. cloner.valid_j_range takes
-no spectrum: it tests the sign of the triplet cubic at the eigenvalue floor.
+(in the tests and in bench/pinned.json): a surface's states and their
+partial transposes, in one call on their (2, J, 4, 4) stack from
+cli.surface_records (discord_surface and separability.ppt_data take one
+stack a call). There eigvalsh changes the last printed digit of some rows,
+and the benchmark pins Jacobi's per-op matrix count. Every other spectrum
+is LAPACK, one matrix through eig_sym4. cloner.valid_j_range takes no
+spectrum: it tests the sign of the triplet cubic at the eigenvalue floor.
 A single eigvalsh call is about 80x faster than a one-matrix Jacobi batch, and
 on copier states and their partial transposes the two agree to about 2e-15.
 The exact spectra planned in ROADMAP.md revise those pins and then delete
@@ -26,6 +27,8 @@ False against every tolerance, so it would otherwise pass as a state.
 Basis convention for two-qubit operators: |00>, |01>, |10>, |11>, first
 index = clone a, second = clone b.
 """
+
+import math
 
 import numpy as np
 
@@ -72,56 +75,55 @@ def eig_herm2(m):
 
 
 def jacobi_eigvals(mats):
-    """Eigenvalues of a batch of real symmetric 4x4 matrices, descending.
+    """Eigenvalues of stacks of real symmetric 4x4 matrices: (..., 4, 4) -> (..., 4), descending.
 
-    Cyclic Jacobi rotations over the six upper-triangle positions until the
-    off-diagonal Frobenius norm of every matrix in the batch drops below
-    JACOBI_OFF_TOL. Raises ConvergenceError after JACOBI_MAX_SWEEPS sweeps.
-
-    Parameters
-    ----------
-    mats : array_like, shape (..., 4, 4)
-        Real symmetric matrices. Symmetry is the caller's responsibility
-        here; use eig_sym4 for the validating single-matrix entry point.
-
-    Returns
-    -------
-    ndarray, shape (..., 4)
+    Cyclic Jacobi rotations over the six upper-triangle positions. Leading
+    axes index independent stacks (the last batch axis): each is rotated until
+    its own largest off-diagonal Frobenius norm is at most JACOBI_OFF_TOL, so
+    a (k, m, 4, 4) call equals its k (m, 4, 4) calls bit for bit. Symmetry is
+    the caller's responsibility; eig_sym4 is the validating single-matrix
+    entry point. Raises ConvergenceError after JACOBI_MAX_SWEEPS sweeps and
+    InvalidStateError on a shape other than (..., 4, 4) or a NaN or infinite
+    entry.
     """
     a = np.array(mats, dtype=float)
+    if a.shape[-2:] != (4, 4):
+        raise InvalidStateError(f"expected (..., 4, 4), got shape {a.shape}")
+    _require_finite(a)
     batch_shape = a.shape[:-2]
-    a = a.reshape(-1, 4, 4)
+    a = a.reshape((math.prod(batch_shape[:-1]), math.prod(batch_shape[-1:]), 4, 4))
 
     def max_off2(x):
         off = x.copy()
-        off[:, range(4), range(4)] = 0.0
-        return (off ** 2).sum(axis=(1, 2)).max()
+        off[..., range(4), range(4)] = 0.0
+        return (off ** 2).sum(axis=(-2, -1)).max(axis=-1, initial=0.0)
 
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if max_off2(a) <= JACOBI_OFF_TOL ** 2:
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
+        off2 = max_off2(a)
+        active = ~(off2 <= JACOBI_OFF_TOL ** 2)   # a NaN norm stays active
+        if not active.any():
             break
-        for p, q in _JACOBI_PAIRS:
-            apq = a[:, p, q]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                theta = (a[:, q, q] - a[:, p, p]) / (2.0 * apq)
+        if sweep == JACOBI_MAX_SWEEPS:
+            raise ConvergenceError(f"Jacobi sweep budget of {JACOBI_MAX_SWEEPS} exhausted "
+                                   f"(max off-diagonal norm {np.sqrt(off2.max()):.3e})")
+        b = a if active.all() else a[active]   # the stacks still rotating
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for p, q in _JACOBI_PAIRS:
+                apq = b[..., p, q]
+                theta = (b[..., q, q] - b[..., p, p]) / (2.0 * apq)
                 sgn = np.where(theta >= 0.0, 1.0, -1.0)
-                t = np.where(apq == 0.0, 0.0,
-                             sgn / (np.abs(theta) + np.hypot(theta, 1.0)))
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            cp, cq = a[:, :, p].copy(), a[:, :, q].copy()
-            a[:, :, p] = c[:, None] * cp - s[:, None] * cq
-            a[:, :, q] = s[:, None] * cp + c[:, None] * cq
-            rp, rq = a[:, p, :].copy(), a[:, q, :].copy()
-            a[:, p, :] = c[:, None] * rp - s[:, None] * rq
-            a[:, q, :] = s[:, None] * rp + c[:, None] * rq
-    if max_off2(a) > JACOBI_OFF_TOL ** 2:
-        raise ConvergenceError(
-            f"Jacobi sweep budget of {JACOBI_MAX_SWEEPS} exhausted "
-            f"(max off-diagonal norm {np.sqrt(max_off2(a)):.3e})")
+                t = np.where(apq == 0.0, 0.0, sgn / (np.abs(theta) + np.hypot(theta, 1.0)))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                c, s = c[..., None], (t * c)[..., None]
+                # each pair of new columns (then rows) from the old pair, then written
+                cp, cq = b[..., :, p], b[..., :, q]
+                b[..., :, p], b[..., :, q] = c * cp - s * cq, s * cp + c * cq
+                rp, rq = b[..., p, :], b[..., q, :]
+                b[..., p, :], b[..., q, :] = c * rp - s * rq, s * rp + c * rq
+        if b is not a:
+            a[active] = b
 
-    eigs = a[:, range(4), range(4)]
-    eigs = -np.sort(-eigs, axis=1)
+    eigs = -np.sort(-a[..., range(4), range(4)], axis=-1)
     return eigs.reshape(batch_shape + (4,))
 
 

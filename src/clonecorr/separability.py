@@ -12,7 +12,8 @@ give an equivalent shortcut test (both nonnegative <=> separable). classify
 evaluates its agreement with the spectral check on every call and surfaces
 it in the verdict rather than assuming it. ppt_data computes W3, W4 (as
 cofactor determinants) and the minimum PPT eigenvalue for one state (LAPACK)
-or a whole stack of states (Jacobi); classify and scan_grid go through it.
+or a whole stack of states (Jacobi) through _ppt_triple, which
+cli.surface_records shares; classify and scan_grid go through ppt_data.
 
 separable_intervals needs neither spectra nor W3: with k = alpha^2 beta^2
 and n = 1 - 2j, W4 = (j/2) g(j) for the cubic g(j) = k n^2 (6j-1) - 2j^3,
@@ -84,6 +85,11 @@ def ppt_data(rhos):
     """
     sigmas = hermat.partial_transpose_b(rhos)
     spectra = hermat.eig_sym4(sigmas) if sigmas.ndim == 2 else hermat.jacobi_eigvals(sigmas)
+    return _ppt_triple(sigmas, spectra)
+
+
+def _ppt_triple(sigmas, spectra):
+    """ppt_data's (W3, W4, minimum eigenvalue) from partial transposes and their spectra."""
     return hermat._det3(sigmas[..., :3, :3]), hermat._det4(sigmas), spectra[..., -1]
 
 

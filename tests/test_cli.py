@@ -9,8 +9,9 @@ import pytest
 
 import clonecorr.cli as cli
 from clonecorr import (build_output_state, check_machine_constraints, classify, clone_fidelity,
-                       cloner, discord_at, discord_min, eig_sym4, hermat, partial_trace,
-                       valid_j_range, w3_closed, w4_closed)
+                       cloner, discord, discord_at, discord_min, discord_surface, eig_sym4,
+                       hermat, partial_trace, ppt_data, separability, valid_j_range, w3_closed,
+                       w4_closed)
 from clonecorr.cli import (CSV_HEADER, ConfigError, RunConfig, build_config,
                            load_config_file, main, table1_rows)
 from clonecorr.errors import DomainError
@@ -287,6 +288,45 @@ class TestSurface:
         assert rc == 0
         assert (out / f"surface_alpha0.7.{fmt}").read_text() == text
         assert "wrote 0 rows" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 2 ** -0.5, 0.7, -0.3, 1.5e-10, 1e-6,
+                                       1 - 1e-12])
+    @pytest.mark.parametrize("overrides", [{}, {"j_min": 0.0, "j_step": 0.0137, "t_points": 7},
+                                           {"j_min": 0.3, "j_max": 0.3, "t_points": 1}])
+    def test_records_are_discord_surface_and_ppt_data(self, alpha, overrides):
+        # one formula behind both entry points: the records' fields equal the
+        # public functions' results on the same grid, bit for bit
+        cfg = RunConfig(**overrides).validate()
+        js, ts = cfg.j_grid(), cfg.t_grid()
+        grid = cli.surface_records(alpha, cfg)
+        surface, physical = discord_surface(alpha, js, ts)
+        w3, w4, min_ppt = ppt_data(cloner.build_output_batch(alpha, js))
+        for key, want in [("discord", surface), ("physical", physical), ("w3", w3), ("w4", w4),
+                          ("min_ppt_eig", min_ppt)]:
+            got = grid[key]
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), key
+
+    def test_one_state_build_and_one_spectrum_call(self, monkeypatch):
+        # every module binding of build_output_batch is counted, so a second
+        # build by any route shows; the one Jacobi call takes both stacks
+        builds, spectra = [], []
+        build = cloner.build_output_batch
+
+        def counted(alpha, js):
+            builds.append(np.size(js))
+            return build(alpha, js)
+
+        for module in (cloner, cli, discord, separability):
+            monkeypatch.setattr(module, "build_output_batch", counted)
+        jacobi = hermat.jacobi_eigvals
+        monkeypatch.setattr(hermat, "jacobi_eigvals",
+                            lambda mats: spectra.append(np.shape(mats)) or jacobi(mats))
+        cfg = RunConfig().validate()
+        n_j = len(cfg.j_grid())
+        cli.surface_records(0.7, cfg)
+        assert builds == [n_j]
+        assert spectra == [(2, n_j, 4, 4)]
 
     def test_negative_alpha_mirrors_positive(self):
         cfg = RunConfig().validate()

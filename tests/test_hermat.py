@@ -6,7 +6,8 @@ import pytest
 from clonecorr import (build_output_batch, build_output_state, eig_herm2, eig_sym4, hermat,
                        jacobi_eigvals, partial_trace, partial_transpose_b, principal_minor,
                        swap_qubits, vn_entropy)
-from clonecorr.errors import InvalidStateError
+from clonecorr.cli import RunConfig
+from clonecorr.errors import ConvergenceError, InvalidStateError
 from clonecorr.hermat import validate_state
 from oracles import bell_phi_plus, charpoly_eigvals_sym4, random_herm2, random_sym4
 
@@ -130,7 +131,6 @@ class TestEigSym4:
                                            rtol=0, atol=1e-14)
 
     def test_exhausted_sweep_budget_raises(self, monkeypatch):
-        from clonecorr.errors import ConvergenceError
         monkeypatch.setattr(hermat, "JACOBI_MAX_SWEEPS", 0)
         rng = np.random.default_rng(1)
         with pytest.raises(ConvergenceError, match="budget of 0"):
@@ -153,6 +153,78 @@ class TestEigSym4:
             ev2 = eig_herm2(m2)
             assert abs(ev2.sum() - np.trace(m2).real) <= 1e-12
             assert abs((ev2 ** 2).sum() - (np.abs(m2) ** 2).sum()) <= 1e-10
+
+
+class TestJacobiEigvals:
+    """jacobi_eigvals: independent stacks on the leading axes, and its refusals."""
+
+    # the default surface's j grid; near-product alphas converge in different
+    # sweep counts for the states and their partial transposes
+    DEFAULT_JS = RunConfig().j_grid()
+    ALPHAS = [0.0, 1.0, -1.0, 2 ** -0.5, -2 ** -0.5, 1.5e-10, 1e-6, 1 - 1e-12]
+
+    @staticmethod
+    def _stacks(alpha, js):
+        rhos = build_output_batch(alpha, js)
+        return rhos, partial_transpose_b(rhos)
+
+    def test_stacked_call_equals_separate_calls_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        alphas = self.ALPHAS + rng.uniform(-1.0, 1.0, 80).tolist()
+        alphas += (10.0 ** rng.uniform(-14.0, -3.0, 80) * rng.choice([-1.0, 1.0], 80)).tolist()
+        grids = [self.DEFAULT_JS] + [np.sort(rng.uniform(0.0, 0.5, rng.integers(1, 120)))
+                                     for _ in range(20)]
+        cases = [(alpha, self.DEFAULT_JS) for alpha in alphas]
+        cases += [(alpha, grids[k % len(grids)]) for k, alpha in enumerate(alphas)]
+        for alpha, js in cases:
+            rhos, sigmas = self._stacks(alpha, js)
+            stacked = jacobi_eigvals(np.stack([rhos, sigmas]))
+            separate = np.stack([jacobi_eigvals(rhos), jacobi_eigvals(sigmas)])
+            assert stacked.tobytes() == separate.tobytes(), (alpha, len(js))
+
+    def test_whole_batch_convergence_would_differ(self):
+        # what the per-stack test guards: at alpha = 1.5e-10 the states converge
+        # in one sweep and their partial transposes in two, so sweeping the
+        # joined batch until all of it converges moves the states' bits
+        rhos, sigmas = self._stacks(1.5e-10, self.DEFAULT_JS)
+        joined = jacobi_eigvals(np.concatenate([rhos, sigmas]))
+        separate = np.concatenate([jacobi_eigvals(rhos), jacobi_eigvals(sigmas)])
+        assert not np.array_equal(joined, separate)
+
+    def test_more_batch_axes_equal_one_call_per_stack(self):
+        rng = np.random.default_rng(3)
+        mats = np.stack([random_sym4(rng) for _ in range(2 * 3 * 5)]).reshape(2, 3, 5, 4, 4)
+        got = jacobi_eigvals(mats)
+        assert got.shape == (2, 3, 5, 4)
+        for i, k in np.ndindex(2, 3):
+            assert got[i, k].tobytes() == jacobi_eigvals(mats[i, k]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 4, 4), (0, 99, 4, 4), (3, 0, 2, 4, 4)])
+    def test_empty_stack_returns_batch_shape(self, shape):
+        assert jacobi_eigvals(np.zeros(shape)).shape == shape[:-2] + (4,)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, value):
+        mats = np.stack([np.eye(4) / 4] * 3)
+        mats[1, 2, 0] = mats[1, 0, 2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="NaN or infinite"):
+                jacobi_eigvals(mats)
+
+    def test_overflow_to_nan_raises_convergence_error(self):
+        # finite entries whose rotations overflow to NaN: a NaN norm compares
+        # False with the tolerance, so it must keep its stack active to the budget
+        m = np.diag([1e308, -1e308, 1.0, 1.0])
+        m[0, 1] = m[1, 0] = 1e308
+        with np.errstate(all="ignore"):
+            with pytest.raises(ConvergenceError, match="max off-diagonal norm nan"):
+                jacobi_eigvals(m[None])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 3), (16,)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(InvalidStateError, match=r"expected \(\.\.\., 4, 4\), got shape"):
+            jacobi_eigvals(np.zeros(shape))
 
 
 class TestVnEntropy:

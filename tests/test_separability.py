@@ -122,6 +122,10 @@ class TestPptData:
             assert abs(w3[k] - w3_closed(0.7, js[k])) <= 1e-15
             assert abs(w4[k] - w4_closed(0.7, js[k])) <= 1e-15
 
+    def test_empty_stack_gives_empty_arrays(self):
+        for x in ppt_data(np.zeros((0, 4, 4))):
+            assert x.shape == (0,)
+
     def test_single_state_matches_jacobi_stack_row(self):
         # one state takes its PPT spectrum from LAPACK (eig_sym4), a stack from
         # Jacobi: at the alpha = 0.7 window edges +-1e-9 and at random physical
