@@ -5,8 +5,8 @@ Output files are plot-ready CSV or JSON with floats at 12 significant
 digits and deterministic row order, so identical configurations produce
 byte-identical files. A surface is one grid record per alpha (per-j arrays
 and a (j, t) discord matrix, see surface_records); the writers expand it to
-rows in (j, t) order. Both writers format each distinct value once and
-fill one % template per j row.
+rows in (j, t) order. Both writers format each distinct value once; CSV
+fills one % template per file once per j row, JSON one template per j row.
 
 Exit codes: 0 success, 2 configuration error, 3 reference-table mismatch,
 4 I/O error (1 for self-test failures).
@@ -237,18 +237,18 @@ def _json_text(payload):
 def records_to_csv(grid):
     """CSV text of a surface_records grid, one line per (j, t) pair.
 
-    alpha and each t are formatted once per file at 12 significant digits.
-    Each j row is one %-template, its per-j head and tail around a
-    "t,%.12g" cell per t, filled with that row's discord values in one call.
+    alpha and each t are formatted once per file, at 12 significant digits, into
+    one template of "t,%.12g" cells joined by "|". Each j row fills it with its
+    discord values in one call and replaces each "|" by its per-j tail and head:
+    no %.12g field holds a "|", and the per-j texts are never %-scanned.
     """
     alpha = format(grid["alpha"], ".12g")
-    cells = [f"{t:.12g},%.12g" for t in grid["t"].tolist()]
+    template = "|".join([f"{t:.12g},%.12g" for t in grid["t"].tolist()])
     parts = [CSV_HEADER + "\n"]
     for j, w3, w4, ppt, phys, cls, row in zip(*(grid[k].tolist() for k in GRID_KEYS)):
-        # head and tail hold only %.12g numbers, true/false and fixed labels: never a %
         head = f"{alpha},{j:.12g},"
         tail = f",{w3:.12g},{w4:.12g},{ppt:.12g},{'true' if phys else 'false'},{cls}\n"
-        parts.append((head + (tail + head).join(cells) + tail) % tuple(row))
+        parts.append(head + (template % tuple(row)).replace("|", tail + head) + tail)
     return "".join(parts)
 
 

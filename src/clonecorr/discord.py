@@ -152,9 +152,7 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     rho = np.asarray(rho)
     if rho.shape[-2:] != (4, 4):
         raise InvalidStateError(f"expected (..., 4, 4), got shape {rho.shape}")
-    if np.iscomplexobj(rho) and (np.abs(rho.imag) > hermat.HERM_ATOL).any():
-        raise InvalidStateError("state has complex entries")
-    rho = np.asarray(rho.real, dtype=float)
+    rho = np.asarray(hermat._require_real(rho, "state"), dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     phi = np.asarray(phi, dtype=float)
     angles = np.broadcast_shapes(ts.shape, phi.shape)

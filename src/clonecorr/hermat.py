@@ -13,7 +13,9 @@ Jacobi serves only the two stacks behind the sha256-pinned surface files
 partial transposes, in one call on their (2, J, 4, 4) stack from
 cli.surface_records (discord_surface and separability.ppt_data take one
 stack a call). There eigvalsh changes the last printed digit of some rows,
-and the benchmark pins Jacobi's per-op matrix count. Every other spectrum
+and the benchmark pins Jacobi's per-op matrix count. Jacobi rotates an
+entry-major copy, whole contiguous columns and rows at a time, with the
+bits of the row-major loop that tests/oracles.py keeps. Every other spectrum
 is LAPACK, one matrix through eig_sym4. cloner.valid_j_range takes no
 spectrum: it tests the sign of the triplet cubic at the eigenvalue floor.
 A single eigvalsh call is about 80x faster than a one-matrix Jacobi batch, and
@@ -80,21 +82,25 @@ def jacobi_eigvals(mats):
     Cyclic Jacobi rotations over the six upper-triangle positions. Leading
     axes index independent stacks (the last batch axis): each is rotated until
     its own largest off-diagonal Frobenius norm is at most JACOBI_OFF_TOL, so
-    a (k, m, 4, 4) call equals its k (m, 4, 4) calls bit for bit. Symmetry is
-    the caller's responsibility; eig_sym4 is the validating single-matrix
-    entry point. Raises ConvergenceError after JACOBI_MAX_SWEEPS sweeps and
-    InvalidStateError on a shape other than (..., 4, 4) or a NaN or infinite
-    entry.
+    a (k, m, 4, 4) call equals its k (m, 4, 4) calls bit for bit. Rotations
+    run on one entry-major (4, 4, stacks, m) copy: contiguous columns, then rows.
+    Symmetry is the caller's responsibility; eig_sym4 is the validating
+    single-matrix entry point. Raises ConvergenceError after JACOBI_MAX_SWEEPS
+    sweeps and InvalidStateError on a shape other than (..., 4, 4), a NaN or
+    infinite entry, or an imaginary part above HERM_ATOL.
     """
-    a = np.array(mats, dtype=float)
+    a = np.asarray(mats)
     if a.shape[-2:] != (4, 4):
         raise InvalidStateError(f"expected (..., 4, 4), got shape {a.shape}")
     _require_finite(a)
+    a = _require_real(a)
     batch_shape = a.shape[:-2]
     a = a.reshape((math.prod(batch_shape[:-1]), math.prod(batch_shape[-1:]), 4, 4))
+    a = np.moveaxis(a, (2, 3), (0, 1)).astype(float, order="C")
 
     def max_off2(x):
-        off = x.copy()
+        # a copy, never a view, is zeroed; its C order keeps the row-major sums
+        off = np.moveaxis(x, (0, 1), (-2, -1)).copy()
         off[..., range(4), range(4)] = 0.0
         return (off ** 2).sum(axis=(-2, -1)).max(axis=-1, initial=0.0)
 
@@ -106,25 +112,32 @@ def jacobi_eigvals(mats):
         if sweep == JACOBI_MAX_SWEEPS:
             raise ConvergenceError(f"Jacobi sweep budget of {JACOBI_MAX_SWEEPS} exhausted "
                                    f"(max off-diagonal norm {np.sqrt(off2.max()):.3e})")
-        b = a if active.all() else a[active]   # the stacks still rotating
+        b = a if active.all() else a[:, :, active]   # the stacks still rotating
         with np.errstate(divide="ignore", invalid="ignore"):
             for p, q in _JACOBI_PAIRS:
-                apq = b[..., p, q]
-                theta = (b[..., q, q] - b[..., p, p]) / (2.0 * apq)
+                apq = b[p, q]
+                theta = (b[q, q] - b[p, p]) / (2.0 * apq)
                 sgn = np.where(theta >= 0.0, 1.0, -1.0)
                 t = np.where(apq == 0.0, 0.0, sgn / (np.abs(theta) + np.hypot(theta, 1.0)))
                 c = 1.0 / np.sqrt(t * t + 1.0)
-                c, s = c[..., None], (t * c)[..., None]
+                s = t * c
                 # each pair of new columns (then rows) from the old pair, then written
-                cp, cq = b[..., :, p], b[..., :, q]
-                b[..., :, p], b[..., :, q] = c * cp - s * cq, s * cp + c * cq
-                rp, rq = b[..., p, :], b[..., q, :]
-                b[..., p, :], b[..., q, :] = c * rp - s * rq, s * rp + c * rq
+                cp, cq = b[:, p], b[:, q]
+                b[:, p], b[:, q] = c * cp - s * cq, s * cp + c * cq
+                rp, rq = b[p], b[q]
+                b[p], b[q] = c * rp - s * rq, s * rp + c * rq
         if b is not a:
-            a[active] = b
+            a[:, :, active] = b
 
-    eigs = -np.sort(-a[..., range(4), range(4)], axis=-1)
+    eigs = -np.sort(-a.diagonal(axis1=0, axis2=1), axis=-1)
     return eigs.reshape(batch_shape + (4,))
+
+
+def _require_real(m, what="matrix"):
+    # imaginary parts within HERM_ATOL are roundoff, dropped without a ComplexWarning
+    if np.iscomplexobj(m) and np.abs(m.imag).max(initial=0.0) > HERM_ATOL:
+        raise InvalidStateError(f"{what} has complex entries")
+    return m.real
 
 
 def _require_real_symmetric(m, what="matrix"):
@@ -132,10 +145,7 @@ def _require_real_symmetric(m, what="matrix"):
     if m.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 {what}, got shape {m.shape}")
     _require_finite(m, what)
-    if np.iscomplexobj(m):
-        if np.abs(m.imag).max() > HERM_ATOL:
-            raise InvalidStateError(f"{what} has complex entries")
-        m = m.real
+    m = _require_real(m, what)
     if np.abs(m - m.T).max() > HERM_ATOL:
         raise InvalidStateError(f"{what} is not symmetric")
     return np.asarray(m, dtype=float)

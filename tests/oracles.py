@@ -18,15 +18,20 @@ rounding elsewhere. separable_intervals_scan is the grid-scan-plus-bisection
 search that the package's closed-form separable windows replaced.
 surface_text_rows is the row-at-a-time surface writer that the grid-shaped
 writers in clonecorr.cli must reproduce byte for byte.
+jacobi_eigvals_row_major is the cyclic Jacobi solver on (..., 4, 4) stacks
+that the package's entry-major one must reproduce bit for bit.
 """
 
 import json
+import math
 
 import numpy as np
 
 from clonecorr.cloner import WINDOW_TOL, _amplitudes, build_output_batch
 from clonecorr.discord import DEGENERATE_P, conditional_entropy_curve
-from clonecorr.hermat import STATE_EIG_FLOOR, jacobi_eigvals, plogp
+from clonecorr.errors import ConvergenceError
+from clonecorr.hermat import (JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL, STATE_EIG_FLOOR, jacobi_eigvals,
+                              plogp)
 from clonecorr.search import bisect_boundary
 
 
@@ -286,6 +291,54 @@ def window_edge_roots(alpha):
     roots = np.roots(np.trim_zeros(coeffs, "f"))
     real = roots[np.abs(roots.imag) <= 1e-12 * np.maximum(1.0, np.abs(roots))].real
     return sorted(float(r) for r in real if 0.0 <= r <= 1.0 / 6.0)
+
+
+_JACOBI_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def jacobi_eigvals_row_major(mats):
+    """Descending eigenvalues of (..., 4, 4) real symmetric stacks, rotated in place.
+
+    Cyclic Jacobi on the matrices as given, each rotation on strided
+    (..., 4) columns and rows; every stack on the last batch axis converges
+    on its own, as in clonecorr.hermat.jacobi_eigvals. No validation.
+    """
+    a = np.array(mats, dtype=float)
+    batch_shape = a.shape[:-2]
+    a = a.reshape((math.prod(batch_shape[:-1]), math.prod(batch_shape[-1:]), 4, 4))
+
+    def max_off2(x):
+        off = x.copy()
+        off[..., range(4), range(4)] = 0.0
+        return (off ** 2).sum(axis=(-2, -1)).max(axis=-1, initial=0.0)
+
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
+        off2 = max_off2(a)
+        active = ~(off2 <= JACOBI_OFF_TOL ** 2)   # a NaN norm stays active
+        if not active.any():
+            break
+        if sweep == JACOBI_MAX_SWEEPS:
+            raise ConvergenceError(f"Jacobi sweep budget of {JACOBI_MAX_SWEEPS} exhausted "
+                                   f"(max off-diagonal norm {np.sqrt(off2.max()):.3e})")
+        b = a if active.all() else a[active]   # the stacks still rotating
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for p, q in _JACOBI_PAIRS:
+                apq = b[..., p, q]
+                theta = (b[..., q, q] - b[..., p, p]) / (2.0 * apq)
+                sgn = np.where(theta >= 0.0, 1.0, -1.0)
+                t = np.where(apq == 0.0, 0.0, sgn / (np.abs(theta) + np.hypot(theta, 1.0)))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                c, s = c[..., None], (t * c)[..., None]
+                # each pair of new columns (then rows) from the old pair, then written
+                cp, cq = b[..., :, p], b[..., :, q]
+                b[..., :, p], b[..., :, q] = c * cp - s * cq, s * cp + c * cq
+                rp, rq = b[..., p, :], b[..., q, :]
+                b[..., p, :], b[..., q, :] = c * rp - s * rq, s * rp + c * rq
+        if b is not a:
+            a[active] = b
+
+    eigs = -np.sort(-a[..., range(4), range(4)], axis=-1)
+    return eigs.reshape(batch_shape + (4,))
 
 
 SURFACE_FIELDS = ("alpha", "j", "t", "discord", "w3", "w4", "min_ppt_eig", "physical",

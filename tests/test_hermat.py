@@ -8,8 +8,9 @@ from clonecorr import (build_output_batch, build_output_state, eig_herm2, eig_sy
                        swap_qubits, vn_entropy)
 from clonecorr.cli import RunConfig
 from clonecorr.errors import ConvergenceError, InvalidStateError
-from clonecorr.hermat import validate_state
-from oracles import bell_phi_plus, charpoly_eigvals_sym4, random_herm2, random_sym4
+from clonecorr.hermat import HERM_ATOL, validate_state
+from oracles import (bell_phi_plus, charpoly_eigvals_sym4, jacobi_eigvals_row_major, random_herm2,
+                     random_sym4)
 
 # regression constant: -(5/6)log2(5/6) - (1/6)log2(1/6)
 ENTROPY_5_6 = 0.6500224216483541
@@ -182,6 +183,31 @@ class TestJacobiEigvals:
             separate = np.stack([jacobi_eigvals(rhos), jacobi_eigvals(sigmas)])
             assert stacked.tobytes() == separate.tobytes(), (alpha, len(js))
 
+    def test_equals_row_major_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(27)
+        default_alphas = RunConfig().alpha_list
+        alphas = rng.uniform(-1.0, 1.0, 60).tolist()
+        alphas += (10.0 ** rng.uniform(-14.0, -3.0, 60) * rng.choice([-1.0, 1.0], 60)).tolist()
+        cases = [(alpha, self.DEFAULT_JS) for alpha in default_alphas + self.ALPHAS]
+        cases += [(alpha, np.sort(rng.uniform(0.0, 0.5, rng.integers(1, 120))))
+                  for alpha in alphas]
+        uneven = 0   # cases whose two stacks converge in different sweep counts
+        for alpha, js in cases:
+            stacks = np.stack(self._stacks(alpha, js))
+            got = jacobi_eigvals(stacks)
+            assert got.tobytes() == jacobi_eigvals_row_major(stacks).tobytes(), (alpha, len(js))
+            joined = jacobi_eigvals(stacks.reshape(-1, 4, 4))
+            uneven += not np.array_equal(got.ravel(), joined.ravel())
+        assert uneven > 0
+
+    def test_every_batch_shape_equals_row_major_oracle(self):
+        rng = np.random.default_rng(4)
+        mats = np.stack([random_sym4(rng) for _ in range(3 * 5)]).reshape(3, 5, 4, 4)
+        mats[0] = np.diag(rng.standard_normal(4))      # converged before the first sweep
+        mats[2] = np.diag(rng.standard_normal(4)) + 1e-9 * mats[2]
+        for x in (mats[1, 0], mats[1, :1], mats[:2, :1], mats, mats[None]):
+            assert jacobi_eigvals(x).tobytes() == jacobi_eigvals_row_major(x).tobytes(), x.shape
+
     def test_whole_batch_convergence_would_differ(self):
         # what the per-stack test guards: at alpha = 1.5e-10 the states converge
         # in one sweep and their partial transposes in two, so sweeping the
@@ -218,8 +244,29 @@ class TestJacobiEigvals:
         m = np.diag([1e308, -1e308, 1.0, 1.0])
         m[0, 1] = m[1, 0] = 1e308
         with np.errstate(all="ignore"):
-            with pytest.raises(ConvergenceError, match="max off-diagonal norm nan"):
+            with pytest.raises(ConvergenceError, match="max off-diagonal norm nan") as got:
                 jacobi_eigvals(m[None])
+            with pytest.raises(ConvergenceError) as expected:
+                jacobi_eigvals_row_major(m[None])
+        assert str(got.value) == str(expected.value)
+
+    def test_rejects_complex_entry(self):
+        # eigvalsh gives [0.35, 0.25, 0.25, 0.15]: dropping 0.1i would give 0.25 four times
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1], m[1, 0] = 0.1j, -0.1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="complex entries"):
+                jacobi_eigvals(m[None])
+
+    def test_complex_typed_real_stack_gives_the_float_bits(self):
+        rhos, sigmas = self._stacks(0.7, self.DEFAULT_JS)
+        stacks = np.stack([rhos, sigmas])
+        roundoff = stacks + 1j * HERM_ATOL * np.triu(np.ones((4, 4)), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no ComplexWarning
+            for x in (stacks.astype(complex), roundoff):
+                assert jacobi_eigvals(x).tobytes() == jacobi_eigvals(stacks).tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 3), (16,)])
     def test_rejects_wrong_shape(self, shape):
