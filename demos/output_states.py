@@ -5,8 +5,9 @@ Run:  python demos/output_states.py
 """
 import numpy as np
 
-from clonecorr import (build_output_state, check_machine_constraints, clone_fidelity,
-                       eig_sym4, reduced_clone, valid_j_range)
+from clonecorr import build_output_state, clone_fidelity, valid_j_range
+from clonecorr.cloner import check_machine_constraints, reduced_clone
+from clonecorr.hermat import eig_sym4
 
 np.set_printoptions(precision=6, suppress=True)
 

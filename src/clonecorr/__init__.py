@@ -5,28 +5,30 @@ and machine parameter j, computes the quantum discord between the clones
 by minimizing the measured conditional entropy over projective bases, and
 classifies separability through the Peres-Horodecki (PPT) criterion, both
 spectrally and via closed-form determinants of the partial transpose.
+
+The package namespace holds only what that question needs. The numerics
+helpers are imported from their modules: the eigensolvers, partial
+trace and transpose, qubit swap, principal minors and entropy from
+`clonecorr.hermat`;
+`ppt_data` from `clonecorr.separability`; `reduced_clone`,
+`check_machine_constraints` and `MachineConstraintReport` from
+`clonecorr.cloner`; and `ConvergenceError` from `clonecorr.errors`.
 """
 
-from .cloner import (FEASIBLE_J, MachineConstraintReport, build_output_batch, build_output_state,
-                     check_machine_constraints, clone_fidelity, reduced_clone, valid_j_range)
+from .cloner import (FEASIBLE_J, build_output_batch, build_output_state, clone_fidelity,
+                     valid_j_range)
 from .discord import (DiscordResult, conditional_entropy, conditional_entropy_curve, discord_at,
                       discord_min, discord_surface, mutual_info_i, mutual_info_j)
-from .errors import ConvergenceError, DomainError, InvalidStateError
-from .hermat import (eig_herm2, eig_sym4, jacobi_eigvals, partial_trace,
-                     partial_transpose_b, principal_minor, swap_qubits, vn_entropy)
-from .separability import (JInterval, SeparabilityVerdict, classify, ppt_data,
-                           separable_intervals, w3_closed, w4_closed)
+from .errors import DomainError, InvalidStateError
+from .separability import (JInterval, SeparabilityVerdict, classify, separable_intervals,
+                           w3_closed, w4_closed)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "DiscordResult", "DomainError", "FEASIBLE_J",
-    "InvalidStateError", "JInterval", "MachineConstraintReport", "SeparabilityVerdict",
-    "build_output_batch", "build_output_state", "check_machine_constraints",
-    "classify", "clone_fidelity", "conditional_entropy",
-    "conditional_entropy_curve", "discord_at", "discord_min", "discord_surface",
-    "eig_herm2", "eig_sym4", "jacobi_eigvals", "mutual_info_i",
-    "mutual_info_j", "partial_trace", "partial_transpose_b", "ppt_data", "principal_minor",
-    "reduced_clone", "separable_intervals", "swap_qubits", "valid_j_range",
-    "vn_entropy", "w3_closed", "w4_closed",
+    "DiscordResult", "DomainError", "FEASIBLE_J", "InvalidStateError", "JInterval",
+    "SeparabilityVerdict", "build_output_batch", "build_output_state", "classify",
+    "clone_fidelity", "conditional_entropy", "conditional_entropy_curve", "discord_at",
+    "discord_min", "discord_surface", "mutual_info_i", "mutual_info_j",
+    "separable_intervals", "valid_j_range", "w3_closed", "w4_closed",
 ]

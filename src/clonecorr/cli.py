@@ -438,6 +438,9 @@ def run_point(alpha, j, output_format="text", scan_phase=False, out_stream=None)
           file=out_stream)
     lo, hi = report["valid_j_range"]
     print(f"  physical j range:    [{lo:.6f}, {hi:.6f}]", file=out_stream)
+    if not report["machine_constraints_satisfied"]:
+        print("  copier:              none (machine vectors need j in [1/6, 1/2]); "
+              "this matrix is no copier's output", file=out_stream)
     print(f"  clone fidelity:      {report['fidelity']:.12g}", file=out_stream)
     print(f"  discord (min):       {d['discord']:.12g} bits at t={d['optimal_t']:.9f}"
           + (f", phi={d['optimal_phi']:.9f}" if scan_phase else ""), file=out_stream)

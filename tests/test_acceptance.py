@@ -12,10 +12,10 @@ import time
 import numpy as np
 
 from clonecorr import (build_output_batch, build_output_state, classify, clone_fidelity, discord_at,
-                       discord_min, jacobi_eigvals, mutual_info_i, mutual_info_j,
-                       ppt_data, swap_qubits, w3_closed, w4_closed)
+                       discord_min, mutual_info_i, mutual_info_j, w3_closed, w4_closed)
 from clonecorr.cli import RunConfig, main, run_table1, table1_rows
-from clonecorr.separability import scan_grid
+from clonecorr.hermat import jacobi_eigvals, swap_qubits
+from clonecorr.separability import ppt_data, scan_grid
 from oracles import random_product_state
 
 REFERENCE = {0.6: (0.196, 0.238), 0.7: (0.191, 0.250), 0.8: (0.196, 0.238)}

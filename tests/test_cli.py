@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 import clonecorr.cli as cli
-from clonecorr import (build_output_state, check_machine_constraints, classify, clone_fidelity,
-                       cloner, discord, discord_at, discord_min, discord_surface, eig_sym4,
-                       hermat, partial_trace, ppt_data, separability, valid_j_range, w3_closed,
-                       w4_closed)
+from clonecorr import (build_output_state, classify, clone_fidelity, cloner, discord, discord_at,
+                       discord_min, discord_surface, hermat, separability, valid_j_range,
+                       w3_closed, w4_closed)
 from clonecorr.cli import (CSV_HEADER, ConfigError, RunConfig, build_config,
                            load_config_file, main, table1_rows)
+from clonecorr.cloner import check_machine_constraints
 from clonecorr.errors import DomainError
+from clonecorr.hermat import eig_sym4, partial_trace
+from clonecorr.separability import ppt_data
 from oracles import surface_text_rows
 
 SMALL_SURFACE = ["--alpha", "0.3,0.7", "--j-min", "0.17", "--j-max", "0.3",
@@ -542,6 +544,26 @@ class TestPoint:
         # rounding-level change to the kernel (see CHANGES.md)
         assert main(["point", alpha, j, "--format", "json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("alpha,j", [("0", "0.1"), ("1e-5", "0.1")])
+    def test_text_says_when_no_copier_has_this_j(self, capsys, alpha, j):
+        # a PSD matrix below j = 1/6, which no machine produces: exit 0, one extra line
+        assert main(["point", alpha, j]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ("  copier:              none (machine vectors need j in [1/6, 1/2]); "
+                "this matrix is no copier's output") in lines
+
+    @pytest.mark.parametrize("argv,digest", [
+        ([], "493af88a40de7390db3e724d56ec5318d218b44374105c5b2e726d802ed081ac"),
+        # a phase query's last digits move with the phase kernel; re-pin with it
+        (["--scan-phase"], "b3e57652bd80d0f9d4d5bddefcd9c68b90b9c5cd4c3ed69eba3c8e76822874b6"),
+    ])
+    def test_pinned_text_bytes(self, capsys, argv, digest):
+        # a copier point prints no copier line
+        assert main(["point", "0.7", "0.22", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "copier:" not in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("scan_phase", [False, True])
     def test_state_spectrum_is_taken_once(self, monkeypatch, scan_phase):

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from clonecorr import (FEASIBLE_J, build_output_batch, build_output_state,
-                       check_machine_constraints, classify, clone_fidelity, discord_surface,
-                       eig_sym4, reduced_clone, separable_intervals, swap_qubits, valid_j_range,
+from clonecorr import (FEASIBLE_J, build_output_batch, build_output_state, classify,
+                       clone_fidelity, discord_surface, separable_intervals, valid_j_range,
                        w3_closed, w4_closed)
 from clonecorr import cloner, hermat
 from clonecorr.cli import point_report
-from clonecorr.cloner import _amplitudes, _physical_at_floor
+from clonecorr.cloner import (_amplitudes, _physical_at_floor, check_machine_constraints,
+                              reduced_clone)
+from clonecorr.hermat import eig_sym4, swap_qubits
 from clonecorr.search import bisect_boundary
 from clonecorr.separability import scan_grid
 from clonecorr.errors import DomainError

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 
 from clonecorr import (build_output_batch, build_output_state,
                        conditional_entropy, conditional_entropy_curve, discord_at,
-                       discord_min, discord_surface, eig_herm2, eig_sym4, jacobi_eigvals,
-                       mutual_info_i, mutual_info_j, partial_trace, swap_qubits,
-                       valid_j_range, vn_entropy)
+                       discord_min, discord_surface, mutual_info_i, mutual_info_j,
+                       valid_j_range)
 import clonecorr.discord as discord_module
 from clonecorr.discord import DiscordResult
 from clonecorr import hermat
-from clonecorr.hermat import plogp, validate_state
+from clonecorr.hermat import (eig_herm2, eig_sym4, jacobi_eigvals, partial_trace, plogp,
+                             swap_qubits, validate_state, vn_entropy)
 from clonecorr.errors import DomainError, InvalidStateError
 from clonecorr.search import golden_min
 from oracles import (bell_phi_plus, conditional_entropy_curve_complex,
@@ -438,6 +439,21 @@ class TestDiscordMin:
         assert result.discord > 1e-6
         # optimizer lands at t = 0 (mod pi/2) for the symmetric input
         assert min(result.optimal_t, np.pi / 2 - result.optimal_t) <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 2 ** -0.5, 0.9, -0.6])
+    def test_universal_cloner_is_the_same_for_every_alpha(self, alpha):
+        # at j = 1/6, rho's spectrum is {2/3, 1/3, 0, 0} for every input, and the
+        # discord is h(2/3) - S + h(sqrt(5)/3), h(x) the entropy of ((1 + x)/2, (1 - x)/2)
+        def h(x):
+            return -sum(p * math.log2(p) for p in ((1 + x) / 2, (1 - x) / 2))
+
+        s = -(2 / 3) * math.log2(2 / 3) - (1 / 3) * math.log2(1 / 3)
+        exact = h(2 / 3) - s + h(math.sqrt(5) / 3)
+        rho = build_output_state(alpha, 1 / 6)
+        np.testing.assert_allclose(np.linalg.eigvalsh(rho), [0, 0, 1 / 3, 2 / 3],
+                                   rtol=0, atol=1e-15)
+        assert discord_min(rho).discord == pytest.approx(exact, abs=1e-9)
+        assert discord_min(rho, scan_phase=True).discord == pytest.approx(exact, abs=1e-9)
 
     def test_separable_window_point_frozen_regression(self):
         rho = build_output_state(0.7, 0.22)

@@ -3,12 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from clonecorr import (build_output_batch, build_output_state, eig_herm2, eig_sym4, hermat,
-                       jacobi_eigvals, partial_trace, partial_transpose_b, principal_minor,
-                       swap_qubits, vn_entropy)
+from clonecorr import build_output_batch, build_output_state, hermat
 from clonecorr.cli import RunConfig
 from clonecorr.errors import ConvergenceError, InvalidStateError
-from clonecorr.hermat import HERM_ATOL, validate_state
+from clonecorr.hermat import (HERM_ATOL, eig_herm2, eig_sym4, jacobi_eigvals, partial_trace,
+                             partial_transpose_b, principal_minor, swap_qubits, validate_state,
+                             vn_entropy)
 from oracles import (bell_phi_plus, charpoly_eigvals_sym4, jacobi_eigvals_row_major, random_herm2,
                      random_sym4)
 

@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clonecorr import (JInterval, build_output_batch, build_output_state,
-                       check_machine_constraints, classify, clone_fidelity, eig_sym4,
-                       jacobi_eigvals, partial_transpose_b, ppt_data, principal_minor,
-                       separable_intervals, valid_j_range, w3_closed, w4_closed)
+from clonecorr import (JInterval, build_output_batch, build_output_state, classify,
+                       clone_fidelity, separable_intervals, valid_j_range, w3_closed, w4_closed)
+from clonecorr.cloner import check_machine_constraints
 from clonecorr.errors import DomainError
-from clonecorr.separability import scan_grid
+from clonecorr.hermat import eig_sym4, jacobi_eigvals, partial_transpose_b, principal_minor
+from clonecorr.separability import ppt_data, scan_grid
 from oracles import bell_phi_plus, separable_intervals_scan
 
 # reference separability windows (3-decimal endpoints, +-0.002 comparison)
