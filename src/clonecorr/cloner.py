@@ -154,15 +154,15 @@ def check_machine_constraints(j):
 
     Needs <Q|Q> = 1 - 2j >= 0, <Y|Y> = j >= 0, and the cross overlap n/2 to
     respect Cauchy-Schwarz, |n/2| <= sqrt(j(1-2j)); the last holds exactly
-    for j in [1/6, 1/2], with equality at j = 1/6. Any number j is accepted,
-    so out-of-range values get a report too.
+    for j in [1/6, 1/2], so it is decided on j against FEASIBLE_J, with no
+    float slack. Any number j is accepted, so out-of-range values get a report too.
     """
     j = float(j)
     n = 1.0 - 2.0 * j
     norms_ok = j >= 0.0 and n >= 0.0
     bound = math.sqrt(j * n) if norms_ok else math.nan
     overlap = n / 2.0
-    overlap_ok = bool(norms_ok and abs(overlap) <= bound + 1e-12)
+    overlap_ok = norms_ok and j >= FEASIBLE_J[0]
     return MachineConstraintReport(
         j=j, n=n, norms_ok=norms_ok,
         overlap=overlap, overlap_bound=bound, overlap_ok=overlap_ok,

@@ -43,10 +43,13 @@ It is a cache rather than a private entry point because those calls must
 stay calls of conditional_entropy_curve, whose calls and angles the
 benchmark traces. A call takes cos and sin once per distinct angle (a
 stride-0 axis of a broadcast ts is evaluated once) and runs with a small
-ufunc buffer (see _PHASE_BUFSIZE). Phase rows keep their full-size
-temporaries in one workspace (see _PHASE_BLOCK): a phase query took 8.4
-ms, against 12.1 ms on plain temporaries and 8.6 ms with two allocations.
-The real family's plain temporaries cost 2-3 % of a point or sweep op.
+ufunc buffer (see _PHASE_BUFSIZE). Both families keep their full-size
+arrays in one workspace per call (_workspace). A phase query took 8.4 ms,
+against 12.1 ms on plain temporaries and 8.6 ms with two allocations. The
+real family's eight planes, 1.2 MB at the sweep's 99 states x 91 t, are
+the largest block a surface file frees, so glibc's trim threshold (twice
+that) keeps the heap the file's CSV text and its encoding take: a warm
+file makes 0 minor page faults (glibc 2.36), against 440-940 on temporaries.
 
 discord_min's golden-section refinement calls a closure over rho's Bloch
 form (_conditional_entropy_at): the same quantity in scalar math, equal to
@@ -90,8 +93,8 @@ _PHASE_BLOCK = 16
 # when a row is shorter than about a third of that buffer. With the default
 # of 8192 elements, 721-point phase rows made those products about 3x slower
 # per entry (2-vCPU Xeon host, numpy 2.4), and a sweep-shaped real-family
-# call (99 states x 91 t) took 0.50 ms against 0.41 ms. 64 is the shortest
-# row discord_min makes (grid_points >= 64)
+# call (99 states x 91 t, on its workspace) took 0.46 ms against 0.38 ms on
+# the same host. 64 is the shortest row discord_min makes (grid_points >= 64)
 _PHASE_BUFSIZE = 64
 # flat indices into rho of the entries that <m, e| rho |n, e> weights by
 # u u, u v, u v* and |v|^2 (rows), for (m, n) = (0, 0), (0, 1), (1, 1) (columns)
@@ -173,25 +176,32 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
 
 
 def _curve(rho, ts, angles):
-    """The real family (phi = 0) at the angles ts broadcast to shape angles."""
+    """The real family (phi = 0) at the angles ts broadcast to shape angles, in one workspace."""
     batch = rho.shape[:-2]
     # axis 0 of uu, uv, vv and q is the outcome (0 or 1), then states, then angles
     uu, uv, vv = _ket_products(ts, len(batch), len(angles))
+    w, flags = _workspace((2,) + batch + angles, 8, 3)
+    q, p, rad, x, scratch = w[:3], w[3], w[4], w[5:7], w[7]
     # rows of r are rho's entries that <m, e| rho |n, e> weights by u u,
     # u v, u v and v v, for (m, n) = (0, 0), (0, 1), (1, 1)
     r = rho.reshape(-1, 16).T[_Q_ENTRIES].reshape((4, 3, 1) + batch + (1,) * len(angles))
-    q00, q01, q11 = np.broadcast_to(uu * r[0] + uv * r[1] + uv * r[2] + vv * r[3],
-                                    (3, 2) + batch + angles)
+    np.multiply(uu, r[0], out=q)
+    for k, ket in ((1, uv), (2, uv), (3, vv)):
+        q += np.multiply(ket, r[k], out=w[5:])   # in x's and the scratch plane
+    q00, q01, q11 = q
     # branch probability p and the conditional spectrum p/2 +- rad of clone a
-    p = q00 + q11
-    rad = np.hypot((q00 - q11) * 0.5, np.abs(q01))
-    # x = (p/2 +- rad) / p. Dead branches divide by 1, and every other x is
-    # set to 1, so its x log2(x) is +0.0 and the divide and log2 need no mask
-    dead = p <= DEGENERATE_P
-    half = p * 0.5
-    x = np.stack([half + rad, half - rad]) / np.where(dead, 1.0, p)
-    np.copyto(x, 1.0, where=(x <= 0.0) | dead)
-    return _entropy_sum(x, p, rad)
+    np.add(q00, q11, out=p)
+    np.hypot(np.multiply(np.subtract(q00, q11, out=scratch), 0.5, out=scratch),
+             np.abs(q01, out=q01), out=rad)
+    # x = (p/2 +- rad) / p. Dead branches skip the divide; they and every x <= 0
+    # are set to 1, where x log2(x) is +0.0, so the log2 needs no mask
+    dead = np.less_equal(p, DEGENERATE_P, out=flags[0])
+    np.add(np.multiply(p, 0.5, out=x[1]), rad, out=x[0])
+    x[1] -= rad
+    np.divide(x, p, out=x, where=np.logical_not(dead, out=flags[1]))
+    np.copyto(x, 1.0, where=dead)
+    np.copyto(x, 1.0, where=np.less_equal(x, 0.0, out=flags[1:]))
+    return _entropy_sum(x, p, scratch)
 
 
 def _ket_products(ts, n_batch, n_angles):
@@ -208,11 +218,7 @@ def _ket_products(ts, n_batch, n_angles):
 def _phase_rows(rho, ts, angles, phi):
     """_curve's counterpart at phases phi (no stride-0 axes); see the module docstring."""
     a00, a11, b00, b11, a, b, c2 = _phase_coefficients(rho, ts, len(angles))
-    full = (2,) + rho.shape[:-2] + angles
-    n = math.prod(full)
-    ws = np.empty(4 * n + -(-n // 8) + 7)   # 4 full-size floats, n bools (see _PHASE_BLOCK)
-    ws = ws[-ws.ctypes.data % 64 // 8:]   # start on 64 bytes; malloc's 16 ran up to 5 % slower
-    w, flags = ws[:4 * n].reshape((4,) + full), ws[4 * n:].view(np.bool_)[:n].reshape(full)
+    w, (flags,) = _workspace((2,) + rho.shape[:-2] + angles, 4, 1)
     c = np.cos(phi)
     p = np.add(np.multiply(b00, c, out=w[0]), a00, out=w[0])
     p += np.add(np.multiply(b11, c, out=w[1]), a11, out=w[1])
@@ -233,6 +239,15 @@ def _phase_rows(rho, ts, angles, phi):
     np.subtract(0.5, rad, out=x[1])
     np.copyto(x[1], 1.0, where=np.less_equal(x[1], 0.0, out=flags))
     return _entropy_sum(x, p, w[1])
+
+
+def _workspace(full, floats, bools):
+    """(floats float planes, bools bool planes) of shape full from one allocation."""
+    n = math.prod(full)
+    ws = np.empty(floats * n + -(-bools * n // 8) + 7)
+    ws = ws[-ws.ctypes.data % 64 // 8:]   # start on 64 bytes; malloc's 16 ran up to 5 % slower
+    return (ws[:floats * n].reshape((floats,) + full),
+            ws[floats * n:].view(np.bool_)[:bools * n].reshape((bools,) + full))
 
 
 def _entropy_sum(x, p, scratch):

@@ -3,6 +3,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import pathlib
+import statistics
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +31,22 @@ SMALL_SURFACE = ["--alpha", "0.3,0.7", "--j-min", "0.17", "--j-max", "0.3",
 _RNG = np.random.default_rng(22)
 REPORT_POINTS = [(alpha, j) for alpha in (0.0, 1.0, -1.0, 2 ** -0.5) for j in (1 / 6 + 1e-9, 0.5)]
 REPORT_POINTS += zip(_RNG.uniform(-1.0, 1.0, 32).tolist(), _RNG.uniform(1 / 6, 0.5, 32).tolist())
+
+
+SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
+# minor page faults of each default surface file after 5 warm-up files, in a fresh process
+SURFACE_FAULTS = """
+import io, resource, sys
+from clonecorr import cli
+cfg = cli.RunConfig()
+cfg.output_path = sys.argv[1]
+cfg.validate()
+for k in range(5 + 18):
+    cfg.alpha_list = [round(0.1 * (1 + k % 9), 1)]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cli.run_surface(cfg, out_stream=io.StringIO())
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 def _first_line_difference(got, want):
@@ -227,6 +247,20 @@ class TestSurface:
         assert files1 == files2 == ["surface_alpha0.3.csv", "surface_alpha0.7.csv"]
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's heap thresholds")
+    def test_warm_surface_files_do_not_refault_the_heap(self, tmp_path):
+        # the real-family kernel's one workspace is the largest block a file
+        # frees, so glibc keeps the heap the CSV text takes instead of trimming
+        # it. Measured: a median of 0 faults a file, against 937 on plain temporaries
+        pytest.importorskip("resource")
+        proc = subprocess.run(
+            [sys.executable, "-c", SURFACE_FAULTS, str(tmp_path)],
+            env={"PYTHONPATH": str(SRC_DIR), "PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(line) for line in proc.stdout.split()]
+        assert len(faults) == 23 and statistics.median(faults[5:]) < 50, faults
 
     @pytest.mark.parametrize("fmt,psd,digests", [
         ("csv", False, {
@@ -545,13 +579,16 @@ class TestPoint:
         assert main(["point", alpha, j, "--format", "json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("alpha,j", [("0", "0.1"), ("1e-5", "0.1")])
+    @pytest.mark.parametrize("alpha,j", [("0", "0.1"), ("1e-5", "0.1"), ("0", "0.166666666666")])
     def test_text_says_when_no_copier_has_this_j(self, capsys, alpha, j):
-        # a PSD matrix below j = 1/6, which no machine produces: exit 0, one extra line
+        # a PSD matrix below j = 1/6, which no machine produces: exit 0, one extra
+        # line, and the JSON agrees; 0.166666666666 is 6.7e-13 below 1/6
         assert main(["point", alpha, j]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert ("  copier:              none (machine vectors need j in [1/6, 1/2]); "
                 "this matrix is no copier's output") in lines
+        assert main(["point", alpha, j, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["machine_constraints_satisfied"] is False
 
     @pytest.mark.parametrize("argv,digest", [
         ([], "493af88a40de7390db3e724d56ec5318d218b44374105c5b2e726d802ed081ac"),

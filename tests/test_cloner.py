@@ -320,6 +320,13 @@ class TestMachineConstraints:
         assert report.satisfied
         assert abs(report.overlap - report.overlap_bound) <= 1e-12
 
+    @pytest.mark.parametrize("j", [np.nextafter(1 / 6, 0.0), 1 / 6 - 6e-13])
+    def test_j_below_one_sixth_is_not_satisfied(self, j):
+        # the constraint is decided on j itself: no float slack admits j < 1/6
+        # (j = 1/6 itself is test_universal_point_saturates_overlap_bound)
+        report = check_machine_constraints(j)
+        assert report.norms_ok and not report.overlap_ok and not report.satisfied
+
     def test_j_04_satisfied(self):
         report = check_machine_constraints(0.4)
         assert report.satisfied
