@@ -36,9 +36,10 @@ print("\n" + "=" * 70)
 print("Machine-vector constraints (norms and Cauchy-Schwarz on overlaps)")
 print("=" * 70)
 for j in (0.1, 1 / 6, 0.4, 0.6):
-    r = check_machine_constraints(j)
-    print(f"j = {j:.4f}: norms_ok={r.norms_ok}  |n/2| = {abs(r.overlap):.4f} "
-          f"vs bound {r.overlap_bound:.4f}  -> satisfied={r.satisfied}")
+    n = 1 - 2 * j
+    bound = f"{np.sqrt(j * n):.4f}" if n >= 0 else "none (n < 0)"
+    print(f"j = {j:.4f}: |n/2| = {abs(n / 2):.4f} vs bound sqrt(j n) = {bound}"
+          f"  -> satisfied={check_machine_constraints(j)}")
 print(f"constraints hold exactly on j in [{1/6:.4f}, 0.5]")
 
 print("\n" + "=" * 70)

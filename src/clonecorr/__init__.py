@@ -8,11 +8,11 @@ spectrally and via closed-form determinants of the partial transpose.
 
 The package namespace holds only what that question needs. The numerics
 helpers are imported from their modules: the eigensolvers, partial
-trace and transpose, qubit swap, principal minors and entropy from
-`clonecorr.hermat`;
-`ppt_data` from `clonecorr.separability`; `reduced_clone`,
-`check_machine_constraints` and `MachineConstraintReport` from
-`clonecorr.cloner`; and `ConvergenceError` from `clonecorr.errors`.
+trace and transpose, principal minors, entropy and the 4x4 state check
+from `clonecorr.hermat`; `ppt_data` from `clonecorr.separability`;
+`reduced_clone` and `check_machine_constraints` (a bool: can a copier
+have this j?) from `clonecorr.cloner`; and `ConvergenceError` from
+`clonecorr.errors`.
 """
 
 from .cloner import (FEASIBLE_J, build_output_batch, build_output_state, clone_fidelity,

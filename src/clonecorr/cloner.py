@@ -18,7 +18,6 @@ k = alpha^2 beta^2 <= 2 (1 + eps) eps^2 (see valid_j_range).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +29,6 @@ from .search import bisect_boundary
 FEASIBLE_J = (1.0 / 6.0, 0.5)
 # bracket width at which valid_j_range's bisection on [0, 1/6] stops
 WINDOW_TOL = 1e-15
-
-
-@dataclass(frozen=True)
-class MachineConstraintReport:
-    """Existence check for machine vectors with the required inner products."""
-    j: float
-    n: float
-    norms_ok: bool        # <Y|Y> = j >= 0 and <Q|Q> = 1 - 2j >= 0
-    overlap: float        # required cross overlap n/2
-    overlap_bound: float  # Cauchy-Schwarz bound sqrt(j(1-2j)); nan if norms fail
-    overlap_ok: bool
-    satisfied: bool
-    feasible_j: tuple     # j interval on which all constraints hold
 
 
 def _amplitudes(alpha):
@@ -150,22 +136,11 @@ def _physical_state(alpha, j):
 
 
 def check_machine_constraints(j):
-    """Report whether machine vectors with the required overlaps can exist.
+    """Whether machine vectors with the required overlaps can exist at j, as a bool.
 
-    Needs <Q|Q> = 1 - 2j >= 0, <Y|Y> = j >= 0, and the cross overlap n/2 to
-    respect Cauchy-Schwarz, |n/2| <= sqrt(j(1-2j)); the last holds exactly
-    for j in [1/6, 1/2], so it is decided on j against FEASIBLE_J, with no
-    float slack. Any number j is accepted, so out-of-range values get a report too.
+    Needs <Q|Q> = n = 1 - 2j >= 0, <Y|Y> = j >= 0, and the cross overlap n/2
+    to respect Cauchy-Schwarz, |n/2| <= sqrt(j n); the last holds exactly
+    for j in [1/6, 1/2], so all three are decided on j against FEASIBLE_J,
+    with no float slack. Any number j is accepted; NaN gives False.
     """
-    j = float(j)
-    n = 1.0 - 2.0 * j
-    norms_ok = j >= 0.0 and n >= 0.0
-    bound = math.sqrt(j * n) if norms_ok else math.nan
-    overlap = n / 2.0
-    overlap_ok = norms_ok and j >= FEASIBLE_J[0]
-    return MachineConstraintReport(
-        j=j, n=n, norms_ok=norms_ok,
-        overlap=overlap, overlap_bound=bound, overlap_ok=overlap_ok,
-        satisfied=bool(norms_ok and overlap_ok),
-        feasible_j=FEASIBLE_J,
-    )
+    return FEASIBLE_J[0] <= float(j) <= FEASIBLE_J[1]

@@ -65,7 +65,6 @@ flag are written once, in _surface, which cli.surface_records shares.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +76,13 @@ from .search import golden_min
 
 # outcome probabilities at or below this are degenerate and contribute 0
 DEGENERATE_P = 1e-12
+# angles per axis of discord_min's grid: t over [0, pi/2), phi over [0, pi)
+GRID_POINTS = 721
 # bracket width at which discord_min's golden-section refinement stops
 REFINE_TOL = 1e-9
 # phase rows per conditional_entropy_curve call in the scan_phase grid. A call
 # keeps its full-size temporaries in one workspace of about 4.1 x 2 x rows x
-# grid_points floats (0.76 MB at 16 x 721). The size trades the points
+# GRID_POINTS floats (0.76 MB at 16 x 721). The size trades the points
 # benchmark's op_p90_ms, which falls as blocks grow and calls get fewer,
 # against its peak_rss_mb: a large workspace raises glibc's dynamic trim
 # threshold, so more of the freed heap stays resident
@@ -94,7 +95,8 @@ _PHASE_BLOCK = 16
 # of 8192 elements, 721-point phase rows made those products about 3x slower
 # per entry (2-vCPU Xeon host, numpy 2.4), and a sweep-shaped real-family
 # call (99 states x 91 t, on its workspace) took 0.46 ms against 0.38 ms on
-# the same host. 64 is the shortest row discord_min makes (grid_points >= 64)
+# the same host. 64 is no longer than the rows the package makes by default:
+# discord_min's 721-point grid rows and the sweep's 91-point t rows
 _PHASE_BUFSIZE = 64
 # flat indices into rho of the entries that <m, e| rho |n, e> weights by
 # u u, u v, u v* and |v|^2 (rows), for (m, n) = (0, 0), (0, 1), (1, 1) (columns)
@@ -149,12 +151,14 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     single-state, single-angle value bit for bit. Degenerate branches
     contribute 0; conditional spectra are clipped to their positive part,
     which leaves valid states untouched and keeps the value finite when rho
-    is not positive semidefinite (unphysical sweep regions). A complex rho
-    is refused if any imaginary part exceeds HERM_ATOL, else taken as real.
+    is not positive semidefinite (unphysical sweep regions). A rho with a
+    NaN or infinite entry is refused, and a complex one if any imaginary
+    part exceeds HERM_ATOL, else taken as real.
     """
     rho = np.asarray(rho)
     if rho.shape[-2:] != (4, 4):
         raise InvalidStateError(f"expected (..., 4, 4), got shape {rho.shape}")
+    hermat._require_finite(rho, "state")
     rho = np.asarray(hermat._require_real(rho, "state"), dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     phi = np.asarray(phi, dtype=float)
@@ -390,12 +394,12 @@ def discord_at(rho, t, phi=0.0):
     return hb - hermat.vn_entropy(spectrum) + _conditional_entropy(rho, t, phi)
 
 
-def discord_min(rho, grid_points=721, scan_phase=False):
+def discord_min(rho, *, scan_phase=False):
     """Minimize discord over the measurement family.
 
-    Dense grid of grid_points angles over t in [0, pi/2) guards against the
+    Dense grid of GRID_POINTS angles over t in [0, pi/2) guards against the
     conditional entropy's local minima; golden-section then refines around
-    the best grid point to REFINE_TOL. The grid has grid_points phase rows
+    the best grid point to REFINE_TOL. The grid has GRID_POINTS phase rows
     phi in [0, pi) with scan_phase and only the phi = 0 row, the real
     family, without it; either way it is evaluated _PHASE_BLOCK rows per
     conditional_entropy_curve call. The best grid point is the first row
@@ -406,32 +410,26 @@ def discord_min(rho, grid_points=721, scan_phase=False):
     docstring), so the result agrees with an all-kernel search to rounding.
     """
     rho, spectrum = _admitted(rho)
-    try:
-        grid_points = operator.index(grid_points)
-    except TypeError:
-        raise DomainError(f"grid_points must be an integer, got {grid_points!r}") from None
-    if grid_points < 64:
-        raise DomainError(f"grid_points must be >= 64, got {grid_points}")
-    return _discord_min(rho, spectrum, _marginals(rho), grid_points, scan_phase)
+    return _discord_min(rho, spectrum, _marginals(rho), scan_phase)
 
 
-def _discord_min(rho, spectrum, marginals, grid_points=721, scan_phase=False):
+def _discord_min(rho, spectrum, marginals, scan_phase):
     """discord_min of a validated float state rho, its descending spectrum and _marginals(rho)."""
     ha, hb = _marginal_entropies(marginals)
     hab = hermat.vn_entropy(spectrum)
     bloch = _bloch(rho)
 
-    ts = np.linspace(0.0, np.pi / 2, grid_points, endpoint=False)
-    dt, dphi = (np.pi / 2) / grid_points, np.pi / grid_points
+    ts = np.linspace(0.0, np.pi / 2, GRID_POINTS, endpoint=False)
+    dt, dphi = (np.pi / 2) / GRID_POINTS, np.pi / GRID_POINTS
     # the real family is the phase grid's phi = 0 row
-    phis = np.linspace(0.0, np.pi, grid_points, endpoint=False) if scan_phase else np.zeros(1)
+    phis = np.linspace(0.0, np.pi, GRID_POINTS, endpoint=False) if scan_phase else np.zeros(1)
     best_t, best_phi, best_h = 0.0, 0.0, np.inf
     for k in range(0, len(phis), _PHASE_BLOCK):
         block = phis[k:k + _PHASE_BLOCK, None]
         # ts at the block's full shape, so np.size(ts) counts the (t, phi)
         # pairs evaluated (the benchmark tracer's angle count)
         curves = conditional_entropy_curve(
-            rho, np.broadcast_to(ts, (len(block), grid_points)), block)
+            rho, np.broadcast_to(ts, (len(block), GRID_POINTS)), block)
         # flat argmin: the block's first minimal row, then its first t
         r, i = np.unravel_index(np.argmin(curves), curves.shape)
         if curves[r, i] < best_h:

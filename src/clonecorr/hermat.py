@@ -1,9 +1,11 @@
 """Dense numerics for the small Hermitian matrices used throughout the package.
 
-Everything is fixed-size: 2x2 Hermitian (complex allowed) and 4x4 real
-symmetric. Eigenvalues come from the 2x2 closed form and, for 4x4, from
-LAPACK (np.linalg.eigvalsh), or from cyclic Jacobi sweeps for the pinned
-sweep stacks; determinants are direct cofactor expansions. The Jacobi
+Everything is fixed-size: 2x2 Hermitian (complex allowed), the clones'
+reduced states, and 4x4 real symmetric, the two-clone states and their
+partial transposes; validate_state checks a 4x4 state only. Eigenvalues
+come from the 2x2 closed form and, for 4x4, from LAPACK
+(np.linalg.eigvalsh), or from cyclic Jacobi sweeps for the pinned sweep
+stacks; determinants are direct cofactor expansions. The Jacobi
 routine, the 2x2 closed form, the partial trace and transpose and the
 cofactor determinants operate on (..., n, n) batches so parameter scans
 stay cheap.
@@ -31,6 +33,7 @@ index = clone a, second = clone b.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -113,7 +116,8 @@ def jacobi_eigvals(mats):
             raise ConvergenceError(f"Jacobi sweep budget of {JACOBI_MAX_SWEEPS} exhausted "
                                    f"(max off-diagonal norm {np.sqrt(off2.max()):.3e})")
         b = a if active.all() else a[:, :, active]   # the stacks still rotating
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # theta overflows on a tiny apq (alpha near 1e-160); t = 0 is then the limit
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for p, q in _JACOBI_PAIRS:
                 apq = b[p, q]
                 theta = (b[q, q] - b[p, p]) / (2.0 * apq)
@@ -179,8 +183,8 @@ def vn_entropy(spectrum):
     """Von Neumann entropy in bits from an eigenvalue spectrum.
 
     Eigenvalues in [-1e-10, 0) are treated as exact zeros (roundoff from
-    singular states); anything lower raises InvalidStateError, as does a
-    spectrum that does not sum to 1 within 1e-10 or has a non-finite entry.
+    singular states); anything lower raises InvalidStateError, as does an empty
+    spectrum or one that does not sum to 1 within 1e-10 or has a non-finite entry.
     """
     return float(_entropies(np.ravel(spectrum)))
 
@@ -188,6 +192,8 @@ def vn_entropy(spectrum):
 def _entropies(spectra):
     """vn_entropy of each spectrum on the last axis of spectra, one check for them all."""
     lam = np.asarray(spectra, dtype=float)
+    if lam.size == 0:
+        raise InvalidStateError("spectrum is empty")
     _require_finite(lam, "spectrum")
     if lam.min() < STATE_EIG_FLOOR:
         raise InvalidStateError(
@@ -251,10 +257,10 @@ def _det4(m):
 def principal_minor(m, k):
     """Determinant of the top-left k x k block of a real symmetric 4x4 matrix.
 
-    Direct cofactor expansion; k must be 1, 2, 3 or 4.
+    Direct cofactor expansion; k must be the integer 1, 2, 3 or 4.
     """
-    if k not in (1, 2, 3, 4):
-        raise ValueError(f"minor order must be 1..4, got {k}")
+    if not (isinstance(k, numbers.Integral) and 1 <= k <= 4):
+        raise ValueError(f"minor order must be an integer in 1..4, got {k!r}")
     m = _require_real_symmetric(m)
     block = m[:k, :k]
     if k == 1:
@@ -266,32 +272,17 @@ def principal_minor(m, k):
     return float(_det4(block))
 
 
-def swap_qubits(m):
-    """Relabel the two qubits: SWAP . m . SWAP."""
-    m = np.asarray(m)
-    if m.shape != (4, 4):
-        raise InvalidStateError(f"expected a 4x4 matrix, got shape {m.shape}")
-    perm = [0, 2, 1, 3]
-    return m[np.ix_(perm, perm)]
-
-
-def validate_state(m, what="state"):
-    """Check Hermiticity, unit trace and positivity of a 2x2 or 4x4 state.
+def validate_state(m):
+    """Check symmetry, unit trace and positivity of a real 4x4 state.
 
     Returns the (descending) spectrum so callers can reuse it. Raises
-    InvalidStateError on any violation.
+    InvalidStateError on any violation, a shape other than 4x4 included.
     """
-    m = np.asarray(m)
-    if m.shape == (2, 2):
-        spectrum = eig_herm2(m)
-    elif m.shape == (4, 4):
-        spectrum = eig_sym4(m)
-    else:
-        raise InvalidStateError(f"expected 2x2 or 4x4, got shape {m.shape}")
+    spectrum = eig_sym4(m)
     tr = float(np.real(np.trace(m)))
     if abs(tr - 1.0) > TRACE_TOL:
-        raise InvalidStateError(f"{what} has trace {tr!r}, expected 1")
+        raise InvalidStateError(f"state has trace {tr!r}, expected 1")
     if spectrum[-1] < STATE_EIG_FLOOR:
         raise InvalidStateError(
-            f"{what} has eigenvalue {spectrum[-1]:.6e} below {STATE_EIG_FLOOR}")
+            f"state has eigenvalue {spectrum[-1]:.6e} below {STATE_EIG_FLOOR}")
     return spectrum

@@ -404,3 +404,9 @@ def random_product_state(rng):
 def bell_phi_plus():
     v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     return np.outer(v, v)
+
+
+def swap_qubits(m):
+    """Relabel the two qubits of a 4x4 operator: SWAP . m . SWAP."""
+    perm = [0, 2, 1, 3]
+    return np.asarray(m)[np.ix_(perm, perm)]

@@ -14,9 +14,9 @@ import numpy as np
 from clonecorr import (build_output_batch, build_output_state, classify, clone_fidelity, discord_at,
                        discord_min, mutual_info_i, mutual_info_j, w3_closed, w4_closed)
 from clonecorr.cli import RunConfig, main, run_table1, table1_rows
-from clonecorr.hermat import jacobi_eigvals, swap_qubits
+from clonecorr.hermat import jacobi_eigvals
 from clonecorr.separability import ppt_data, scan_grid
-from oracles import random_product_state
+from oracles import random_product_state, swap_qubits
 
 REFERENCE = {0.6: (0.196, 0.238), 0.7: (0.191, 0.250), 0.8: (0.196, 0.238)}
 INSEPARABLE_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.9)

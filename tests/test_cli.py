@@ -644,7 +644,7 @@ class TestPoint:
                 "min_eigenvalue": float(eig_sym4(rho)[-1]),
                 "valid_j_range": list(valid_j_range(alpha)),
                 "fidelity": clone_fidelity(alpha, j),
-                "machine_constraints_satisfied": check_machine_constraints(j).satisfied,
+                "machine_constraints_satisfied": check_machine_constraints(j),
                 "discord": discord,
                 "separability": verdict,
                 "discordant_but_separable": (verdict["classification"] == "Separable"

@@ -11,12 +11,12 @@ from clonecorr import cloner, hermat
 from clonecorr.cli import point_report
 from clonecorr.cloner import (_amplitudes, _physical_at_floor, check_machine_constraints,
                               reduced_clone)
-from clonecorr.hermat import eig_sym4, swap_qubits
+from clonecorr.hermat import eig_sym4
 from clonecorr.search import bisect_boundary
 from clonecorr.separability import scan_grid
 from clonecorr.errors import DomainError
 import oracles
-from oracles import (output_states, valid_j_range_jacobi, valid_j_range_reference,
+from oracles import (output_states, swap_qubits, valid_j_range_jacobi, valid_j_range_reference,
                      window_edge_roots)
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -316,33 +316,38 @@ class TestValidJRange:
 
 class TestMachineConstraints:
     def test_universal_point_saturates_overlap_bound(self):
-        report = check_machine_constraints(1 / 6)
-        assert report.satisfied
-        assert abs(report.overlap - report.overlap_bound) <= 1e-12
+        # the cross overlap n/2 meets its Cauchy-Schwarz bound sqrt(j n) at j = 1/6
+        j = 1 / 6
+        n = 1 - 2 * j
+        assert abs(n / 2 - math.sqrt(j * n)) <= 1e-12
+        assert check_machine_constraints(j) is True
 
     @pytest.mark.parametrize("j", [np.nextafter(1 / 6, 0.0), 1 / 6 - 6e-13])
     def test_j_below_one_sixth_is_not_satisfied(self, j):
         # the constraint is decided on j itself: no float slack admits j < 1/6
         # (j = 1/6 itself is test_universal_point_saturates_overlap_bound)
-        report = check_machine_constraints(j)
-        assert report.norms_ok and not report.overlap_ok and not report.satisfied
+        assert check_machine_constraints(j) is False
 
     def test_j_04_satisfied(self):
-        report = check_machine_constraints(0.4)
-        assert report.satisfied
-        assert report.overlap == pytest.approx(0.1, abs=1e-15)
-        assert report.overlap_bound == pytest.approx(np.sqrt(0.08), abs=1e-15)
+        # |n/2| = 0.1 is within sqrt(j n) = sqrt(0.08)
+        assert check_machine_constraints(0.4) is True
 
     def test_j_06_violates_norms(self):
-        report = check_machine_constraints(0.6)
-        assert not report.norms_ok
-        assert not report.satisfied
+        # <Q|Q> = 1 - 2j < 0
+        assert check_machine_constraints(0.6) is False
 
     def test_feasible_window(self):
-        report = check_machine_constraints(0.3)
-        assert report.feasible_j == FEASIBLE_J == (1 / 6, 0.5)
+        assert FEASIBLE_J == (1 / 6, 0.5)
+        assert check_machine_constraints(0.3) is True
         # overlap constraint fails strictly below the window
-        assert not check_machine_constraints(0.1).overlap_ok
+        assert check_machine_constraints(0.1) is False
+
+    @pytest.mark.parametrize("j,expected", [
+        (1 / 6, True), (0.4, True), (0.5, True), (np.nextafter(1 / 6, 0.0), False),
+        (1 / 6 - 6e-13, False), (0.6, False), (math.nan, False)])
+    def test_is_a_plain_bool(self, j, expected):
+        for value in (j, np.float64(j)):
+            assert check_machine_constraints(value) is expected
 
 
 class TestStructuralInvariants:

@@ -13,12 +13,12 @@ import clonecorr.discord as discord_module
 from clonecorr.discord import DiscordResult
 from clonecorr import hermat
 from clonecorr.hermat import (eig_herm2, eig_sym4, jacobi_eigvals, partial_trace, plogp,
-                             swap_qubits, validate_state, vn_entropy)
+                             validate_state, vn_entropy)
 from clonecorr.errors import DomainError, InvalidStateError
 from clonecorr.search import golden_min
 from oracles import (bell_phi_plus, conditional_entropy_curve_complex,
                      conditional_entropy_projector, discord_grid_oracle, phase_scan_loop,
-                     random_product_state, random_sym_state4)
+                     random_product_state, random_sym_state4, swap_qubits)
 
 # Regression constants, frozen from the projector-based oracles in oracles.py
 # (dense 20001-point t grid plus golden refinement, run once at development
@@ -338,6 +338,17 @@ class TestConditionalEntropy:
             with pytest.raises(InvalidStateError, match=r"expected \(\.\.\., 4, 4\), got shape"):
                 conditional_entropy_curve(np.full(shape, 1 / 16), [0.3], phi)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_curve_refuses_a_non_finite_state(self, bad):
+        rhos = build_output_batch(0.7, [0.2, 0.3])
+        rhos[1, 0, 3] = bad
+        for rho in (rhos, rhos[1]):
+            for phi in (0.0, 0.4):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(InvalidStateError, match="NaN or infinite"):
+                        conditional_entropy_curve(rho, [0.3], phi)
+
     def test_broadcast_view_ts_matches_materialized(self):
         rho = build_output_state(0.7, 0.22)
         ts = np.linspace(0.0, np.pi / 2, 97, endpoint=False)
@@ -525,18 +536,18 @@ class TestDiscordMin:
         rho = build_output_state(2 ** -0.5, 0.3)   # first minimal rows 326, 327 share a block
         assert discord_min(rho, scan_phase=True) == phase_scan_reference(rho, coarse)
 
-    def test_rejects_small_grid(self):
-        with pytest.raises(DomainError):
-            discord_min(bell_phi_plus(), grid_points=32)
+    def test_grid_points_is_not_a_keyword(self):
+        # the grid has the module constant GRID_POINTS angles per axis
+        assert discord_module.GRID_POINTS == 721
+        with pytest.raises(TypeError):
+            discord_min(bell_phi_plus(), grid_points=721)
 
     @pytest.mark.parametrize("grid_points", [100.0, 65.5, float("nan"), "721", None])
     def test_rejects_non_integer_grid(self, grid_points):
-        with pytest.raises(DomainError, match="integer"):
-            discord_min(bell_phi_plus(), grid_points=grid_points)
-
-    def test_accepts_numpy_integer_grid(self):
-        rho = build_output_state(0.7, 0.22)
-        assert discord_min(rho, grid_points=np.int64(100)) == discord_min(rho, grid_points=100)
+        # scan_phase is keyword-only, so a grid size passed by position is
+        # refused rather than read as a phase-scan flag
+        with pytest.raises(TypeError):
+            discord_min(bell_phi_plus(), grid_points)
 
     def test_refine_tol_is_not_a_keyword(self):
         # the refinement tolerance is the module constant REFINE_TOL

@@ -7,10 +7,9 @@ from clonecorr import build_output_batch, build_output_state, hermat
 from clonecorr.cli import RunConfig
 from clonecorr.errors import ConvergenceError, InvalidStateError
 from clonecorr.hermat import (HERM_ATOL, eig_herm2, eig_sym4, jacobi_eigvals, partial_trace,
-                             partial_transpose_b, principal_minor, swap_qubits, validate_state,
-                             vn_entropy)
+                             partial_transpose_b, principal_minor, validate_state, vn_entropy)
 from oracles import (bell_phi_plus, charpoly_eigvals_sym4, jacobi_eigvals_row_major, random_herm2,
-                     random_sym4)
+                     random_sym4, swap_qubits)
 
 # regression constant: -(5/6)log2(5/6) - (1/6)log2(1/6)
 ENTROPY_5_6 = 0.6500224216483541
@@ -273,6 +272,16 @@ class TestJacobiEigvals:
         with pytest.raises(InvalidStateError, match=r"expected \(\.\.\., 4, 4\), got shape"):
             jacobi_eigvals(np.zeros(shape))
 
+    @pytest.mark.parametrize("alpha", [1e-154, 1e-155, 1e-160, 1e-300, 1e-320])
+    def test_tiny_alpha_overflows_without_a_warning(self, alpha):
+        # off-diagonal entries near alpha make theta overflow; t = 0 is then the rotation
+        stacks = np.stack(self._stacks(alpha, self.DEFAULT_JS))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectra = jacobi_eigvals(stacks)
+        np.testing.assert_allclose(spectra, np.linalg.eigvalsh(stacks)[..., ::-1],
+                                   rtol=0, atol=2e-15)
+
 
 class TestVnEntropy:
     def test_pure(self):
@@ -315,16 +324,23 @@ class TestVnEntropy:
         with pytest.raises(InvalidStateError, match="NaN or infinite"):
             vn_entropy(spectrum)
 
+    def test_rejects_empty_spectrum(self):
+        with pytest.raises(InvalidStateError, match="empty"):
+            vn_entropy([])
+
 
 class TestValidateState:
-    @pytest.mark.parametrize("shape", [2, 4])
-    def test_rejects_nan_state(self, shape):
-        m = np.eye(shape) / shape
+    def test_rejects_nan_state(self):
+        m = np.eye(4) / 4
         m[-1, -1] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidStateError, match="NaN or infinite"):
                 validate_state(m)
+
+    def test_rejects_2x2_state(self):
+        with pytest.raises(InvalidStateError, match="4x4"):
+            validate_state(np.eye(2) / 2)
 
     def test_spectrum_is_descending(self):
         rho = build_output_state(0.7, 0.22)
@@ -427,6 +443,15 @@ class TestPrincipalMinor:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             principal_minor(np.eye(4), 5)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, "2", None, np.float64(3.0)])
+    def test_rejects_non_integer_order(self, k):
+        with pytest.raises(ValueError, match="integer"):
+            principal_minor(np.eye(4), k)
+
+    def test_accepts_numpy_integer_order(self):
+        sigma = partial_transpose_b(build_output_state(0.6, 0.2))
+        assert principal_minor(sigma, np.int64(3)) == principal_minor(sigma, 3)
 
 
 class TestSwapQubits:

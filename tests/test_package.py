@@ -19,11 +19,10 @@ PUBLIC = {
 MODULE_ONLY = {
     "jacobi_eigvals": "hermat", "principal_minor": "hermat", "eig_herm2": "hermat",
     "eig_sym4": "hermat", "partial_trace": "hermat", "partial_transpose_b": "hermat",
-    "swap_qubits": "hermat", "vn_entropy": "hermat",
+    "validate_state": "hermat", "vn_entropy": "hermat",
     "ConvergenceError": "errors",
     "ppt_data": "separability",
     "reduced_clone": "cloner", "check_machine_constraints": "cloner",
-    "MachineConstraintReport": "cloner",
 }
 
 

@@ -64,8 +64,7 @@ class TestNumpyScalarJ:
         for j, plain in ((np.float64(0.22), 0.22), (0, 0.0)):
             for f in (w3_closed, w4_closed, clone_fidelity):
                 assert type(f(0.7, j)) is float and f(0.7, j) == f(0.7, plain)
-            assert check_machine_constraints(j) == check_machine_constraints(plain)
-            assert type(check_machine_constraints(j).j) is float
+            assert check_machine_constraints(j) is check_machine_constraints(plain)
         assert classify(0.7, np.float64(0.22)) == classify(0.7, 0.22)
 
 
