@@ -12,16 +12,13 @@ in basis |00>, |01>, |10>, |11> is
 
 The |01>/|10> rows are identical, so the singlet (|01> - |10>)/sqrt(2) is
 annihilated exactly for every (alpha, j). The state is physical on the j
-window (lo, 1/2), where lo is the one root in [0, 1/6] of F(j), the triplet
-cubic at the eigenvalue floor, to 1e-15, or 0 when F(0) <= 0, i.e.
-k = alpha^2 beta^2 <= 2 (1 + eps) eps^2 (see valid_j_range).
+window (lo, 1/2); _model derives lo from the triplet cubic F(j).
 """
-
-import math
 
 import numpy as np
 
 from . import hermat
+from ._model import _amplitudes, _physical_at_floor
 from .errors import DomainError
 from .search import bisect_boundary
 
@@ -29,14 +26,6 @@ from .search import bisect_boundary
 FEASIBLE_J = (1.0 / 6.0, 0.5)
 # bracket width at which valid_j_range's bisection on [0, 1/6] stops
 WINDOW_TOL = 1e-15
-
-
-def _amplitudes(alpha):
-    """(alpha, beta) as floats, beta = +sqrt(1 - alpha^2); DomainError outside [-1, 1]."""
-    alpha = float(alpha)
-    if not -1.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [-1, 1], got {alpha}")
-    return alpha, math.sqrt(1.0 - alpha * alpha)
 
 
 def build_output_state(alpha, j):
@@ -86,36 +75,17 @@ def _fidelity(alpha, rho_a):
     return float(chi @ rho_a @ chi)
 
 
-def _physical_at_floor(k):
-    """j -> f(-eps) <= 0 for the triplet cubic f at k = alpha^2 beta^2; j a number or an array."""
-    eps = -hermat.STATE_EIG_FLOOR
-    head = (-eps - 1.0) * eps
-
-    def is_physical(j):
-        j2 = 2.0 * j
-        n = 1.0 - j2
-        return (head - j2 * n) * eps - k * n * n * (j2 - 0.5 * n) <= 0.0
-    return is_physical
-
-
 def valid_j_range(alpha):
     """Interval (lo, 1/2) of j in [0, 1/2] on which the output state is physical.
 
-    Physical means minimum eigenvalue >= -eps, eps = 1e-10. With
-    k = alpha^2 beta^2 and n = 1 - 2j, rho's spectrum is 0 and the roots of
-    the triplet cubic f(lambda) = lambda^3 - lambda^2 + 2jn lambda
-    - k n^2 (2j - n/2), all real since rho is symmetric. The shifted cubic
-    f(x - eps) has coefficients 1, -(1 + 3 eps), 3 eps^2 + 2 eps + 2jn and
-    F(j) = f(-eps), so by Descartes' rule its roots are all >= 0, i.e. rho
-    is physical, exactly when F(j) <= 0. F is negative on [1/6, 1/2], where
-    both of its j-dependent terms are <= 0, and strictly decreasing on
-    [0, 1/6], where its derivative -2 eps (1 - 4j) - k n (5 - 18j) is
-    negative. So lo is 0 when F(0) <= 0, i.e. k <= 2 (1 + eps) eps^2, and
-    otherwise the one root of F in [0, 1/6], bisected to WINDOW_TOL by the
-    test F(j) <= 0, built once per alpha with F's j-free part precomputed.
+    Physical means minimum eigenvalue >= -eps, eps = -STATE_EIG_FLOOR =
+    1e-10; _model derives the window from the triplet cubic F(j). lo is 0
+    when F(0) <= 0, and otherwise the one root of F in [0, 1/6], bisected to
+    WINDOW_TOL by the test F(j) <= 0, built once per alpha with F's j-free
+    part precomputed.
     """
     a, b = _amplitudes(alpha)
-    is_physical = _physical_at_floor((a * b) ** 2)
+    is_physical = _physical_at_floor((a * b) ** 2, -hermat.STATE_EIG_FLOOR)
     lo = 0.0 if is_physical(0.0) else bisect_boundary(is_physical, 0.0, 1.0 / 6.0, WINDOW_TOL)
     return (lo, 0.5)
 

@@ -48,8 +48,12 @@ arrays in one workspace per call (_workspace). A phase query took 8.4 ms,
 against 12.1 ms on plain temporaries and 8.6 ms with two allocations. The
 real family's eight planes, 1.2 MB at the sweep's 99 states x 91 t, are
 the largest block a surface file frees, so glibc's trim threshold (twice
-that) keeps the heap the file's CSV text and its encoding take: a warm
-file makes 0 minor page faults (glibc 2.36), against 440-940 on temporaries.
+that) keeps the heap the file's CSV text takes. That alone held only for
+some heap layouts: with a whole-file write, some lengths of the source
+and output paths gave about 550 minor page faults a warm file (glibc
+2.36). With cli's sliced write, a warm file made a median of 0 at every
+output-path length tried, 20 to 76 characters; with the kernel on plain
+temporaries it made 440-940.
 
 discord_min's golden-section refinement calls a closure over rho's Bloch
 form (_conditional_entropy_at): the same quantity in scalar math, equal to

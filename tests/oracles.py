@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-from clonecorr.cloner import WINDOW_TOL, _amplitudes, build_output_batch
+from clonecorr._model import _amplitudes
+from clonecorr.cloner import WINDOW_TOL, build_output_batch
 from clonecorr.discord import DEGENERATE_P, conditional_entropy_curve
 from clonecorr.errors import ConvergenceError
 from clonecorr.hermat import (JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL, STATE_EIG_FLOOR, jacobi_eigvals,

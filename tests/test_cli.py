@@ -252,15 +252,19 @@ class TestSurface:
     def test_warm_surface_files_do_not_refault_the_heap(self, tmp_path):
         # the real-family kernel's one workspace is the largest block a file
         # frees, so glibc keeps the heap the CSV text takes instead of trimming
-        # it. Measured: a median of 0 faults a file, against 937 on plain temporaries
+        # it, and each file is written in slices. The output directory's length
+        # shifts the heap's layout: with one whole-file write and the sources at
+        # one fixed path, lengths 38 and 57 gave medians of 270-550 faults a
+        # file, and 20 and 76 gave 0
         pytest.importorskip("resource")
-        proc = subprocess.run(
-            [sys.executable, "-c", SURFACE_FAULTS, str(tmp_path)],
-            env={"PYTHONPATH": str(SRC_DIR), "PATH": "/usr/bin:/bin"},
-            capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        faults = [int(line) for line in proc.stdout.split()]
-        assert len(faults) == 23 and statistics.median(faults[5:]) < 50, faults
+        for length in (20, 38, 57, 76):
+            proc = subprocess.run(
+                [sys.executable, "-c", SURFACE_FAULTS, "d" * length], cwd=tmp_path,
+                env={"PYTHONPATH": str(SRC_DIR), "PATH": "/usr/bin:/bin"},
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            faults = [int(line) for line in proc.stdout.split()]
+            assert len(faults) == 23 and statistics.median(faults[5:]) < 50, (length, faults)
 
     @pytest.mark.parametrize("fmt,psd,digests", [
         ("csv", False, {

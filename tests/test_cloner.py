@@ -9,8 +9,8 @@ from clonecorr import (FEASIBLE_J, build_output_batch, build_output_state, class
                        w3_closed, w4_closed)
 from clonecorr import cloner, hermat
 from clonecorr.cli import point_report
-from clonecorr.cloner import (_amplitudes, _physical_at_floor, check_machine_constraints,
-                              reduced_clone)
+from clonecorr._model import _amplitudes, _physical_at_floor
+from clonecorr.cloner import check_machine_constraints, reduced_clone
 from clonecorr.hermat import eig_sym4
 from clonecorr.search import bisect_boundary
 from clonecorr.separability import scan_grid
@@ -235,7 +235,7 @@ class TestValidJRange:
         for alpha in alphas:
             a, b = _amplitudes(alpha)
             min_eigs = np.linalg.eigvalsh(build_output_batch(alpha, js))[:, 0]
-            flags = _physical_at_floor((a * b) ** 2)(js)
+            flags = _physical_at_floor((a * b) ** 2, -hermat.STATE_EIG_FLOOR)(js)
             assert np.array_equal(flags, min_eigs >= hermat.STATE_EIG_FLOOR), alpha
 
     def test_equals_reference_bit_for_bit(self):
