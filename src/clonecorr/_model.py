@@ -36,8 +36,8 @@ and the state is separable exactly where g >= 0:
   sign of 2j - beta^2 n, i.e. W3 >= 0 for j >= j3. If beta^2 < 1/2,
   then j3 < 1/6. If beta^2 >= 1/2 and j < j3, then beta^2 > 2j/n >= 1/2.
   So k < 2j (1-4j) / n^2, and therefore g < -2j (5j-1)^2 <= 0.
-- For alpha in {0, +-1}, k = 0 and g(j) = -2j^3 vanishes only at j = 0,
-  where rho is the product |11><11| or |00><00|.
+- For alpha in {0, +-1}, k = 0 and g(j) = -2j^3 < 0 on the copier
+  domain [1/6, 1/2], so no copier output there is separable.
 The roots (_g_roots): with y = n/j, which maps (1/6, 1/3) onto (1, 4),
 g(j) = -k j^3 (y^3 - 4y^2 + 2/k). With y = 4/3 + z that cubic is
 z^3 - (16/3) z + 2/k - 128/27, whose roots are
@@ -111,14 +111,14 @@ def _g_exact(kn, kd, j):
 
 
 def _g_roots(alpha):
-    """The stretches of j in [0, 1/2] where g >= 0, as a list of 0 or 1 (r1, r2) pairs.
+    """The stretches of j in [1/6, 1/2] where g >= 0, as a list of 0 or 1 (r1, r2) pairs.
 
-    alpha is a float. k = 0 gives [(0, 0)], k < 27/128 gives [], and
-    otherwise the pair is g's two roots in (1/6, 1/3), r1 <= r2.
+    alpha is a float. k < 27/128, k = 0 included, gives [], and otherwise
+    the pair is g's two roots in (1/6, 1/3), r1 <= r2.
     """
     kn, kd = _exact_k(alpha)
     if 128 * kn < 27 * kd:
-        return [(0.0, 0.0)] if kn == 0 else []
+        return []
     k = kn / kd
     theta = math.acos(max(1.0 - 27.0 / (64.0 * k), -1.0)) / 3.0
     roots = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hermat
-from .cloner import (_fidelity, _physical_state, build_output_batch, build_output_state,
+from .cloner import (_copier_state, _fidelity, build_output_batch, build_output_state,
                      check_machine_constraints, clone_fidelity, valid_j_range)
 from .discord import (_discord_min, _marginals, _surface, conditional_entropy_curve, discord_at,
                       discord_min, mutual_info_i, mutual_info_j)
@@ -407,9 +407,9 @@ def run_table1(cfg, out_stream=None):
 
 def point_report(alpha, j, scan_phase=False):
     """All single-point quantities as a plain dict (JSON-ready)."""
-    # classify's physicality test; a copier state has unit trace, so it also
-    # validates rho for discord_min, and only classify's PPT half remains
-    rho, spectrum = _physical_state(alpha, j)
+    # classify's copier-domain test; a copier state is a unit-trace PSD state,
+    # so it also validates rho for discord_min, and only classify's PPT half remains
+    rho, spectrum = _copier_state(alpha, j)
     lo, hi = valid_j_range(alpha)
     marginals = _marginals(rho)
     result = _discord_min(rho, spectrum, marginals, scan_phase=scan_phase)
@@ -442,9 +442,6 @@ def run_point(alpha, j, output_format="text", scan_phase=False, out_stream=None)
           file=out_stream)
     lo, hi = report["valid_j_range"]
     print(f"  physical j range:    [{lo:.6f}, {hi:.6f}]", file=out_stream)
-    if not report["machine_constraints_satisfied"]:
-        print("  copier:              none (machine vectors need j in [1/6, 1/2]); "
-              "this matrix is no copier's output", file=out_stream)
     print(f"  clone fidelity:      {report['fidelity']:.12g}", file=out_stream)
     print(f"  discord (min):       {d['discord']:.12g} bits at t={d['optimal_t']:.9f}"
           + (f", phi={d['optimal_phi']:.9f}" if scan_phase else ""), file=out_stream)

@@ -11,8 +11,10 @@ in basis |00>, |01>, |10>, |11> is
      [ 0,      c,  c,  b^2 n ]]
 
 The |01>/|10> rows are identical, so the singlet (|01> - |10>)/sqrt(2) is
-annihilated exactly for every (alpha, j). The state is physical on the j
-window (lo, 1/2); _model derives lo from the triplet cubic F(j).
+annihilated exactly for every (alpha, j). A copier exists only for j in
+FEASIBLE_J = [1/6, 1/2], and there the state is positive semidefinite for
+every alpha. The wider PSD window (lo, 1/2), lo <= 1/6, comes from the
+triplet cubic F(j) of _model; below 1/6 it holds matrices no copier makes.
 """
 
 import numpy as np
@@ -90,19 +92,12 @@ def valid_j_range(alpha):
     return (lo, 0.5)
 
 
-def _physical_state(alpha, j):
-    """(rho, its descending spectrum) at (alpha, j); the one refusal of an unphysical point."""
-    (alpha, _), j = _amplitudes(alpha), float(j)
+def _copier_state(alpha, j):
+    """(rho, its descending spectrum) at (alpha, j); the one refusal of a j no copier has."""
     rho = build_output_state(alpha, j)
-    spectrum = hermat.eig_sym4(rho)
-    if spectrum[-1] < hermat.STATE_EIG_FLOOR:
-        lo, hi = valid_j_range(alpha)
-        exc = DomainError(f"output state unphysical at alpha={alpha}, j={j} (minimum eigenvalue "
-                          f"{spectrum[-1]:.6e}); physical j range for alpha={alpha} is "
-                          f"[{lo:.6f}, {hi:.6f}]")
-        exc.min_eigenvalue = float(spectrum[-1])
-        raise exc
-    return rho, spectrum
+    if not check_machine_constraints(j):
+        raise DomainError(f"no copier has j={j}: machine vectors exist only for j in [1/6, 1/2]")
+    return rho, hermat.eig_sym4(rho)
 
 
 def check_machine_constraints(j):

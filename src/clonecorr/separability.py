@@ -23,7 +23,7 @@ import numpy as np
 from . import hermat
 # w3_closed and w4_closed stay importable from separability
 from ._model import _g_roots, w3_closed, w4_closed  # noqa: F401
-from .cloner import _physical_state, build_output_batch, valid_j_range
+from .cloner import _copier_state, build_output_batch, valid_j_range
 from .errors import DomainError
 # unused; bench/test_bench.py::test_every_binding_is_traced_and_restored checks this binding
 from .search import bisect_boundary  # noqa: F401
@@ -75,18 +75,17 @@ def _ppt_triple(sigmas, spectra):
 def classify(alpha, j):
     """Separable/Entangled verdict for the output state at (alpha, j).
 
-    Refuses unphysical points (minimum eigenvalue of the state below
-    -1e-10) with a DomainError carrying the offending eigenvalue. The
-    classification follows the PPT minimum eigenvalue; the determinant
-    shortcut is evaluated alongside and any disagreement is reported in the
-    verdict's agreement flag.
+    Refuses a j outside FEASIBLE_J = [1/6, 1/2], where no copier exists,
+    with a DomainError. The classification follows the PPT minimum
+    eigenvalue; the determinant shortcut is evaluated alongside and any
+    disagreement is reported in the verdict's agreement flag.
     """
-    rho, _ = _physical_state(alpha, j)
+    rho, _ = _copier_state(alpha, j)
     return _ppt_verdict(rho)
 
 
 def _ppt_verdict(rho):
-    """classify's verdict for a 4x4 state whose physicality is already checked."""
+    """classify's verdict for a copier state already admitted by _copier_state."""
     w3, w4, min_ppt = (float(x) for x in ppt_data(rho))
     separable = min_ppt >= hermat.STATE_EIG_FLOOR
     det_separable = w3 >= 0.0 and w4 >= 0.0
@@ -98,7 +97,7 @@ def _ppt_verdict(rho):
 
 
 def scan_grid(alpha, scan_step=1e-4):
-    """Dense-grid scan over the physical j domain intersected with (0, 1/2].
+    """Dense-grid scan over the PSD window (valid_j_range) intersected with (0, 1/2].
 
     Returns (js, w3s, w4s, min_ppt) arrays. The dense determinant-versus-PPT
     cross-check used by selftest and the tests; separable_intervals does not
@@ -118,12 +117,11 @@ def scan_grid(alpha, scan_step=1e-4):
 def separable_intervals(alpha):
     """Maximal intervals of j on which the output state is separable.
 
-    alpha is a number in [-1, 1]. With k = alpha^2 beta^2, the state is
-    separable exactly where the cubic g of _model is >= 0. The result is
+    alpha is a number in [-1, 1]. With k = alpha^2 beta^2, a copier output
+    is separable exactly where the cubic g of _model is >= 0. The result is
     [JInterval(r1, r2)] when g has two real roots r1 <= r2 in (1/6, 1/3),
-    i.e. k >= 27/128 (clipped to the physical window, one valid_j_range
-    call), [JInterval(0, 0)] for alpha in {0, +-1}, where the state at
-    j = 0 is a product and g vanishes only there, and [] otherwise.
+    i.e. k >= 27/128 (clipped to the PSD window of one valid_j_range call,
+    which contains them), and [] otherwise, alpha in {0, +-1} included.
     """
     lo, hi = valid_j_range(alpha)
     return [JInterval(lo=max(r1, lo), hi=min(r2, hi)) for r1, r2 in _g_roots(float(alpha))]

@@ -489,11 +489,12 @@ class TestTable1:
         assert a.lo == pytest.approx(b.lo, abs=2e-6)
         assert a.hi == pytest.approx(b.hi, abs=2e-6)
 
-    def test_product_rows_are_separable_at_j_zero(self, capsys):
-        # alpha in {0, +-1}: the state at j = 0 is a product, entangled for every j > 0
+    def test_product_rows_are_inseparable(self, capsys):
+        # alpha in {0, +-1}: g(j) = -2j^3 < 0 on [1/6, 1/2], so no copier output is
+        # separable; the product state at j = 0 is no copier's
         assert main(["table1", "--alpha", "0,1,-1"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
-        assert [row.split()[1:4] for row in rows] == [["[0.000,", "0.000]", "Separable"]] * 3
+        assert [row.split()[1:3] for row in rows] == [["(none)", "Inseparable"]] * 3
 
     def test_mismatch_exits_3(self, monkeypatch, capsys):
         monkeypatch.setitem(cli.REFERENCE_INTERVALS, 0.6, (0.10, 0.15))
@@ -565,7 +566,7 @@ class TestPoint:
         assert report["discord"]["discord"] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("alpha,j", [(0.7, 0.22), (1.0, 0.3), (0.5, 0.5), (0.9, 0.19),
-                                         (0.3, 1 / 6 + 1e-9)])
+                                         (0.3, 1 / 6 + 1e-9), (0.7, 1 / 6)])
     def test_separability_is_the_classify_verdict(self, alpha, j):
         report = cli.point_report(alpha, j)
         assert report["separability"] == dataclasses.asdict(classify(alpha, j))
@@ -583,16 +584,17 @@ class TestPoint:
         assert main(["point", alpha, j, "--format", "json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("alpha,j", [("0", "0.1"), ("1e-5", "0.1"), ("0", "0.166666666666")])
+    @pytest.mark.parametrize("alpha,j", [("0", "0.1"), ("1e-5", "0.1"), ("0", "0.166666666666"),
+                                         ("0.7", "-0.0")])
     def test_text_says_when_no_copier_has_this_j(self, capsys, alpha, j):
-        # a PSD matrix below j = 1/6, which no machine produces: exit 0, one extra
-        # line, and the JSON agrees; 0.166666666666 is 6.7e-13 below 1/6
-        assert main(["point", alpha, j]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert ("  copier:              none (machine vectors need j in [1/6, 1/2]); "
-                "this matrix is no copier's output") in lines
-        assert main(["point", alpha, j, "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["machine_constraints_satisfied"] is False
+        # a PSD matrix below j = 1/6, which no machine produces: exit 2 in both
+        # formats, and the message names the copier domain; 0.166666666666 is
+        # 6.7e-13 below 1/6, and -0.0 passes build_output_state's [0, 1/2] test
+        for fmt in ("text", "json"):
+            assert main(["point", alpha, j, "--format", fmt]) == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "j in [1/6, 1/2]" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv,digest", [
         ([], "493af88a40de7390db3e724d56ec5318d218b44374105c5b2e726d802ed081ac"),
@@ -656,19 +658,20 @@ class TestPoint:
             }, (alpha, j)
 
     def test_unphysical_point_exits_2_with_range(self, capsys):
+        # j = 0.1 < 1/6: the refusal names the copier's j range, not the PSD window
         rc = main(["point", "0.5", "0.1"])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "unphysical" in err
-        assert "physical j range" in err
+        assert "machine vectors exist only for j in [1/6, 1/2]" in err
+        assert "physical j range" not in err
 
     def test_unphysical_point_is_refused_as_classify_refuses_it(self):
-        with pytest.raises(DomainError, match="physical j range") as by_report:
+        with pytest.raises(DomainError, match=r"\[1/6, 1/2\]") as by_report:
             cli.point_report(0.5, 0.1)
         with pytest.raises(DomainError) as by_classify:
             classify(0.5, 0.1)
         assert str(by_classify.value) == str(by_report.value)
-        assert by_classify.value.min_eigenvalue == by_report.value.min_eigenvalue < -1e-10
+        assert not hasattr(by_classify.value, "min_eigenvalue")
 
 
 class TestSelftest:

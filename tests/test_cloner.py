@@ -273,21 +273,6 @@ class TestValidJRange:
             window(alpha)
         assert counts == [evals, evals]
 
-    def test_window_edge_agrees_with_point_report(self):
-        # point_report's own eig_sym4 physicality test accepts j just above lo
-        # and rejects j just below it
-        alphas = [*np.linspace(-0.99, 0.99, 199), 1e-3, 1e-4, 1e-5, 6e-6, 1e-6, 1 - 1e-9]
-        edged = 0
-        for alpha in alphas:
-            lo, _ = valid_j_range(alpha)
-            if lo == 0.0:
-                continue
-            edged += 1
-            assert point_report(alpha, lo + 1e-8)["physical"], alpha
-            with pytest.raises(DomainError, match="physical j range"):
-                point_report(alpha, lo - 1e-8)
-        assert edged > 150
-
     def test_window_takes_no_jacobi_stack(self, monkeypatch):
         # the window takes no 4x4 spectrum at all: its bisection evaluates
         # the triplet cubic
@@ -348,6 +333,33 @@ class TestMachineConstraints:
     def test_is_a_plain_bool(self, j, expected):
         for value in (j, np.float64(j)):
             assert check_machine_constraints(value) is expected
+
+    def test_point_report_admits_one_sixth_and_refuses_the_float_below(self):
+        # the domain's edge is 1/6 for every alpha, with no float slack, the
+        # alphas whose PSD window starts at 0 or well below 1/6 included
+        below = math.nextafter(1 / 6, 0.0)
+        for alpha in [*np.linspace(-0.99, 0.99, 199), 0.0, 1.0, -1.0, 1e-3, 1e-5, 1e-6, 1 - 1e-9]:
+            assert point_report(alpha, 1 / 6)["machine_constraints_satisfied"], alpha
+            with pytest.raises(DomainError, match=r"j in \[1/6, 1/2\]"):
+                point_report(alpha, below)
+
+    def test_copier_states_clear_the_eigenvalue_floor(self):
+        # the state is exactly PSD on [1/6, 1/2] for every alpha, so no copier
+        # point needs a floor test: the lowest LAPACK eigenvalue of every state on
+        # a dense alpha x FEASIBLE_J grid, edges included, stays >= STATE_EIG_FLOOR
+        edges = [0.0, 1.0, 1e-160, 1e-5, 1 - 1e-9]
+        alphas = [*np.linspace(-1.0, 1.0, 401), *edges, *(-a for a in edges)]
+        edge_js = [1 / 6, math.nextafter(1 / 6, 1.0), 0.5]
+        js = np.array([*edge_js, *np.linspace(1 / 6, 0.5, 801)])
+        lowest = math.inf
+        for alpha in alphas:
+            rhos = build_output_batch(alpha, js)
+            mins = np.linalg.eigvalsh(rhos)[:, 0]
+            # the stack's rows are eig_sym4's spectra, bit for bit
+            for k in range(len(edge_js)):
+                assert mins[k] == eig_sym4(rhos[k])[-1], (alpha, js[k])
+            lowest = min(lowest, float(mins.min()))
+        assert lowest >= hermat.STATE_EIG_FLOOR
 
 
 class TestStructuralInvariants:

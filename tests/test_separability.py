@@ -173,9 +173,10 @@ class TestClassify:
         assert verdict.w4 == pytest.approx(-0.0081, abs=1e-15)
 
     def test_refuses_unphysical_point(self):
-        with pytest.raises(DomainError) as err:
+        # j = 0.1 is below the copier domain; the refusal names the domain
+        with pytest.raises(DomainError, match=r"j in \[1/6, 1/2\]") as err:
             classify(0.5, 0.1)
-        assert err.value.min_eigenvalue < -1e-10
+        assert not hasattr(err.value, "min_eigenvalue")
 
 
 class TestSeparableIntervals:
@@ -189,15 +190,18 @@ class TestSeparableIntervals:
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
     def test_empty_for_entangled_rows(self, alpha):
-        # no separable j > 0; at alpha = 1 the state at j = 0 is |00><00|, a product
-        assert separable_intervals(alpha) == ([JInterval(0.0, 0.0)] if alpha == 1.0 else [])
+        # no copier j in [1/6, 1/2] is separable
+        assert separable_intervals(alpha) == []
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0])
-    def test_product_rows_are_separable_at_j_zero_only(self, alpha):
-        # k = 0, so g(j) = -2j^3; rho at j = 0 is |11><11| or |00><00|
-        assert separable_intervals(alpha) == [JInterval(0.0, 0.0)]
-        assert classify(alpha, 0.0).classification == "Separable"
-        assert classify(alpha, 1e-3).classification == "Entangled"
+    def test_product_rows_have_no_separable_copier_j(self, alpha):
+        # k = 0, so g(j) = -2j^3 < 0 on [1/6, 1/2]; the product state at j = 0
+        # (|11><11| or |00><00|) is no copier's output and is refused
+        assert separable_intervals(alpha) == []
+        for j in (1 / 6, 0.5):
+            assert classify(alpha, j).classification == "Entangled"
+        with pytest.raises(DomainError, match=r"j in \[1/6, 1/2\]"):
+            classify(alpha, 0.0)
 
     def test_alpha_beta_symmetry(self):
         a = separable_intervals(0.6)[0]
@@ -224,9 +228,7 @@ class TestSeparableIntervals:
         for alpha in [0.0, 1.0, 0.5498, 0.5499, 0.6, 0.7, 0.8, 0.8352, *stratified,
                       0.54987, 0.54988, 0.83524, 0.83525]:
             got = [(iv.lo, iv.hi) for iv in separable_intervals(alpha)]
-            # the scan starts at j = 1e-4, so it cannot see the separable j = 0
-            # of alpha in {0, 1}; there the exact set is the point j = 0
-            want = [(0.0, 0.0)] if alpha in (0.0, 1.0) else separable_intervals_scan(alpha)
+            want = separable_intervals_scan(alpha)
             assert len(got) == len(want), f"alpha={alpha}: {got} vs {want}"
             for iv, ref in zip(got, want):
                 assert np.allclose(iv, ref, rtol=0.0, atol=1e-6), f"alpha={alpha}: {got} vs {want}"
