@@ -1,5 +1,5 @@
 """Tour of the copier output state: construction, reductions, fidelity law,
-and the physical window of the machine parameter.
+and the PSD window of the machine parameter.
 
 Run:  python demos/output_states.py
 """
@@ -43,7 +43,7 @@ for j in (0.1, 1 / 6, 0.4, 0.6):
 print(f"constraints hold exactly on j in [{1/6:.4f}, 0.5]")
 
 print("\n" + "=" * 70)
-print("Physical window of j (output positive semidefinite)")
+print("PSD window of j (output positive semidefinite)")
 print("=" * 70)
 for alpha in (0.0, 0.3, 1 / np.sqrt(2), 0.9, 1.0):
     lo, hi = valid_j_range(alpha)

@@ -22,7 +22,7 @@ print("the verdict column uses the PPT spectrum; agreement is checked per call."
 print("\n" + "=" * 70)
 print("Separable j windows per input amplitude")
 print("=" * 70)
-print(f"{'alpha':>6} {'physical j':>22} {'separable j':>22}")
+print(f"{'alpha':>6} {'PSD window of j':>22} {'separable j':>22}")
 for alpha in [round(0.1 * k, 1) for k in range(1, 10)]:
     lo, hi = valid_j_range(alpha)
     intervals = separable_intervals(alpha)

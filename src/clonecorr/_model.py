@@ -2,21 +2,21 @@
 
 The input is alpha|0> + beta|1> with alpha in [-1, 1] and beta =
 +sqrt(1 - alpha^2); j is the machine parameter, k = alpha^2 beta^2 <= 1/4
-and n = 1 - 2j. cloner builds the state and its physical window from these
+and n = 1 - 2j. cloner builds the state and its PSD window from these
 formulas, separability its separable window. This module imports only
 math and errors: no numpy and no hermat.
 
-Physical window (cloner.valid_j_range). Physical means minimum eigenvalue
+PSD window (cloner.valid_j_range). PSD here means minimum eigenvalue
 >= -eps, eps = 1e-10. rho's spectrum is 0 and the roots of the triplet
 cubic f(lambda) = lambda^3 - lambda^2 + 2jn lambda - k n^2 (2j - n/2), all
 real since rho is symmetric. The shifted cubic f(x - eps) has coefficients
 1, -(1 + 3 eps), 3 eps^2 + 2 eps + 2jn and F(j) = f(-eps), so by
-Descartes' rule its roots are all >= 0, i.e. rho is physical, exactly when
-F(j) <= 0 (_physical_at_floor). F is negative on [1/6, 1/2], where both of
-its j-dependent terms are <= 0, and strictly decreasing on [0, 1/6], where
-its derivative -2 eps (1 - 4j) - k n (5 - 18j) is negative. So the window
-is (lo, 1/2): lo is 0 when F(0) <= 0, i.e. k <= 2 (1 + eps) eps^2, and
-otherwise the one root of F in [0, 1/6].
+Descartes' rule its roots are all >= 0, i.e. rho is PSD at the floor,
+exactly when F(j) <= 0 (_physical_at_floor). F is negative on [1/6, 1/2],
+where both of its j-dependent terms are <= 0, and strictly decreasing on
+[0, 1/6], where its derivative -2 eps (1 - 4j) - k n (5 - 18j) is
+negative. So the window is (lo, 1/2): lo is 0 when F(0) <= 0, i.e.
+k <= 2 (1 + eps) eps^2, and otherwise the one root of F in [0, 1/6].
 
 Separable window (separability.separable_intervals). The partial
 transpose's leading 3x3 and full determinants are

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import hermat
 from .cloner import (_copier_state, _fidelity, build_output_batch, build_output_state,
-                     check_machine_constraints, clone_fidelity, valid_j_range)
+                     clone_fidelity, valid_j_range)
 from .discord import (_discord_min, _marginals, _surface, conditional_entropy_curve, discord_at,
                       discord_min, mutual_info_i, mutual_info_j)
 from .errors import DomainError
@@ -409,19 +409,15 @@ def point_report(alpha, j, scan_phase=False):
     """All single-point quantities as a plain dict (JSON-ready)."""
     # classify's copier-domain test; a copier state is a unit-trace PSD state,
     # so it also validates rho for discord_min, and only classify's PPT half remains
-    rho, spectrum = _copier_state(alpha, j)
-    lo, hi = valid_j_range(alpha)
+    rho = _copier_state(alpha, j)
     marginals = _marginals(rho)
-    result = _discord_min(rho, spectrum, marginals, scan_phase=scan_phase)
+    result = _discord_min(rho, hermat.eig_sym4(rho), marginals, scan_phase=scan_phase)
     verdict = _ppt_verdict(rho)
     return {
         "alpha": alpha,
         "j": j,
-        "physical": True,
-        "min_eigenvalue": float(spectrum[-1]),
-        "valid_j_range": [lo, hi],
+        "valid_j_range": list(valid_j_range(alpha)),
         "fidelity": _fidelity(alpha, marginals[0]),
-        "machine_constraints_satisfied": check_machine_constraints(j),
         "discord": dict(vars(result)),
         "separability": dict(vars(verdict)),
         "discordant_but_separable": (
@@ -438,10 +434,8 @@ def run_point(alpha, j, output_format="text", scan_phase=False, out_stream=None)
     d = report["discord"]
     s = report["separability"]
     print(f"point alpha={_fmt(alpha)} j={_fmt(j)}", file=out_stream)
-    print(f"  physical:            yes (min eigenvalue {report['min_eigenvalue']:.3e})",
-          file=out_stream)
     lo, hi = report["valid_j_range"]
-    print(f"  physical j range:    [{lo:.6f}, {hi:.6f}]", file=out_stream)
+    print(f"  PSD window of j:     [{lo:.6f}, {hi:.6f}]", file=out_stream)
     print(f"  clone fidelity:      {report['fidelity']:.12g}", file=out_stream)
     print(f"  discord (min):       {d['discord']:.12g} bits at t={d['optimal_t']:.9f}"
           + (f", phi={d['optimal_phi']:.9f}" if scan_phase else ""), file=out_stream)

@@ -36,7 +36,8 @@ def build_output_state(alpha, j):
     alpha and j are numbers. alpha outside [-1, 1] or j outside [0, 1/2]
     raises DomainError; positivity of the result is alpha-dependent and
     deliberately not enforced here -- scans cover non-positive parameter
-    regions too. Use valid_j_range for the physical window. The
+    regions too. Use valid_j_range for the PSD window, and
+    check_machine_constraints for the copier domain FEASIBLE_J. The
     one-element case of build_output_batch.
     """
     return build_output_batch(alpha, float(j))
@@ -78,13 +79,14 @@ def _fidelity(alpha, rho_a):
 
 
 def valid_j_range(alpha):
-    """Interval (lo, 1/2) of j in [0, 1/2] on which the output state is physical.
+    """The PSD window: the interval (lo, 1/2) of j in [0, 1/2] where the output is PSD.
 
-    Physical means minimum eigenvalue >= -eps, eps = -STATE_EIG_FLOOR =
-    1e-10; _model derives the window from the triplet cubic F(j). lo is 0
-    when F(0) <= 0, and otherwise the one root of F in [0, 1/6], bisected to
-    WINDOW_TOL by the test F(j) <= 0, built once per alpha with F's j-free
-    part precomputed.
+    PSD here means minimum eigenvalue >= -eps, eps = -STATE_EIG_FLOOR =
+    1e-10; _model derives the window from the triplet cubic F(j). The
+    window contains FEASIBLE_J, the copier domain, and below 1/6 it holds
+    matrices no copier makes. lo is 0 when F(0) <= 0, and otherwise the
+    one root of F in [0, 1/6], bisected to WINDOW_TOL by the test
+    F(j) <= 0, built once per alpha with F's j-free part precomputed.
     """
     a, b = _amplitudes(alpha)
     is_physical = _physical_at_floor((a * b) ** 2, -hermat.STATE_EIG_FLOOR)
@@ -93,11 +95,14 @@ def valid_j_range(alpha):
 
 
 def _copier_state(alpha, j):
-    """(rho, its descending spectrum) at (alpha, j); the one refusal of a j no copier has."""
+    """The copier's output state rho at (alpha, j), a PSD unit-trace state.
+
+    The one refusal of a j no copier has: j outside FEASIBLE_J, for every alpha.
+    """
     rho = build_output_state(alpha, j)
     if not check_machine_constraints(j):
         raise DomainError(f"no copier has j={j}: machine vectors exist only for j in [1/6, 1/2]")
-    return rho, hermat.eig_sym4(rho)
+    return rho
 
 
 def check_machine_constraints(j):

@@ -157,7 +157,8 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     which leaves valid states untouched and keeps the value finite when rho
     is not positive semidefinite (unphysical sweep regions). A rho with a
     NaN or infinite entry is refused, and a complex one if any imaginary
-    part exceeds HERM_ATOL, else taken as real.
+    part exceeds HERM_ATOL, else taken as real. A NaN or infinite angle t
+    or phi raises DomainError, the one check of every caller's angles.
     """
     rho = np.asarray(rho)
     if rho.shape[-2:] != (4, 4):
@@ -167,13 +168,15 @@ def conditional_entropy_curve(rho, ts, phi=0.0):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     phi = np.asarray(phi, dtype=float)
     angles = np.broadcast_shapes(ts.shape, phi.shape)
-    ts = _distinct(ts)
+    ts, phi = _distinct(ts), _distinct(phi)
+    if not (np.isfinite(ts).all() and np.isfinite(phi).all()):
+        raise DomainError("measurement angles must be finite")
     real_rows = phi == 0.0
     bufsize = np.setbufsize(_PHASE_BUFSIZE)   # see _PHASE_BUFSIZE
     try:
         if real_rows.all():
             return _curve(rho, ts, angles)
-        total = _phase_rows(rho, ts, angles, _distinct(phi))
+        total = _phase_rows(rho, ts, angles, phi)
         if real_rows.any():
             # phi = 0 entries keep the real family's bits, from one call on the distinct ts
             np.copyto(total, _curve(rho, ts, (1,) * (len(angles) - ts.ndim) + ts.shape),
@@ -362,11 +365,8 @@ def _admitted(rho):
 
 
 def _conditional_entropy(rho, t, phi):
-    """conditional_entropy of an admitted rho; DomainError unless t and phi are finite."""
-    t, phi = float(t), float(phi)
-    if not (math.isfinite(t) and math.isfinite(phi)):
-        raise DomainError(f"measurement angles must be finite, got t={t}, phi={phi}")
-    return float(conditional_entropy_curve(rho, [t], phi)[0])
+    """conditional_entropy of an admitted rho at the numbers t and phi."""
+    return float(conditional_entropy_curve(rho, [float(t)], float(phi))[0])
 
 
 def conditional_entropy(rho, t, phi=0.0):
@@ -466,18 +466,20 @@ def _discord_min(rho, spectrum, marginals, scan_phase):
 def discord_surface(alpha, j_grid, t_grid):
     """Unminimized discord at every (j, t) grid point.
 
-    Returns (discord, physical): discord has shape (len(j_grid),
-    len(t_grid)) and physical, shape (len(j_grid),), flags the machine
-    parameters where the output state is positive semidefinite. At the
-    other j the joint entropy uses the positive part of the spectrum, so
-    the surface stays finite there.
+    j_grid and t_grid are nonempty 1-D sequences or scalars (one point);
+    a grid of more dimensions raises DomainError. Returns (discord,
+    physical): discord has shape (len(j_grid), len(t_grid)) and physical,
+    shape (len(j_grid),), flags the machine parameters where the output
+    state is positive semidefinite. At the other j the joint entropy uses
+    the positive part of the spectrum, so the surface stays finite there.
     """
     j_grid = np.atleast_1d(np.asarray(j_grid, dtype=float))
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if j_grid.ndim > 1 or t_grid.ndim > 1:
+        raise DomainError(f"j and t grids must be 1-D, got shapes {j_grid.shape} "
+                          f"and {t_grid.shape}")
     if j_grid.size == 0 or t_grid.size == 0:
         raise DomainError("j and t grids must be nonempty")
-    if not np.isfinite(t_grid).all():
-        raise DomainError("t grid must be finite")
     rhos = build_output_batch(alpha, j_grid)
     return _surface(rhos, hermat.jacobi_eigvals(rhos), t_grid)
 

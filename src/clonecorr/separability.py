@@ -80,8 +80,7 @@ def classify(alpha, j):
     eigenvalue; the determinant shortcut is evaluated alongside and any
     disagreement is reported in the verdict's agreement flag.
     """
-    rho, _ = _copier_state(alpha, j)
-    return _ppt_verdict(rho)
+    return _ppt_verdict(_copier_state(alpha, j))
 
 
 def _ppt_verdict(rho):

@@ -17,9 +17,8 @@ from clonecorr import (build_output_state, classify, clone_fidelity, cloner, dis
                        w3_closed, w4_closed)
 from clonecorr.cli import (CSV_HEADER, ConfigError, RunConfig, build_config,
                            load_config_file, main, table1_rows)
-from clonecorr.cloner import check_machine_constraints
 from clonecorr.errors import DomainError
-from clonecorr.hermat import eig_sym4, partial_trace
+from clonecorr.hermat import eig_sym4, partial_trace, vn_entropy
 from clonecorr.separability import ppt_data
 from oracles import surface_text_rows
 
@@ -32,6 +31,16 @@ _RNG = np.random.default_rng(22)
 REPORT_POINTS = [(alpha, j) for alpha in (0.0, 1.0, -1.0, 2 ** -0.5) for j in (1 / 6 + 1e-9, 0.5)]
 REPORT_POINTS += zip(_RNG.uniform(-1.0, 1.0, 32).tolist(), _RNG.uniform(1 / 6, 0.5, 32).tolist())
 
+
+# sha256 of `point ALPHA J --format json`, keyed by (ALPHA, J); the digests
+# are not in the test ids, so a re-pin keeps each test's name
+POINT_JSON_DIGESTS = {
+    ("0.7", "0.22"): "c5ece35466d03999fd86d7f70f04d99ecc1c887c7cf27a7fc26c0198628126fe",
+    ("1.0", "0.3"): "668f427c506c51ea20294e7290f2f3f7cea6a166f431b76f1c0cf8909eb7197e",
+    ("0.5", "0.5"): "1c3bf504a4293c80a25b1705f73eb1f9eb41aa7afea5bf6aece6f113e4ccec91",
+    ("0.9", "0.19"): "24002a3e1c7469a42a7d09b37194bb40964e9480c5bd0e02946aa80ad838d4b1",
+    ("0.0", "0.3"): "5a3db82a2dc5e03c9368aa64fb3c345b69022a16b7e2624e8d6a6f70ae137cf1",
+}
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 # minor page faults of each default surface file after 5 warm-up files, in a fresh process
@@ -571,18 +580,13 @@ class TestPoint:
         report = cli.point_report(alpha, j)
         assert report["separability"] == dataclasses.asdict(classify(alpha, j))
 
-    @pytest.mark.parametrize("alpha,j,digest", [
-        ("0.7", "0.22", "f9c96ead2b71a377e9c9c17267dd4887cc3f07d513a8565f806d714d47059001"),
-        ("1.0", "0.3", "cb03d1ce251acc3dd1d05ebcd9c2f7fd04db22a9e29f4d7ee63129de5b657e22"),
-        ("0.5", "0.5", "bcc04c180b98be04e568765b12bb61bf15967d5f4c2439e107a9702cc3e57161"),
-        ("0.9", "0.19", "50b8a233526f5bfee27c85208f1a1e7a6951588c28b297f26933a3a8a8a286ae"),
-        ("0.0", "0.3", "e9779927d64f388c28a6c866c18a035271508281d4f85ab33b327fa3b6fdd002"),
-    ])
-    def test_pinned_json_bytes(self, capsys, alpha, j, digest):
+    @pytest.mark.parametrize("alpha,j", list(POINT_JSON_DIGESTS))
+    def test_pinned_json_bytes(self, capsys, alpha, j):
         # plain queries only: a phase query's last digits move with any
         # rounding-level change to the kernel (see CHANGES.md)
         assert main(["point", alpha, j, "--format", "json"]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == POINT_JSON_DIGESTS[alpha, j]
 
     @pytest.mark.parametrize("alpha,j", [("0", "0.1"), ("1e-5", "0.1"), ("0", "0.166666666666"),
                                          ("0.7", "-0.0")])
@@ -597,9 +601,12 @@ class TestPoint:
             assert "j in [1/6, 1/2]" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv,digest", [
-        ([], "493af88a40de7390db3e724d56ec5318d218b44374105c5b2e726d802ed081ac"),
+        pytest.param([], "29c77a8c487fd47580d8d5cb79ef0cbbaa838ff1e22a2cb9a428f66e2b34dbb2",
+                     id="plain"),
         # a phase query's last digits move with the phase kernel; re-pin with it
-        (["--scan-phase"], "b3e57652bd80d0f9d4d5bddefcd9c68b90b9c5cd4c3ed69eba3c8e76822874b6"),
+        pytest.param(["--scan-phase"],
+                     "93e7815890819fa78253459cd272e542afabc72923fd7e09a5599c4313eb966e",
+                     id="scan-phase"),
     ])
     def test_pinned_text_bytes(self, capsys, argv, digest):
         # a copier point prints no copier line
@@ -617,7 +624,23 @@ class TestPoint:
         report = cli.point_report(0.7, 0.22, scan_phase=scan_phase)
         assert len(calls) == 2
         assert np.array_equal(calls[0], build_output_state(0.7, 0.22))
-        assert report["min_eigenvalue"] == float(eig_sym4(calls[0])[-1])
+        assert report["discord"]["entropy_joint"] == vn_entropy(eig_sym4(calls[0]))
+
+    def test_json_keys_are_what_a_copier_point_can_vary(self, capsys):
+        # every admitted point is PSD and meets the machine constraints, so the
+        # report carries no constant flag
+        assert main(["point", "0.7", "0.22", "--format", "json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {
+            "alpha", "j", "valid_j_range", "fidelity", "discord", "separability",
+            "discordant_but_separable"}
+
+    @pytest.mark.parametrize("argv", [[], ["--scan-phase"]])
+    def test_text_names_the_psd_window(self, capsys, argv):
+        assert main(["point", "0.7", "0.22", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        lo, hi = valid_j_range(0.7)
+        assert f"  PSD window of j:     [{lo:.6f}, {hi:.6f}]" in lines
+        assert not any("physical" in line for line in lines)
 
     @pytest.mark.parametrize("scan_phase", [False, True])
     def test_each_quantity_is_computed_once(self, monkeypatch, scan_phase):
@@ -646,11 +669,8 @@ class TestPoint:
             assert cli.point_report(alpha, j, scan_phase=scan_phase) == {
                 "alpha": alpha,
                 "j": j,
-                "physical": True,
-                "min_eigenvalue": float(eig_sym4(rho)[-1]),
                 "valid_j_range": list(valid_j_range(alpha)),
                 "fidelity": clone_fidelity(alpha, j),
-                "machine_constraints_satisfied": check_machine_constraints(j),
                 "discord": discord,
                 "separability": verdict,
                 "discordant_but_separable": (verdict["classification"] == "Separable"

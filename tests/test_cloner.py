@@ -339,7 +339,7 @@ class TestMachineConstraints:
         # alphas whose PSD window starts at 0 or well below 1/6 included
         below = math.nextafter(1 / 6, 0.0)
         for alpha in [*np.linspace(-0.99, 0.99, 199), 0.0, 1.0, -1.0, 1e-3, 1e-5, 1e-6, 1 - 1e-9]:
-            assert point_report(alpha, 1 / 6)["machine_constraints_satisfied"], alpha
+            assert point_report(alpha, 1 / 6)["j"] == 1 / 6, alpha
             with pytest.raises(DomainError, match=r"j in \[1/6, 1/2\]"):
                 point_report(alpha, below)
 

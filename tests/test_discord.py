@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -621,6 +622,17 @@ class TestNonFiniteAngles:
                 f(rho, t)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_curve_refuses_before_any_trig_call(self, bad):
+        # the kernel's one check: no "invalid value in cos" RuntimeWarning, no NaN result
+        rho = build_output_state(0.7, 0.22)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ts, phi in [([bad], 0.0), ([0.3, bad], 0.4), ([0.3], bad),
+                            ([0.3], [0.0, bad]), (np.broadcast_to([0.3, bad], (4, 2)), 0.4)]:
+                with pytest.raises(DomainError, match="must be finite"):
+                    conditional_entropy_curve(rho, ts, phi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_surface_refuses_t_grid(self, bad):
         with pytest.raises(DomainError, match="must be finite"):
             discord_surface(0.5, [0.2, 0.3], [0.1, bad])
@@ -651,12 +663,13 @@ class TestCurveComplexInput:
 
 class TestDiscordSurface:
     def test_single_point_grid_equals_discord_at(self):
-        discord, physical = discord_surface(0.6, [0.2], [0.4])
-        assert discord.shape == (1, 1) and physical.shape == (1,)
         rho = build_output_state(0.6, 0.2)
-        assert discord[0, 0] == pytest.approx(
-            discord_at(rho, 0.4), abs=1e-12)
-        assert physical[0]
+        for js, ts in (([0.2], [0.4]), (0.2, 0.4)):   # a scalar grid is one grid point
+            discord, physical = discord_surface(0.6, js, ts)
+            assert discord.shape == (1, 1) and physical.shape == (1,)
+            assert discord[0, 0] == pytest.approx(
+                discord_at(rho, 0.4), abs=1e-12)
+            assert physical[0]
 
     def test_grid_matches_per_j_loop_bitwise(self):
         # reference: the per-j loop, one spectrum and one entropy curve per j;
@@ -701,3 +714,11 @@ class TestDiscordSurface:
     def test_rejects_empty_grid(self):
         with pytest.raises(DomainError):
             discord_surface(0.5, [], [0.1])
+
+    @pytest.mark.parametrize("js,ts", [([[0.2, 0.3]], [0.1]), ([0.2], [[0.1, 0.4]]),
+                                       (np.full((2, 2), 0.3), np.zeros((1, 1)))])
+    def test_rejects_grids_of_more_than_one_axis(self, js, ts):
+        # a (1, 2) j grid once paired one j's H(b) - H(ab) with the other j's curve
+        shapes = f"{np.shape(js)} and {np.shape(ts)}"
+        with pytest.raises(DomainError, match=re.escape(shapes)):
+            discord_surface(0.7, js, ts)

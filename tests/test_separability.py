@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from clonecorr import (JInterval, build_output_batch, build_output_state, classify,
-                       clone_fidelity, separable_intervals, valid_j_range, w3_closed, w4_closed)
+                       clone_fidelity, hermat, separable_intervals, valid_j_range, w3_closed,
+                       w4_closed)
 from clonecorr.cloner import check_machine_constraints
 from clonecorr.errors import DomainError
 from clonecorr.hermat import eig_sym4, jacobi_eigvals, partial_transpose_b, principal_minor
@@ -177,6 +178,15 @@ class TestClassify:
         with pytest.raises(DomainError, match=r"j in \[1/6, 1/2\]") as err:
             classify(0.5, 0.1)
         assert not hasattr(err.value, "min_eigenvalue")
+
+    def test_takes_only_the_partial_transposes_spectrum(self, monkeypatch):
+        # the copier domain is decided on j alone, so rho's own spectrum is never needed
+        calls = []
+        eig_sym4 = hermat.eig_sym4
+        monkeypatch.setattr(hermat, "eig_sym4", lambda m: calls.append(m) or eig_sym4(m))
+        classify(0.7, 0.22)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], partial_transpose_b(build_output_state(0.7, 0.22)))
 
 
 class TestSeparableIntervals:
