@@ -37,15 +37,24 @@ compressed-entry sum (a and b weight rho's entries by u u, u v, v v): the
 forms (1 +- r_b.m)/2 and (b00 + b11) c + (a00 + a11) lose up to 7e-14 bits
 on the copier at j = 0. rad^2 goes by Horner, clamped at 0 before its sqrt.
 The seven coefficients per (outcome, state, t) are computed once per phase
-query: a one-entry cache, keyed on rho's and the distinct ts's shapes and
-bytes and on the angle rank, keeps them across discord_min's block calls.
+query, and with them which of three passes a query can need: masking dead
+branches (only if some p can round to DEGENERATE_P or below, _live), the
+clamp (only if some rad^2 can round below 0, _unclamped) and setting x- <=
+0 to 1 (only in a call where some x- is). A skipped pass is one that would
+change no entry, so every bit stays as with all three run (tests/oracles.py's
+conditional_entropy_curve_unselected). Every copier state skips the mask,
+since |r_b| = 1 - 2j <= 2/3 keeps p >= 1/6. A one-entry cache, keyed on
+rho's and the distinct ts's shapes and bytes and on the angle rank, keeps
+the coefficients and choices across discord_min's block calls.
 It is a cache rather than a private entry point because those calls must
 stay calls of conditional_entropy_curve, whose calls and angles the
 benchmark traces. A call takes cos and sin once per distinct angle (a
 stride-0 axis of a broadcast ts is evaluated once) and runs with a small
 ufunc buffer (see _PHASE_BUFSIZE). Both families keep their full-size
-arrays in one workspace per call (_workspace). A phase query took 8.4 ms,
-against 12.1 ms on plain temporaries and 8.6 ms with two allocations. The
+arrays in one workspace per call (_workspace), which made a phase query
+about 30 % faster than plain temporaries. A phase query took 12.6 ms, against
+13.7 ms with 16-row blocks and every pass run (medians of the points
+benchmark's op_p90_ms over ten runs each, host-normalized). The
 real family's eight planes, 1.2 MB at the sweep's 99 states x 91 t, are
 the largest block a surface file frees, so glibc's trim threshold (twice
 that) keeps the heap the file's CSV text takes. That alone held only for
@@ -86,11 +95,16 @@ GRID_POINTS = 721
 REFINE_TOL = 1e-9
 # phase rows per conditional_entropy_curve call in the scan_phase grid. A call
 # keeps its full-size temporaries in one workspace of about 4.1 x 2 x rows x
-# GRID_POINTS floats (0.76 MB at 16 x 721). The size trades the points
+# GRID_POINTS floats (1.5 MB at 32 x 721). The size trades the points
 # benchmark's op_p90_ms, which falls as blocks grow and calls get fewer,
 # against its peak_rss_mb: a large workspace raises glibc's dynamic trim
-# threshold, so more of the freed heap stays resident
-_PHASE_BLOCK = 16
+# threshold, so more of the freed heap stays resident. Two 10 s runs of each
+# (seed 5, 2-vCPU Xeon, numpy 2.4) read 13.2-13.5 ms and 42.0 MiB at 16 rows,
+# 12.2-12.7 ms and 42.0-42.2 MiB at 24, 12.1-12.5 ms and 42.4-42.5 MiB at 32,
+# and 11.5-12.5 ms and 43.4-43.5 MiB at 48. In-process, 8 seeded copier phase
+# queries (mean of each one's best of 5; three runs) took 12.5-12.8 ms at 32
+# rows, against 13.3-13.4 at 16, 12.7-12.9 at 24 and 12.7-13.2 at 48
+_PHASE_BLOCK = 32
 # ufunc buffer size, in elements, while conditional_entropy_curve runs;
 # restored on return. Both the phase rows and the real family broadcast
 # per-t arrays against per-state or per-phase ones, so numpy's loops run one
@@ -108,8 +122,8 @@ _Q_ENTRIES = np.array([[0, 2, 10], [1, 3, 11], [4, 6, 14], [5, 7, 15]])
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # _PAULI_PAIRS[i, k] = sigma_i (x) sigma_k, sigma_0 = I
 _PAULI_PAIRS = np.einsum("iab,kcd->ikacbd", _PAULI, _PAULI).reshape(4, 4, 4, 4)
-# (key, coefficients) of the last phase query (see _phase_coefficients)
-_phase_cache = (None, None)
+# (key, coefficients, live, unclamped) of the last phase query (see _phase_coefficients)
+_phase_cache = (None, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -228,27 +242,32 @@ def _ket_products(ts, n_batch, n_angles):
 
 def _phase_rows(rho, ts, angles, phi):
     """_curve's counterpart at phases phi (no stride-0 axes); see the module docstring."""
-    a00, a11, b00, b11, a, b, c2 = _phase_coefficients(rho, ts, len(angles))
+    (a00, a11, b00, b11, a, b, c2), live, unclamped = _phase_coefficients(rho, ts, len(angles))
     w, (flags,) = _workspace((2,) + rho.shape[:-2] + angles, 4, 1)
     c = np.cos(phi)
     p = np.add(np.multiply(b00, c, out=w[0]), a00, out=w[0])
     p += np.add(np.multiply(b11, c, out=w[1]), a11, out=w[1])
-    # rad^2 by Horner, clamped at 0: rounding can take it below, and sqrt to NaN
+    # rad^2 by Horner, clamped at 0 unless the query rules out rounding below
+    # it (sqrt of a negative is NaN)
     rad = np.add(np.multiply(c2, c, out=w[1]), b, out=w[1])
     rad *= c
     rad += a
-    np.sqrt(np.maximum(rad, 0.0, out=rad), out=rad)
+    if not unclamped:
+        np.maximum(rad, 0.0, out=rad)
+    np.sqrt(rad, out=rad)
     # x = 1/2 +- rad/p, one divide. A dead branch takes rad/p = 1/2, so
     # x = (1, 0); only x- can reach x <= 0, and is set to 1 (x log2 x = +0.0)
-    dead = np.less_equal(p, DEGENERATE_P, out=flags)
-    if dead.any():
-        np.copyto(np.divide(rad, p, out=rad, where=~dead), 0.5, where=dead)
-    else:
+    dead = flags
+    if live or not np.less_equal(p, DEGENERATE_P, out=dead).any():
         np.divide(rad, p, out=rad)
+    else:
+        np.copyto(np.divide(rad, p, out=rad, where=~dead), 0.5, where=dead)
     x = w[2:4]
     np.add(0.5, rad, out=x[0])
     np.subtract(0.5, rad, out=x[1])
-    np.copyto(x[1], 1.0, where=np.less_equal(x[1], 0.0, out=flags))
+    low = np.less_equal(x[1], 0.0, out=flags)
+    if low.any():
+        np.copyto(x[1], 1.0, where=low)
     return _entropy_sum(x, p, w[1])
 
 
@@ -279,15 +298,19 @@ def _entropy_sum(x, p, scratch):
 
 
 def _phase_coefficients(rho, ts, n_angles):
-    """(a00, a11, b00, b11, A, B, C) stacked, each (2,) + batch + ts's angle axes.
+    """(coefficients, live, unclamped) of a phase query; see _phase_rows.
 
-    One-entry cache (see the module docstring): a mutated or different rho misses.
+    coefficients stacks (a00, a11, b00, b11, A, B, C), each (2,) + batch +
+    ts's angle axes. live: no branch probability p can round to
+    DEGENERATE_P or below, at any t and phi. unclamped: no rad^2 can round
+    below 0. One-entry cache (see the module docstring): a mutated or
+    different rho misses.
     """
     global _phase_cache
     key = (rho.shape, rho.tobytes(), ts.shape, ts.tobytes(), n_angles)
-    cached_key, coef = _phase_cache   # one read: a consistent pair across threads
-    if cached_key == key:
-        return coef
+    cached = _phase_cache   # one read: a consistent entry across threads
+    if cached[0] == key:
+        return cached[1:]
     batch = rho.shape[:-2]
     state = batch + (1,) * n_angles
     tail = (1,) * (n_angles - ts.ndim) + ts.shape
@@ -296,7 +319,8 @@ def _phase_coefficients(rho, ts, n_angles):
     r = rho.reshape(-1, 16).T[_Q_ENTRIES[:, ::2]].reshape((4, 2, 1) + state)
     (a00, a11), (b00, b11) = uu * r[0] + vv * r[3], uv * (r[1] + r[2])
     # r_a = bl[1:, 0] and T = bl[1:, 1:]; a real rho has only these terms
-    bl = np.moveaxis(_bloch(rho), (-2, -1), (0, 1)).reshape((4, 4) + state)
+    bloch = _bloch(rho)
+    bl = np.moveaxis(bloch, (-2, -1), (0, 1)).reshape((4, 4) + state)
     sig = np.array([1.0, -1.0]).reshape((2,) + (1,) * len(state))
     s, c2 = np.sin(2.0 * ts).reshape(tail), np.cos(2.0 * ts).reshape(tail)
     x0, x1 = bl[1, 0] + sig * bl[1, 3] * c2, sig * bl[1, 1] * s
@@ -304,8 +328,38 @@ def _phase_coefficients(rho, ts, n_angles):
     coef = np.stack([a00, a11, b00, b11, (x0 * x0 + z0 * z0 + y * y) / 16,
                      (x0 * x1 + z0 * z1) / 8, (x1 * x1 + z1 * z1 - y * y) / 16])
     coef.flags.writeable = False
-    _phase_cache = (key, coef)
-    return coef
+    entry = (key, coef, _live(rho, bloch), _unclamped(*coef[4:]))
+    _phase_cache = entry
+    return entry[1:]
+
+
+def _live(rho, bloch):
+    """Whether no branch probability p of a rho in the stack can round to DEGENERATE_P or below.
+
+    Exactly, p = (tr rho +- r_b.m)/2 >= (tr rho - |r_b|)/2, clone b's least
+    eigenvalue, for every unit m, and cos(phi) in [-1, 1] keeps the kernel's
+    p above it too. The kernel's p and this bound are each within 16 eps
+    sum|rho_ij| of their exact values; the bound must clear DEGENERATE_P by
+    twice their sum.
+    """
+    least = (bloch[..., 0, 0] - np.sqrt(np.square(bloch[..., 0, 1:]).sum(axis=-1))) / 2
+    rounding = 64 * np.finfo(float).eps * np.abs(rho).sum(axis=(-2, -1))
+    return bool((least > DEGENERATE_P + rounding).all())
+
+
+def _unclamped(a, b, c2):
+    """Whether rad^2 = A + B c + C c^2 by Horner stays above 0 for every c in [-1, 1].
+
+    The least value over [-1, 1] is at an end, A + C - |B|, unless the
+    vertex c = -B / 2C lies inside (2C > |B|); it is then (2C - |B|)^2 / 4C
+    lower. Horner's rounding and this minimum's are each within 8 eps (|A| +
+    |B| + |C|) for |c| <= 1; the minimum must clear twice their sum.
+    """
+    slack = 2.0 * c2 - np.abs(b)
+    dip = np.divide(np.square(slack), 4.0 * c2, out=np.zeros_like(slack), where=slack > 0.0)
+    least = a + c2 - np.abs(b) - dip
+    rounding = 32 * np.finfo(float).eps * (np.abs(a) + np.abs(b) + np.abs(c2))
+    return bool((least > rounding).all())
 
 
 def _bloch(rho):

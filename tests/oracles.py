@@ -20,6 +20,9 @@ surface_text_rows is the row-at-a-time surface writer that the grid-shaped
 writers in clonecorr.cli must reproduce byte for byte.
 jacobi_eigvals_row_major is the cyclic Jacobi solver on (..., 4, 4) stacks
 that the package's entry-major one must reproduce bit for bit.
+conditional_entropy_curve_unselected is the package's kernel with every pass
+of its phase rows run, as before it decided once per query which passes a
+state can need; the package must reproduce it bit for bit.
 """
 
 import json
@@ -29,7 +32,8 @@ import numpy as np
 
 from clonecorr._model import _amplitudes
 from clonecorr.cloner import WINDOW_TOL, build_output_batch
-from clonecorr.discord import DEGENERATE_P, conditional_entropy_curve
+from clonecorr.discord import (DEGENERATE_P, _curve, _distinct, _entropy_sum,
+                               _phase_coefficients, _workspace, conditional_entropy_curve)
 from clonecorr.errors import ConvergenceError
 from clonecorr.hermat import (JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL, STATE_EIG_FLOOR, jacobi_eigvals,
                               plogp)
@@ -144,6 +148,57 @@ def conditional_entropy_curve_complex(rho, ts, phi=0.0):
         term = p * (plogp(x1) + plogp(x2))
         total[live] += term[live]
     return total
+
+
+def conditional_entropy_curve_unselected(rho, ts, phi):
+    """(conditional_entropy_curve of a real float rho, needs) with every phase-row pass run.
+
+    needs = (dead, negative, low) says whether some branch probability is
+    <= DEGENERATE_P, some rad^2 rounds below 0 and some x- is <= 0: the
+    passes that mask dead branches, clamp rad^2 and set x- to 1 change
+    an entry only where the matching flag is true. The phase rows are the
+    package's coefficients, workspace and entropy sum; phi = 0 rows are its
+    real family, as in the package.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    phi = np.asarray(phi, dtype=float)
+    angles = np.broadcast_shapes(ts.shape, phi.shape)
+    ts, phi = _distinct(ts), _distinct(phi)
+    total, needs = _phase_rows_unselected(rho, ts, angles, phi)
+    real_rows = phi == 0.0
+    if real_rows.any():
+        np.copyto(total, _curve(rho, ts, (1,) * (len(angles) - ts.ndim) + ts.shape),
+                  where=real_rows)
+    return total, needs
+
+
+def _phase_rows_unselected(rho, ts, angles, phi):
+    a00, a11, b00, b11, a, b, c2 = _phase_coefficients(rho, ts, len(angles))[0]
+    w, (flags,) = _workspace((2,) + rho.shape[:-2] + angles, 4, 1)
+    c = np.cos(phi)
+    p = np.add(np.multiply(b00, c, out=w[0]), a00, out=w[0])
+    p += np.add(np.multiply(b11, c, out=w[1]), a11, out=w[1])
+    # rad^2 by Horner, clamped at 0: rounding can take it below, and sqrt to NaN
+    rad = np.add(np.multiply(c2, c, out=w[1]), b, out=w[1])
+    rad *= c
+    rad += a
+    negative = bool((rad < 0.0).any())
+    np.sqrt(np.maximum(rad, 0.0, out=rad), out=rad)
+    # x = 1/2 +- rad/p, one divide. A dead branch takes rad/p = 1/2, so
+    # x = (1, 0); only x- can reach x <= 0, and is set to 1 (x log2 x = +0.0)
+    dead = np.less_equal(p, DEGENERATE_P, out=flags)
+    any_dead = bool(dead.any())
+    if any_dead:
+        np.copyto(np.divide(rad, p, out=rad, where=~dead), 0.5, where=dead)
+    else:
+        np.divide(rad, p, out=rad)
+    x = w[2:4]
+    np.add(0.5, rad, out=x[0])
+    np.subtract(0.5, rad, out=x[1])
+    low = np.less_equal(x[1], 0.0, out=flags)
+    any_low = bool(low.any())
+    np.copyto(x[1], 1.0, where=low)
+    return _entropy_sum(x, p, w[1]), (any_dead, negative, any_low)
 
 
 def phase_scan_loop(rho, grid_points, curve=conditional_entropy_curve):

@@ -41,6 +41,11 @@ POINT_JSON_DIGESTS = {
     ("0.9", "0.19"): "24002a3e1c7469a42a7d09b37194bb40964e9480c5bd0e02946aa80ad838d4b1",
     ("0.0", "0.3"): "5a3db82a2dc5e03c9368aa64fb3c345b69022a16b7e2624e8d6a6f70ae137cf1",
 }
+# sha256 of `table1 --alpha 0.5,0.7 --format FMT`'s file, keyed by FMT, likewise
+TABLE1_DIGESTS = {
+    "csv": "aeeaaa5972648ab643c38afed676adc702fe63d72a3b011239db01f071cd82ff",
+    "json": "58511265335dd5279f2ffa3e3545e06b36e6d2978a7b07b6d3253674b9141bce",
+}
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 # minor page faults of each default surface file after 5 warm-up files, in a fresh process
@@ -529,15 +534,13 @@ class TestTable1:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("fmt,digest", [
-        ("csv", "aeeaaa5972648ab643c38afed676adc702fe63d72a3b011239db01f071cd82ff"),
-        ("json", "58511265335dd5279f2ffa3e3545e06b36e6d2978a7b07b6d3253674b9141bce"),
-    ])
-    def test_pinned_bytes(self, tmp_path, fmt, digest):
+    @pytest.mark.parametrize("fmt", list(TABLE1_DIGESTS))
+    def test_pinned_bytes(self, tmp_path, fmt):
         # one row without a window (0.5) and one with a window (0.7)
         out = tmp_path / "out"
         assert main(["table1", "--alpha", "0.5,0.7", "--format", fmt, "--out", str(out)]) == 0
-        assert hashlib.sha256((out / f"table1.{fmt}").read_bytes()).hexdigest() == digest
+        digest = hashlib.sha256((out / f"table1.{fmt}").read_bytes()).hexdigest()
+        assert digest == TABLE1_DIGESTS[fmt]
 
 
 class TestPoint:

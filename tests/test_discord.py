@@ -18,8 +18,9 @@ from clonecorr.hermat import (eig_herm2, eig_sym4, jacobi_eigvals, partial_trace
 from clonecorr.errors import DomainError, InvalidStateError
 from clonecorr.search import golden_min
 from oracles import (bell_phi_plus, conditional_entropy_curve_complex,
-                     conditional_entropy_projector, discord_grid_oracle, phase_scan_loop,
-                     random_product_state, random_sym_state4, swap_qubits)
+                     conditional_entropy_curve_unselected, conditional_entropy_projector,
+                     discord_grid_oracle, phase_scan_loop, random_product_state,
+                     random_sym_state4, swap_qubits)
 
 # Regression constants, frozen from the projector-based oracles in oracles.py
 # (dense 20001-point t grid plus golden refinement, run once at development
@@ -43,6 +44,21 @@ def same_bits(a, b):
     """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def clamp_state():
+    """(rho, t, phi) at which rad^2 rounds below 0 in the phase rows.
+
+    r_a = -T m at (t, phi), so outcome + leaves clone a in I/2 and
+    rad^2 = A + B cos(phi) + C cos(phi)^2 cancels O(1) terms to 0; here it
+    rounds below 0, where only the clamp keeps sqrt from a NaN.
+    """
+    t, phi, txx, tzz = 0.05, 0.1, 0.4, 0.4
+    sx, sz, i2 = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]), np.eye(2)
+    ax, az = -txx * np.sin(2 * t) * np.cos(phi), -tzz * np.cos(2 * t)
+    rho = (np.eye(4) + ax * np.kron(sx, i2) + az * np.kron(sz, i2)
+           + txx * np.kron(sx, sx) + tzz * np.kron(sz, sz)) / 4
+    return rho, t, phi
 
 
 def oracle_states():
@@ -224,7 +240,7 @@ class TestConditionalEntropy:
         # the per-(outcome, state, t) coefficients of the last phase query are
         # cached; every call must equal a computation from an empty cache
         def fresh(rho, ts, phi):
-            discord_module._phase_cache = (None, None)
+            discord_module._phase_cache = (None,) * 4
             return conditional_entropy_curve(rho, ts, phi)
 
         rho = build_output_state(0.7, 0.22)
@@ -255,21 +271,57 @@ class TestConditionalEntropy:
         with np.errstate(invalid="raise", divide="raise", over="raise"):
             for k, rho in enumerate(oracle_states()):
                 assert np.isfinite(conditional_entropy_curve(rho, ts, phis)).all(), k
-        # r_a = -T m at (t, phi), so outcome + leaves clone a in I/2 and
-        # rad^2 = A + B cos(phi) + C cos(phi)^2 cancels O(1) terms to 0; here
-        # it rounds below 0, where only the clamp keeps sqrt from a NaN
-        t, phi, txx, tzz = 0.05, 0.1, 0.4, 0.4
-        sx, sz, i2 = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]), np.eye(2)
-        ax, az = -txx * np.sin(2 * t) * np.cos(phi), -tzz * np.cos(2 * t)
-        rho = (np.eye(4) + ax * np.kron(sx, i2) + az * np.kron(sz, i2)
-               + txx * np.kron(sx, sx) + tzz * np.kron(sz, sz)) / 4
+        rho, t, phi = clamp_state()
         assert np.linalg.eigvalsh(rho)[0] > 0
-        discord_module._phase_cache = (None, None)
+        discord_module._phase_cache = (None,) * 4
         got = conditional_entropy_curve(rho, t, phi)
         a, b, c2 = discord_module._phase_cache[1][4:, 0, 0]
         assert (c2 * np.cos(phi) + b) * np.cos(phi) + a < 0.0
         assert np.isfinite(got).all()
         assert abs(got[0] - conditional_entropy_curve_complex(rho, [t], phi)[0]) <= 1e-14
+
+    def test_phase_rows_equal_the_unselected_passes_bitwise(self):
+        # the phase rows decide once per query whether a state can have a dead
+        # branch or a rad^2 below 0, and per call whether some x- is <= 0, and
+        # skip the masking, clamping and fix-up passes it cannot need. On
+        # discord_min's grid, in its blocks and its last partial block, every
+        # entry equals a run of every pass, and both sides of each decision run
+        ts = np.linspace(0.0, np.pi / 2, discord_module.GRID_POINTS, endpoint=False)
+        phis = np.linspace(0.0, np.pi, discord_module.GRID_POINTS, endpoint=False)
+        tail = len(phis) % discord_module._PHASE_BLOCK or discord_module._PHASE_BLOCK
+        blocks = [phis[5:6], phis[:16], phis[32:64], phis[-tail:]]
+        copier_js = [1 / 6, 0.2, 0.25, 0.35, 0.5]
+        states = [rho for alpha in (0.0, 1.0, -1.0, 2 ** -0.5, 1e-5, 0.3, 0.7)
+                  for rho in build_output_batch(alpha, copier_js)]
+        # not positive semidefinite: the sweep's j < 1/6
+        states += list(build_output_batch(0.7, [0.0, 0.05, 0.1, 0.16]))
+        states += list(build_output_batch(1e-5, [0.0, 0.1]))
+        # pure products, clone b in |0>: a dead branch at t = 0
+        up = np.diag([1.0, 0.0])
+        plus = np.full((2, 2), 0.5)
+        states += [np.kron(up, up), np.kron(plus, up), np.kron(np.diag([0.2, 0.8]), up)]
+        states += [bell_phi_plus(), np.eye(4) / 4, np.zeros((4, 4)), clamp_state()[0]]
+        live, unclamped, low = set(), set(), set()
+        for k, rho in enumerate(states):
+            for block in blocks:
+                t_arg = np.broadcast_to(ts, (len(block), ts.size))
+                got = conditional_entropy_curve(rho, t_arg, block[:, None])
+                skips = discord_module._phase_cache[2:]
+                want, (dead, negative, fixup) = conditional_entropy_curve_unselected(
+                    rho, t_arg, block[:, None])
+                assert same_bits(got, want), (k, len(block))
+                # a skipped pass is one that could change no entry
+                assert not (skips[0] and dead) and not (skips[1] and negative), k
+                live.add(skips[0])
+                unclamped.add(skips[1])
+                low.add(fixup)
+        assert live == unclamped == low == {False, True}
+        # the clamp state's negative rad^2 is at its own (t, phi)
+        rho, t, phi = clamp_state()
+        got = conditional_entropy_curve(rho, t, phi)
+        assert not discord_module._phase_cache[3]
+        want, (_, negative, _) = conditional_entropy_curve_unselected(rho, t, phi)
+        assert negative and same_bits(got, want)
 
     def test_scalar_evaluator_matches_kernel_and_complex_oracle(self):
         # discord_min's refinement evaluator, in Bloch form. Skipped: states
