@@ -1,4 +1,4 @@
-"""Closed forms of the Buzek-Hillery copier, each written once.
+"""Closed forms of the Buzek-Hillery copier and of a qubit's entropy, each written once.
 
 The input is alpha|0> + beta|1> with alpha in [-1, 1] and beta =
 +sqrt(1 - alpha^2); j is the machine parameter, k = alpha^2 beta^2 <= 1/4
@@ -53,6 +53,10 @@ arithmetic and rounded once (_g_exact), so the step corrects the Viete
 value's rounding. The step is kept only when it stays in the root's
 bracket, [1/6, 3/14] or [3/14, 1/3], so it never reorders the roots and
 never raises.
+
+Qubit entropy (qubit_entropy). r.sigma is traceless and squares to |r|^2 I,
+so a qubit's (tr I + r.sigma)/2 has the spectrum ((tr - |r|)/2, (tr + |r|)/2)
+(R. & M. Horodecki, PRA 54, 1838 (1996)). On the copier |r_a| = |r_b| = n.
 """
 
 import math
@@ -130,3 +134,12 @@ def _g_roots(alpha):
         step = j - _g_exact(kn, kd, j) / slope if slope != 0.0 else j
         roots.append(step if a <= step <= b else j)
     return [tuple(roots)]
+
+
+def qubit_entropy(tr, r):
+    """Entropy in bits of ((tr - r)/2, (tr + r)/2), summed ascending; an eigenvalue <= 0 adds 0."""
+    h = 0.0
+    for lam in ((tr - r) / 2.0, (tr + r) / 2.0):
+        if lam > 0.0:
+            h -= lam * math.log2(lam)
+    return h

@@ -24,7 +24,7 @@ import numpy as np
 from . import hermat
 from .cloner import (_copier_state, _fidelity, build_output_batch, build_output_state,
                      clone_fidelity, valid_j_range)
-from .discord import (_discord_min, _marginals, _surface, conditional_entropy_curve, discord_at,
+from .discord import (_discord_min, _surface, conditional_entropy_curve, discord_at,
                       discord_min, mutual_info_i, mutual_info_j)
 from .errors import DomainError
 from .separability import (_ppt_triple, _ppt_verdict, ppt_data, scan_grid, separable_intervals,
@@ -410,14 +410,13 @@ def point_report(alpha, j, scan_phase=False):
     # classify's copier-domain test; a copier state is a unit-trace PSD state,
     # so it also validates rho for discord_min, and only classify's PPT half remains
     rho = _copier_state(alpha, j)
-    marginals = _marginals(rho)
-    result = _discord_min(rho, hermat.eig_sym4(rho), marginals, scan_phase=scan_phase)
+    result = _discord_min(rho, hermat.eig_sym4(rho), scan_phase=scan_phase)
     verdict = _ppt_verdict(rho)
     return {
         "alpha": alpha,
         "j": j,
         "valid_j_range": list(valid_j_range(alpha)),
-        "fidelity": _fidelity(alpha, marginals[0]),
+        "fidelity": _fidelity(alpha, hermat.partial_trace(rho, "a")),
         "discord": dict(vars(result)),
         "separability": dict(vars(verdict)),
         "discordant_but_separable": (

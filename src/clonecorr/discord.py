@@ -6,12 +6,13 @@ relative phase phi on the |1> component. The discord at a basis is
 
     D = H(b) - H(ab) + H(a | measurement on b),
 
-and the reported discord minimizes the conditional entropy over the basis
-family: a dense grid in t on [0, pi/2) (the projector pair has period
-pi/2), then golden-section refinement around the best grid point. By
-default phi is held at 0; scan_phase=True extends the grid to
-phi in [0, pi), which for asymmetric inputs finds genuinely lower minima
-(the output's y-axis correlation is invisible to the real family), so the
+with H(a) and H(b) from rho's Bloch matrix (_model.qubit_entropy of |r_a|
+and |r_b|), and the reported discord minimizes the conditional entropy over
+the basis family: a dense grid in t on [0, pi/2) (the projector pair has
+period pi/2), then golden-section refinement around the best grid point.
+By default phi is held at 0; scan_phase=True extends the grid to phi in
+[0, pi), which for asymmetric inputs finds genuinely lower minima (the
+output's y-axis correlation is invisible to the real family), so the
 default value is an upper bound on the projective discord.
 
 conditional_entropy_curve is elementwise in (state, t, phi): phi may be an
@@ -52,17 +53,14 @@ benchmark traces. A call takes cos and sin once per distinct angle (a
 stride-0 axis of a broadcast ts is evaluated once) and runs with a small
 ufunc buffer (see _PHASE_BUFSIZE). Both families keep their full-size
 arrays in one workspace per call (_workspace), which made a phase query
-about 30 % faster than plain temporaries. A phase query took 12.6 ms, against
-13.7 ms with 16-row blocks and every pass run (medians of the points
-benchmark's op_p90_ms over ten runs each, host-normalized). The
-real family's eight planes, 1.2 MB at the sweep's 99 states x 91 t, are
-the largest block a surface file frees, so glibc's trim threshold (twice
-that) keeps the heap the file's CSV text takes. That alone held only for
-some heap layouts: with a whole-file write, some lengths of the source
-and output paths gave about 550 minor page faults a warm file (glibc
-2.36). With cli's sliced write, a warm file made a median of 0 at every
-output-path length tried, 20 to 76 characters; with the kernel on plain
-temporaries it made 440-940.
+about 30 % faster than plain temporaries; a phase query took 12.6 ms,
+against 13.7 ms with 16-row blocks and every pass run (points benchmark,
+op_p90_ms, medians of ten runs each). The real family's eight planes,
+1.2 MB at the sweep's 99 states x 91 t, are the largest block a surface file
+frees, so glibc's trim threshold (twice that) keeps the heap the file's CSV
+text takes: with cli's sliced write, a warm file made a median of 0 minor
+page faults at every output-path length tried (20 to 76 characters),
+against 440-940 with the kernel on plain temporaries.
 
 discord_min's golden-section refinement calls a closure over rho's Bloch
 form (_conditional_entropy_at): the same quantity in scalar math, equal to
@@ -83,6 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermat
+from ._model import qubit_entropy
 from .cloner import build_output_batch
 from .errors import DomainError, InvalidStateError
 from .search import golden_min
@@ -402,14 +401,10 @@ def _conditional_entropy_at(bloch, t=None, phi=None):
     return h_at
 
 
-def _marginals(rho):
-    """The stack [tr_b rho, tr_a rho] of clone a's and clone b's reduced states."""
-    return np.stack([hermat.partial_trace(rho, "a"), hermat.partial_trace(rho, "b")])
-
-
-def _marginal_entropies(marginals):
-    """[H(a), H(b)] in bits from _marginals(rho): one spectrum call, one check."""
-    return hermat._entropies(hermat.eig_herm2(marginals)).tolist()
+def _marginal_entropies(bloch):
+    """[H(a), H(b)] in bits from bloch = _bloch(rho): trace c_00, Bloch vectors c_i0 and c_0k."""
+    tr = float(bloch[0, 0])
+    return [qubit_entropy(tr, math.hypot(*r)) for r in (bloch[1:, 0], bloch[0, 1:])]
 
 
 def _admitted(rho):
@@ -432,14 +427,14 @@ def conditional_entropy(rho, t, phi=0.0):
 def mutual_info_j(rho):
     """Unmeasured mutual information H(a) + H(b) - H(ab), in bits."""
     rho, spectrum = _admitted(rho)
-    ha, hb = _marginal_entropies(_marginals(rho))
+    ha, hb = _marginal_entropies(_bloch(rho))
     return ha + hb - hermat.vn_entropy(spectrum)
 
 
 def mutual_info_i(rho, t, phi=0.0):
     """Measurement-based mutual information H(a) - H(a | measure b at (t, phi)), in bits."""
     rho, _ = _admitted(rho)
-    return _marginal_entropies(_marginals(rho))[0] - _conditional_entropy(rho, t, phi)
+    return _marginal_entropies(_bloch(rho))[0] - _conditional_entropy(rho, t, phi)
 
 
 def discord_at(rho, t, phi=0.0):
@@ -448,7 +443,7 @@ def discord_at(rho, t, phi=0.0):
     Equals mutual_info_j - mutual_info_i at the same basis.
     """
     rho, spectrum = _admitted(rho)
-    _, hb = _marginal_entropies(_marginals(rho))
+    _, hb = _marginal_entropies(_bloch(rho))
     return hb - hermat.vn_entropy(spectrum) + _conditional_entropy(rho, t, phi)
 
 
@@ -468,14 +463,14 @@ def discord_min(rho, *, scan_phase=False):
     docstring), so the result agrees with an all-kernel search to rounding.
     """
     rho, spectrum = _admitted(rho)
-    return _discord_min(rho, spectrum, _marginals(rho), scan_phase)
+    return _discord_min(rho, spectrum, scan_phase)
 
 
-def _discord_min(rho, spectrum, marginals, scan_phase):
-    """discord_min of a validated float state rho, its descending spectrum and _marginals(rho)."""
-    ha, hb = _marginal_entropies(marginals)
-    hab = hermat.vn_entropy(spectrum)
+def _discord_min(rho, spectrum, scan_phase):
+    """discord_min of a validated float state rho and its descending spectrum."""
     bloch = _bloch(rho)
+    ha, hb = _marginal_entropies(bloch)
+    hab = hermat.vn_entropy(spectrum)
 
     ts = np.linspace(0.0, np.pi / 2, GRID_POINTS, endpoint=False)
     dt, dphi = (np.pi / 2) / GRID_POINTS, np.pi / GRID_POINTS

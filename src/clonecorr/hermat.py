@@ -2,13 +2,12 @@
 
 Everything is fixed-size: 2x2 Hermitian (complex allowed), the clones'
 reduced states, and 4x4 real symmetric, the two-clone states and their
-partial transposes; validate_state checks a 4x4 state only. Eigenvalues
-come from the 2x2 closed form and, for 4x4, from LAPACK
-(np.linalg.eigvalsh), or from cyclic Jacobi sweeps for the pinned sweep
-stacks; determinants are direct cofactor expansions. The Jacobi
-routine, the 2x2 closed form, the partial trace and transpose and the
-cofactor determinants operate on (..., n, n) batches so parameter scans
-stay cheap.
+partial transposes; validate_state checks a 4x4 state only. 4x4 spectra
+come from LAPACK (np.linalg.eigvalsh), or from cyclic Jacobi sweeps for the
+pinned sweep stacks; determinants are direct cofactor expansions. The 2x2
+closed form eig_herm2 serves the surface's H(b) column and user calls only:
+a single state's clone entropies come from its Bloch matrix (discord). The
+batch routines take (..., n, n) stacks so parameter scans stay cheap.
 
 Jacobi serves only the two stacks behind the sha256-pinned surface files
 (in the tests and in bench/pinned.json): a surface's states and their
@@ -17,11 +16,10 @@ cli.surface_records (discord_surface and separability.ppt_data take one
 stack a call). There eigvalsh changes the last printed digit of some rows,
 and the benchmark pins Jacobi's per-op matrix count. Jacobi rotates an
 entry-major copy, whole contiguous columns and rows at a time, with the
-bits of the row-major loop that tests/oracles.py keeps. Every other spectrum
-is LAPACK, one matrix through eig_sym4. cloner.valid_j_range takes no
-spectrum: it tests the sign of the triplet cubic at the eigenvalue floor.
-A single eigvalsh call is about 80x faster than a one-matrix Jacobi batch, and
-on copier states and their partial transposes the two agree to about 2e-15.
+bits of the row-major loop that tests/oracles.py keeps. Every other 4x4
+spectrum is LAPACK, one matrix through eig_sym4, about 80x faster than a
+one-matrix Jacobi batch; on copier states and their partial transposes the
+two agree to about 2e-15.
 The exact spectra planned in ROADMAP.md revise those pins and then delete
 Jacobi outright.
 
@@ -186,22 +184,17 @@ def vn_entropy(spectrum):
     singular states); anything lower raises InvalidStateError, as does an empty
     spectrum or one that does not sum to 1 within 1e-10 or has a non-finite entry.
     """
-    return float(_entropies(np.ravel(spectrum)))
-
-
-def _entropies(spectra):
-    """vn_entropy of each spectrum on the last axis of spectra, one check for them all."""
-    lam = np.asarray(spectra, dtype=float)
+    lam = np.ravel(np.asarray(spectrum, dtype=float))
     if lam.size == 0:
         raise InvalidStateError("spectrum is empty")
     _require_finite(lam, "spectrum")
     if lam.min() < STATE_EIG_FLOOR:
         raise InvalidStateError(
             f"eigenvalue {lam.min():.6e} below {STATE_EIG_FLOOR}; not a state")
-    if (np.abs(lam.sum(axis=-1) - 1.0) > 1e-10).any():
-        raise InvalidStateError(f"eigenvalues sum to {lam.sum(axis=-1)!r}, not 1")
+    if abs(lam.sum() - 1.0) > 1e-10:
+        raise InvalidStateError(f"eigenvalues sum to {lam.sum()!r}, not 1")
     # summing in sorted order makes the value exactly permutation-invariant
-    return plogp(np.sort(np.clip(lam, 0.0, None), axis=-1)).sum(axis=-1)
+    return float(plogp(np.sort(np.clip(lam, 0.0, None))).sum())
 
 
 def partial_trace(m, keep):

@@ -18,7 +18,7 @@ from clonecorr import (build_output_state, classify, clone_fidelity, cloner, dis
 from clonecorr.cli import (CSV_HEADER, ConfigError, RunConfig, build_config,
                            load_config_file, main, table1_rows)
 from clonecorr.errors import DomainError
-from clonecorr.hermat import eig_sym4, partial_trace, vn_entropy
+from clonecorr.hermat import eig_sym4, vn_entropy
 from clonecorr.separability import ppt_data
 from oracles import surface_text_rows
 
@@ -647,21 +647,21 @@ class TestPoint:
 
     @pytest.mark.parametrize("scan_phase", [False, True])
     def test_each_quantity_is_computed_once(self, monkeypatch, scan_phase):
-        # one state, one spectrum call on both marginals stacked, and the two
-        # 4x4 spectra of test_state_spectrum_is_taken_once
+        # one state, the two 4x4 spectra of test_state_spectrum_is_taken_once,
+        # no 2x2 spectrum (the clones' entropies come from rho's Bloch matrix)
+        # and one reduced state, clone a's, for the fidelity
         seen = {}
         for module, name in ((cloner, "build_output_batch"), (hermat, "eig_herm2"),
-                             (hermat, "eig_sym4")):
+                             (hermat, "eig_sym4"), (hermat, "partial_trace")):
             def spy(*args, f=getattr(module, name), calls=seen.setdefault(name, [])):
                 calls.append(args)
                 return f(*args)
             monkeypatch.setattr(module, name, spy)
         cli.point_report(0.7, 0.22, scan_phase=scan_phase)
         assert {name: len(calls) for name, calls in seen.items()} == {
-            "build_output_batch": 1, "eig_herm2": 1, "eig_sym4": 2}
-        rho = build_output_state(0.7, 0.22)
-        [(marginals,)] = seen["eig_herm2"]
-        assert np.array_equal(marginals, [partial_trace(rho, "a"), partial_trace(rho, "b")])
+            "build_output_batch": 1, "eig_herm2": 0, "eig_sym4": 2, "partial_trace": 1}
+        [(rho, keep)] = seen["partial_trace"]
+        assert keep == "a" and np.array_equal(rho, build_output_state(0.7, 0.22))
 
     @pytest.mark.parametrize("scan_phase", [False, True])
     def test_report_is_the_public_functions_bit_for_bit(self, scan_phase):

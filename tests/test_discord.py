@@ -19,7 +19,7 @@ from clonecorr.errors import DomainError, InvalidStateError
 from clonecorr.search import golden_min
 from oracles import (bell_phi_plus, conditional_entropy_curve_complex,
                      conditional_entropy_curve_unselected, conditional_entropy_projector,
-                     discord_grid_oracle, phase_scan_loop, random_product_state,
+                     discord_grid_oracle, entropy_bits, phase_scan_loop, random_product_state,
                      random_sym_state4, swap_qubits)
 
 # Regression constants, frozen from the projector-based oracles in oracles.py
@@ -32,6 +32,9 @@ DISCORD_MIN_UNIVERSAL = 0.281774347176620
 DISCORD_MIN_A07_J022 = 0.314734479368055
 
 CLASSICAL_CORRELATED = np.diag([0.5, 0.0, 0.0, 0.5])
+# a classical state whose eigenvalues dip to -0.9e-10, within the floor of
+# -1e-10, while clone a's reduced state dips to -1.8e-10, below it
+FLOOR_STATE = np.diag([0.5 + 0.9e-10, 0.5 + 0.9e-10, -0.9e-10, -0.9e-10])
 
 
 def product_state():
@@ -80,7 +83,8 @@ def phase_scan_reference(rho, curve=conditional_entropy_curve, grid_points=721,
     """discord_min(rho, scan_phase=True) rebuilt on the per-phase loop's grid point.
 
     The grid goes through curve; the refinement, like discord_min's, through
-    the scalar Bloch-form evaluator.
+    the scalar Bloch-form evaluator, and H(a) and H(b) through the package's
+    Bloch-form entropies (TestMarginalEntropies checks them against eigvalsh).
     """
     best_t, best_phi, best_h = phase_scan_loop(rho, grid_points, curve)
     bloch = discord_module._bloch(rho)
@@ -93,8 +97,7 @@ def phase_scan_reference(rho, curve=conditional_entropy_curve, grid_points=721,
                                   best_phi + dphi, refine_tol)
     best_t, best_h = golden_min(h_along(bloch, phi=best_phi), best_t - dt, best_t + dt,
                                 refine_tol)
-    ha = vn_entropy(eig_herm2(partial_trace(rho, "a")))
-    hb = vn_entropy(eig_herm2(partial_trace(rho, "b")))
+    ha, hb = discord_module._marginal_entropies(bloch)
     hab = vn_entropy(validate_state(rho))
     return DiscordResult(discord=hb - hab + best_h, optimal_t=best_t % (np.pi / 2),
                          optimal_phi=best_phi, entropy_joint=hab, entropy_a=ha, entropy_b=hb,
@@ -456,6 +459,53 @@ class TestMutualInformation:
         assert mutual_info_j(rho) == pytest.approx(MUTUAL_J_UNIVERSAL, abs=1e-12)
 
 
+class TestMarginalEntropies:
+    """H(a) and H(b) from rho's Bloch matrix, discord._marginal_entropies."""
+
+    @staticmethod
+    def oracle_gap(rho):
+        """Largest gap to entropy_bits of eigvalsh of tr_b rho and tr_a rho, traced by hand."""
+        got = discord_module._marginal_entropies(discord_module._bloch(rho))
+        traced = (rho[0::2, 0::2] + rho[1::2, 1::2], rho[:2, :2] + rho[2:, 2:])
+        return max(abs(g - entropy_bits(np.linalg.eigvalsh(m))) for g, m in zip(got, traced))
+
+    def test_agree_with_eigvalsh_of_the_traced_states(self):
+        rng = np.random.default_rng(35)
+        states = [rho for rho in oracle_states() if rho.ndim == 2]
+        states += [random_sym_state4(rng) for _ in range(100)] + [np.eye(4) / 4]
+        for rho in states:
+            assert self.oracle_gap(rho) <= 1e-15
+
+    def test_pure_products_agree_to_the_entropy_of_two_ulps(self):
+        # a pure clone's eigenvalues round to within an ulp or two of 0, where
+        # -x log2 x has unbounded slope: eigvalsh and the Bloch form each give
+        # up to about 1e-14 bits there, against an exact 0. |r| can round
+        # above the trace, which the Bloch form must survive
+        rng = np.random.default_rng(35)
+        eps = np.finfo(float).eps
+        above = 0
+        for _ in range(200):
+            a, b = (np.array([np.cos(x), np.sin(x)]) for x in rng.uniform(0.0, 2 * np.pi, 2))
+            rho = np.kron(np.outer(a, a), np.outer(b, b))
+            bloch = discord_module._bloch(rho)
+            above += max(math.hypot(*bloch[1:, 0]), math.hypot(*bloch[0, 1:])) > bloch[0, 0]
+            assert self.oracle_gap(rho) <= -2 * eps * math.log2(2 * eps)
+        assert above > 0
+
+    @pytest.mark.parametrize("j", [1 / 6, 0.22, 1 / 3, 0.5])
+    def test_copier_clones_have_the_entropy_of_bloch_length_n(self, j):
+        # r_a = r_b = n (2 alpha beta, 0, alpha^2 - beta^2), |r| = n = 1 - 2j,
+        # the same for alpha, -alpha, beta and -beta (ROADMAP item 8)
+        n = 1 - 2 * j
+        h = entropy_bits([(1 - n) / 2, (1 + n) / 2])
+        for a in (0.3, 0.7):
+            b = math.sqrt(1 - a * a)
+            for alpha in (a, -a, b, -b):
+                result = discord_min(build_output_state(alpha, j))
+                assert abs(result.entropy_a - h) <= 1e-15, alpha
+                assert abs(result.entropy_b - h) <= 1e-15, alpha
+
+
 class TestDiscordAt:
     def test_product_state_zero(self):
         rho, _, _ = product_state()
@@ -649,6 +699,17 @@ class TestUserStateAdmission:
     def test_two_by_two_state_is_refused(self, name):
         with pytest.raises(InvalidStateError, match="4x4 state"):
             USER_STATE_FUNCTIONS[name](np.eye(2) / 2)
+
+    @pytest.mark.parametrize("name", USER_STATE_FUNCTIONS)
+    def test_reduced_state_below_the_floor_is_not_checked_again(self, name):
+        # the state check admits FLOOR_STATE; its clones' entropies take no second check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = USER_STATE_FUNCTIONS[name](FLOOR_STATE)
+        if name == "discord_min":
+            assert abs(got.discord) <= 1e-9
+            got = dataclasses.astuple(got)
+        assert np.isfinite(got).all()
 
     @pytest.mark.parametrize("name", USER_STATE_FUNCTIONS)
     def test_state_is_validated_once(self, monkeypatch, name):

@@ -3,11 +3,12 @@
 import ast
 import math
 import pathlib
+import warnings
 from fractions import Fraction
 
 import numpy as np
 
-from clonecorr._model import _exact_k, _g_exact, _g_roots
+from clonecorr._model import _exact_k, _g_exact, _g_roots, qubit_entropy
 
 MODEL_PATH = pathlib.Path(__file__).resolve().parents[1] / "src" / "clonecorr" / "_model.py"
 
@@ -48,6 +49,23 @@ class TestExactG:
         (r1, r2), = _g_roots(0.7)
         for r, outside in ((r1, -1e-9), (r2, 1e-9)):
             assert _g_exact(kn, kd, r + outside) < 0.0 < _g_exact(kn, kd, r - outside)
+
+
+class TestQubitEntropy:
+    def test_maximally_mixed_is_one_bit_exactly(self):
+        assert qubit_entropy(1.0, 0.0) == 1.0
+
+    def test_pure_is_zero_bits_exactly(self):
+        h = qubit_entropy(1.0, 1.0)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+    def test_length_an_ulp_above_the_trace_stays_finite_and_nonnegative(self):
+        # a rounded |r| can exceed tr by an ulp; its eigenvalue (tr - r)/2 < 0 adds 0
+        for tr in (1.0, 0.3, 1.0 - 1e-12):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                h = qubit_entropy(tr, math.nextafter(tr, 2.0))
+            assert math.isfinite(h) and h >= 0.0
 
 
 def module_level_imports(tree):
