@@ -137,9 +137,13 @@ def _g_roots(alpha):
 
 
 def qubit_entropy(tr, r):
-    """Entropy in bits of ((tr - r)/2, (tr + r)/2), summed ascending; an eigenvalue <= 0 adds 0."""
+    """Entropy in bits of ((tr - r)/2, (tr + r)/2), summed ascending.
+
+    An eigenvalue <= 0 adds 0, and so does one >= 1, where -x log2 x <= 0:
+    a pure qubit's larger eigenvalue can round above 1.
+    """
     h = 0.0
     for lam in ((tr - r) / 2.0, (tr + r) / 2.0):
-        if lam > 0.0:
+        if 0.0 < lam < 1.0:
             h -= lam * math.log2(lam)
     return h

@@ -407,10 +407,11 @@ def run_table1(cfg, out_stream=None):
 
 def point_report(alpha, j, scan_phase=False):
     """All single-point quantities as a plain dict (JSON-ready)."""
-    # classify's copier-domain test; a copier state is a unit-trace PSD state,
-    # so it also validates rho for discord_min, and only classify's PPT half remains
+    # classify's copier-domain test; a copier state is a real symmetric
+    # unit-trace PSD state, so it also admits rho for discord_min unchecked
+    # (eig_sym4's spectrum without its checks), and only classify's PPT half remains
     rho = _copier_state(alpha, j)
-    result = _discord_min(rho, hermat.eig_sym4(rho), scan_phase=scan_phase)
+    result = _discord_min(rho, np.linalg.eigvalsh(rho)[::-1], scan_phase=scan_phase)
     verdict = _ppt_verdict(rho)
     return {
         "alpha": alpha,

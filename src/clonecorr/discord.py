@@ -49,13 +49,19 @@ rho's and the distinct ts's shapes and bytes and on the angle rank, keeps
 the coefficients and choices across discord_min's block calls.
 It is a cache rather than a private entry point because those calls must
 stay calls of conditional_entropy_curve, whose calls and angles the
-benchmark traces. A call takes cos and sin once per distinct angle (a
-stride-0 axis of a broadcast ts is evaluated once) and runs with a small
-ufunc buffer (see _PHASE_BUFSIZE). Both families keep their full-size
-arrays in one workspace per call (_workspace), which made a phase query
-about 30 % faster than plain temporaries; a phase query took 12.6 ms,
-against 13.7 ms with 16-row blocks and every pass run (points benchmark,
-op_p90_ms, medians of ten runs each). The real family's eight planes,
+benchmark traces. Beside it, discord_min's grids are read-only module
+constants built at import (_T_GRID, _PHI_GRID, and _T_ROWS, the t grid as
+a block's rows), and the products of the measured kets are cached in one
+entry keyed on their shape and the angle array's bytes (_ket_products):
+plain queries, phase queries, _phase_coefficients and every file of a
+multi-alpha surface run share an angle array, so a process takes them once
+per distinct array, not once a query. A call takes cos and sin once per
+distinct angle (a stride-0 axis of a broadcast ts is evaluated once) and
+runs with a small ufunc buffer (see _PHASE_BUFSIZE). Both families keep
+their full-size arrays in one workspace per call (_workspace), which made
+a phase query about 30 % faster than plain temporaries; a phase query took
+12.6 ms, against 13.7 ms with 16-row blocks and every pass run (points
+benchmark, op_p90_ms, medians of ten runs each). The real family's eight planes,
 1.2 MB at the sweep's 99 states x 91 t, are the largest block a surface file
 frees, so glibc's trim threshold (twice that) keeps the heap the file's CSV
 text takes: with cli's sliced write, a warm file made a median of 0 minor
@@ -123,6 +129,20 @@ _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1,
 _PAULI_PAIRS = np.einsum("iab,kcd->ikacbd", _PAULI, _PAULI).reshape(4, 4, 4, 4)
 # (key, coefficients, live, unclamped) of the last phase query (see _phase_coefficients)
 _phase_cache = (None, None, None, None)
+# (key, (uu, uv, vv)) of the last angle array (see _ket_products)
+_ket_cache = (None, None)
+
+
+def _read_only(x):
+    x.flags.writeable = False
+    return x
+
+
+# discord_min's grids, built once: t over [0, pi/2) and phi over [0, pi)
+_T_GRID = _read_only(np.linspace(0.0, np.pi / 2, GRID_POINTS, endpoint=False))
+_PHI_GRID = _read_only(np.linspace(0.0, np.pi, GRID_POINTS, endpoint=False))
+# the t grid as a block's rows (a read-only stride-0 view); a block takes its first rows
+_T_ROWS = np.broadcast_to(_T_GRID, (_PHASE_BLOCK, GRID_POINTS))
 
 
 @dataclass(frozen=True)
@@ -229,14 +249,23 @@ def _curve(rho, ts, angles):
 
 
 def _ket_products(ts, n_batch, n_angles):
-    """u u, u v and v v of the measured kets (u, e^{i phi} v) on the angle axes.
+    """u u, u v and v v of the measured kets (u, e^{i phi} v) on the angle axes, read-only.
 
     Axis 0 is the outcome: (u, v) = (cos t, sin t), (sin t, -cos t).
+    One-entry cache (see the module docstring), keyed on the target shape
+    and ts's bytes: an angle array mutated in place misses.
     """
+    global _ket_cache
     shape = (1,) * (n_batch + n_angles - ts.ndim) + ts.shape
+    key = (shape, ts.tobytes())
+    cached = _ket_cache   # one read: a consistent entry across threads
+    if cached[0] == key:
+        return cached[1]
     c, s = np.cos(ts).reshape(shape), np.sin(ts).reshape(shape)
     u, v = np.stack([c, s]), np.stack([s, -c])
-    return u * u, u * v, v * v
+    kets = tuple(_read_only(k) for k in (u * u, u * v, v * v))
+    _ket_cache = (key, kets)
+    return kets
 
 
 def _phase_rows(rho, ts, angles, phi):
@@ -324,9 +353,8 @@ def _phase_coefficients(rho, ts, n_angles):
     s, c2 = np.sin(2.0 * ts).reshape(tail), np.cos(2.0 * ts).reshape(tail)
     x0, x1 = bl[1, 0] + sig * bl[1, 3] * c2, sig * bl[1, 1] * s
     z0, z1, y = bl[3, 0] + sig * bl[3, 3] * c2, sig * bl[3, 1] * s, bl[2, 2] * s
-    coef = np.stack([a00, a11, b00, b11, (x0 * x0 + z0 * z0 + y * y) / 16,
-                     (x0 * x1 + z0 * z1) / 8, (x1 * x1 + z1 * z1 - y * y) / 16])
-    coef.flags.writeable = False
+    coef = _read_only(np.stack([a00, a11, b00, b11, (x0 * x0 + z0 * z0 + y * y) / 16,
+                                (x0 * x1 + z0 * z1) / 8, (x1 * x1 + z1 * z1 - y * y) / 16]))
     entry = (key, coef, _live(rho, bloch), _unclamped(*coef[4:]))
     _phase_cache = entry
     return entry[1:]
@@ -467,26 +495,27 @@ def discord_min(rho, *, scan_phase=False):
 
 
 def _discord_min(rho, spectrum, scan_phase):
-    """discord_min of a validated float state rho and its descending spectrum."""
+    """discord_min of an admitted float state rho and its descending spectrum.
+
+    rho is a user's state checked by _admitted, or a copier state the library built.
+    """
     bloch = _bloch(rho)
     ha, hb = _marginal_entropies(bloch)
     hab = hermat.vn_entropy(spectrum)
 
-    ts = np.linspace(0.0, np.pi / 2, GRID_POINTS, endpoint=False)
     dt, dphi = (np.pi / 2) / GRID_POINTS, np.pi / GRID_POINTS
     # the real family is the phase grid's phi = 0 row
-    phis = np.linspace(0.0, np.pi, GRID_POINTS, endpoint=False) if scan_phase else np.zeros(1)
+    phis = _PHI_GRID if scan_phase else _PHI_GRID[:1]
     best_t, best_phi, best_h = 0.0, 0.0, np.inf
     for k in range(0, len(phis), _PHASE_BLOCK):
         block = phis[k:k + _PHASE_BLOCK, None]
         # ts at the block's full shape, so np.size(ts) counts the (t, phi)
         # pairs evaluated (the benchmark tracer's angle count)
-        curves = conditional_entropy_curve(
-            rho, np.broadcast_to(ts, (len(block), GRID_POINTS)), block)
+        curves = conditional_entropy_curve(rho, _T_ROWS[:len(block)], block)
         # flat argmin: the block's first minimal row, then its first t
         r, i = np.unravel_index(np.argmin(curves), curves.shape)
         if curves[r, i] < best_h:
-            best_t, best_phi, best_h = float(ts[i]), float(block[r, 0]), float(curves[r, i])
+            best_t, best_phi, best_h = float(_T_GRID[i]), float(block[r, 0]), float(curves[r, i])
     # one-dimensional refinements around the best grid point, alternating
     # between the angles when phi was scanned
     best_t, best_h = golden_min(_conditional_entropy_at(bloch, phi=best_phi),

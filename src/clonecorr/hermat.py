@@ -17,9 +17,12 @@ stack a call). There eigvalsh changes the last printed digit of some rows,
 and the benchmark pins Jacobi's per-op matrix count. Jacobi rotates an
 entry-major copy, whole contiguous columns and rows at a time, with the
 bits of the row-major loop that tests/oracles.py keeps. Every other 4x4
-spectrum is LAPACK, one matrix through eig_sym4, about 80x faster than a
-one-matrix Jacobi batch; on copier states and their partial transposes the
-two agree to about 2e-15.
+spectrum is LAPACK, np.linalg.eigvalsh of one matrix, about 80x faster than
+a one-matrix Jacobi batch; on copier states and their partial transposes
+the two agree to about 2e-15. eig_sym4 checks a matrix that comes from
+outside (a user's state, through validate_state) before its spectrum; a
+matrix the library built, such as a point query's copier state and its
+partial transpose, goes straight to eigvalsh, with the same bits.
 The exact spectra planned in ROADMAP.md revise those pins and then delete
 Jacobi outright.
 
@@ -158,8 +161,9 @@ def eig_sym4(m):
 
     Validates the matrix (finite, real, symmetric within 1e-12) and takes
     its spectrum from LAPACK (np.linalg.eigvalsh). This is the single-matrix
-    path; the sweep's stacks go through jacobi_eigvals, whose results feed
-    byte-pinned surface files (see the module docstring).
+    path for a matrix from outside; the sweep's stacks go through
+    jacobi_eigvals, whose results feed byte-pinned surface files (see the
+    module docstring).
     """
     m = _require_real_symmetric(m)
     return np.linalg.eigvalsh(m)[::-1]
@@ -183,6 +187,7 @@ def vn_entropy(spectrum):
     Eigenvalues in [-1e-10, 0) are treated as exact zeros (roundoff from
     singular states); anything lower raises InvalidStateError, as does an empty
     spectrum or one that does not sum to 1 within 1e-10 or has a non-finite entry.
+    A term -x log2 x below 0, from an eigenvalue that rounds above 1, adds 0.
     """
     lam = np.ravel(np.asarray(spectrum, dtype=float))
     if lam.size == 0:
@@ -194,7 +199,9 @@ def vn_entropy(spectrum):
     if abs(lam.sum() - 1.0) > 1e-10:
         raise InvalidStateError(f"eigenvalues sum to {lam.sum()!r}, not 1")
     # summing in sorted order makes the value exactly permutation-invariant
-    return float(plogp(np.sort(np.clip(lam, 0.0, None))).sum())
+    terms = plogp(np.sort(np.clip(lam, 0.0, None)))
+    terms[terms < 0.0] = 0.0
+    return float(terms.sum())
 
 
 def partial_trace(m, keep):

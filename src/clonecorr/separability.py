@@ -9,7 +9,7 @@ evaluates its agreement with the spectral check on every call and surfaces
 it in the verdict rather than assuming it. ppt_data computes W3, W4 (as
 cofactor determinants) and the minimum PPT eigenvalue for one state (LAPACK)
 or a whole stack of states (Jacobi) through _ppt_triple, which
-cli.surface_records shares; classify and scan_grid go through ppt_data.
+cli.surface_records and classify share; scan_grid goes through ppt_data.
 
 separable_intervals needs neither spectra nor W3: W4 = (j/2) g(j) for a
 cubic g, and the separable window is the stretch between g's two roots in
@@ -84,8 +84,13 @@ def classify(alpha, j):
 
 
 def _ppt_verdict(rho):
-    """classify's verdict for a copier state already admitted by _copier_state."""
-    w3, w4, min_ppt = (float(x) for x in ppt_data(rho))
+    """classify's verdict for a copier state already admitted by _copier_state.
+
+    The library built rho, so its partial transpose's spectrum is eig_sym4's
+    without the checks.
+    """
+    sigma = hermat.partial_transpose_b(rho)
+    w3, w4, min_ppt = (float(x) for x in _ppt_triple(sigma, np.linalg.eigvalsh(sigma)[::-1]))
     separable = min_ppt >= hermat.STATE_EIG_FLOOR
     det_separable = w3 >= 0.0 and w4 >= 0.0
     return SeparabilityVerdict(

@@ -32,7 +32,7 @@ import numpy as np
 
 from clonecorr._model import _amplitudes
 from clonecorr.cloner import WINDOW_TOL, build_output_batch
-from clonecorr.discord import (DEGENERATE_P, _curve, _distinct, _entropy_sum,
+from clonecorr.discord import (_PHASE_BUFSIZE, DEGENERATE_P, _curve, _distinct, _entropy_sum,
                                _phase_coefficients, _workspace, conditional_entropy_curve)
 from clonecorr.errors import ConvergenceError
 from clonecorr.hermat import (JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL, STATE_EIG_FLOOR, jacobi_eigvals,
@@ -158,18 +158,23 @@ def conditional_entropy_curve_unselected(rho, ts, phi):
     passes that mask dead branches, clamp rad^2 and set x- to 1 change
     an entry only where the matching flag is true. The phase rows are the
     package's coefficients, workspace and entropy sum; phi = 0 rows are its
-    real family, as in the package.
+    real family, as in the package. It runs under the package's ufunc buffer
+    size, which changes no bits but halves the time of the phase rows.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     phi = np.asarray(phi, dtype=float)
     angles = np.broadcast_shapes(ts.shape, phi.shape)
     ts, phi = _distinct(ts), _distinct(phi)
-    total, needs = _phase_rows_unselected(rho, ts, angles, phi)
-    real_rows = phi == 0.0
-    if real_rows.any():
-        np.copyto(total, _curve(rho, ts, (1,) * (len(angles) - ts.ndim) + ts.shape),
-                  where=real_rows)
-    return total, needs
+    bufsize = np.setbufsize(_PHASE_BUFSIZE)
+    try:
+        total, needs = _phase_rows_unselected(rho, ts, angles, phi)
+        real_rows = phi == 0.0
+        if real_rows.any():
+            np.copyto(total, _curve(rho, ts, (1,) * (len(angles) - ts.ndim) + ts.shape),
+                      where=real_rows)
+        return total, needs
+    finally:
+        np.setbufsize(bufsize)
 
 
 def _phase_rows_unselected(rho, ts, angles, phi):

@@ -620,14 +620,29 @@ class TestPoint:
 
     @pytest.mark.parametrize("scan_phase", [False, True])
     def test_state_spectrum_is_taken_once(self, monkeypatch, scan_phase):
-        # one spectrum of rho (reused by discord_min) and one of its partial transpose
+        # one LAPACK spectrum of rho (reused by discord_min) and one of its
+        # partial transpose; the library built both, so neither is checked again
         calls = []
-        eig_sym4 = cli.hermat.eig_sym4
-        monkeypatch.setattr(cli.hermat, "eig_sym4", lambda m: calls.append(m) or eig_sym4(m))
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
         report = cli.point_report(0.7, 0.22, scan_phase=scan_phase)
+        rho = build_output_state(0.7, 0.22)
         assert len(calls) == 2
-        assert np.array_equal(calls[0], build_output_state(0.7, 0.22))
-        assert report["discord"]["entropy_joint"] == vn_entropy(eig_sym4(calls[0]))
+        assert np.array_equal(calls[0], rho)
+        assert np.array_equal(calls[1], hermat.partial_transpose_b(rho))
+        assert report["discord"]["entropy_joint"] == vn_entropy(eig_sym4(rho))
+
+    def test_report_after_a_phase_query_is_a_fresh_process_report(self):
+        # the kets and phase coefficients that a phase query at one point leaves
+        # cached do not move a byte of the next query, at another point
+        cli.point_report(0.3, 0.4, scan_phase=True)
+        got = cli._json_text(cli.point_report(0.7, 0.22))
+        proc = subprocess.run(
+            [sys.executable, "-m", "clonecorr", "point", "0.7", "0.22", "--format", "json"],
+            env={"PYTHONPATH": str(SRC_DIR), "PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert got == proc.stdout
 
     def test_json_keys_are_what_a_copier_point_can_vary(self, capsys):
         # every admitted point is PSD and meets the machine constraints, so the
@@ -647,19 +662,22 @@ class TestPoint:
 
     @pytest.mark.parametrize("scan_phase", [False, True])
     def test_each_quantity_is_computed_once(self, monkeypatch, scan_phase):
-        # one state, the two 4x4 spectra of test_state_spectrum_is_taken_once,
-        # no 2x2 spectrum (the clones' entropies come from rho's Bloch matrix)
-        # and one reduced state, clone a's, for the fidelity
+        # one state, the two 4x4 spectra of test_state_spectrum_is_taken_once
+        # and no check of them (the library built both states), no 2x2
+        # spectrum (the clones' entropies come from rho's Bloch matrix) and
+        # one reduced state, clone a's, for the fidelity
         seen = {}
         for module, name in ((cloner, "build_output_batch"), (hermat, "eig_herm2"),
-                             (hermat, "eig_sym4"), (hermat, "partial_trace")):
+                             (np.linalg, "eigvalsh"), (hermat, "eig_sym4"),
+                             (hermat, "validate_state"), (hermat, "partial_trace")):
             def spy(*args, f=getattr(module, name), calls=seen.setdefault(name, [])):
                 calls.append(args)
                 return f(*args)
             monkeypatch.setattr(module, name, spy)
         cli.point_report(0.7, 0.22, scan_phase=scan_phase)
         assert {name: len(calls) for name, calls in seen.items()} == {
-            "build_output_batch": 1, "eig_herm2": 0, "eig_sym4": 2, "partial_trace": 1}
+            "build_output_batch": 1, "eig_herm2": 0, "eigvalsh": 2, "eig_sym4": 0,
+            "validate_state": 0, "partial_trace": 1}
         [(rho, keep)] = seen["partial_trace"]
         assert keep == "a" and np.array_equal(rho, build_output_state(0.7, 0.22))
 

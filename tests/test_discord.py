@@ -268,6 +268,54 @@ class TestConditionalEntropy:
         conditional_entropy_curve(mutable, ts, 1.1)
         assert discord_module._phase_cache[1] is cached
 
+    def test_ket_cache_is_invisible(self, monkeypatch):
+        # the kets of the last angle array are cached, keyed on its bytes: every
+        # call must equal one from empty caches, and an array changed in place misses
+        def cold(t_arg, phi):
+            with monkeypatch.context() as m:
+                m.setattr(discord_module, "_ket_cache", (None, None))
+                m.setattr(discord_module, "_phase_cache", (None,) * 4)
+                return conditional_entropy_curve(rho, t_arg, phi)
+
+        monkeypatch.setattr(discord_module, "_ket_cache", (None, None))
+        rho = build_output_state(0.7, 0.22)
+        ts = np.linspace(0.0, np.pi / 2, 41, endpoint=False)
+        other = ts + 0.01   # the same shape, other values
+        for phi in (0.0, np.array([[0.0], [0.4]])):
+            mutable = ts.copy()
+            for k, t_arg in enumerate((ts, other, ts, other, mutable, mutable)):
+                if k == 5:
+                    mutable[:] = other   # in place, between two calls on the same array
+                got = conditional_entropy_curve(rho, t_arg, phi)
+                assert same_bits(got, cold(t_arg, phi)), (k, np.ndim(phi))
+
+    def test_cached_kets_and_grids_are_read_only(self):
+        ts = np.linspace(0.0, np.pi / 2, 41, endpoint=False)
+        kets = discord_module._ket_products(ts, 0, 1)
+        assert discord_module._ket_products(ts.copy(), 0, 1) is kets   # equal bytes hit
+        grids = (discord_module._T_GRID, discord_module._PHI_GRID)
+        for stop, grid in zip((np.pi / 2, np.pi), grids):
+            assert same_bits(grid, np.linspace(0.0, stop, discord_module.GRID_POINTS,
+                                               endpoint=False))
+        for array in kets + grids + (discord_module._T_ROWS,):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+    def test_one_ket_set_serves_plain_and_phase_queries_and_surfaces(self):
+        # discord_min's plain and phase queries share one angle array, and so
+        # do the surfaces of one t grid at every alpha
+        discord_min(build_output_state(0.7, 0.22))
+        kets = discord_module._ket_cache[1]
+        discord_min(build_output_state(0.3, 0.4), scan_phase=True)
+        discord_min(build_output_state(0.5, 0.3))
+        assert discord_module._ket_cache[1] is kets
+        ts = np.linspace(0.0, np.pi / 2, 13)
+        discord_surface(0.3, [0.2, 0.3], ts)
+        kets = discord_module._ket_cache[1]
+        discord_surface(0.7, [0.2, 0.3], ts)
+        assert discord_module._ket_cache[1] is kets
+
     def test_phase_rows_are_finite(self):
         ts = np.linspace(0.0, np.pi, 121)
         phis = np.linspace(0.0, 2 * np.pi, 48)[:, None]
@@ -491,6 +539,15 @@ class TestMarginalEntropies:
             above += max(math.hypot(*bloch[1:, 0]), math.hypot(*bloch[0, 1:])) > bloch[0, 0]
             assert self.oracle_gap(rho) <= -2 * eps * math.log2(2 * eps)
         assert above > 0
+
+    def test_pure_products_have_nonnegative_entropies(self):
+        # a pure clone's larger eigenvalue, or rho's, can round above 1, where
+        # -x log2 x < 0; such a term adds 0
+        rng = np.random.default_rng(36)
+        for _ in range(300):
+            a, b = (np.array([np.cos(x), np.sin(x)]) for x in rng.uniform(0.0, 2 * np.pi, 2))
+            result = discord_min(np.kron(np.outer(a, a), np.outer(b, b)))
+            assert min(result.entropy_a, result.entropy_b, result.entropy_joint) >= 0.0, (a, b)
 
     @pytest.mark.parametrize("j", [1 / 6, 0.22, 1 / 3, 0.5])
     def test_copier_clones_have_the_entropy_of_bloch_length_n(self, j):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from clonecorr import build_output_batch, build_output_state, hermat
 from clonecorr.cli import RunConfig
 from clonecorr.errors import ConvergenceError, InvalidStateError
 from clonecorr.hermat import (HERM_ATOL, eig_herm2, eig_sym4, jacobi_eigvals, partial_trace,
-                             partial_transpose_b, principal_minor, validate_state, vn_entropy)
+                             partial_transpose_b, plogp, principal_minor, validate_state,
+                             vn_entropy)
 from oracles import (bell_phi_plus, charpoly_eigvals_sym4, jacobi_eigvals_row_major, random_herm2,
                      random_sym4, swap_qubits)
 
@@ -308,6 +310,19 @@ class TestVnEntropy:
     def test_clamps_roundoff_negatives(self):
         # -5e-11 is treated as an exact zero instead of raising
         assert abs(vn_entropy([1.0 + 5e-11, -5e-11])) <= 1e-9
+
+    def test_eigenvalue_rounded_above_one_adds_nothing(self):
+        # -x log2 x < 0 for x > 1: that term adds +0.0, not a negative
+        for lam in ([math.nextafter(1.0, 2.0), 0.0, 0.0, 0.0], [1.0 + 5e-11, -5e-11],
+                    [1.0 + 4e-16, -2e-16, -2e-16]):
+            h = vn_entropy(lam)
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+    def test_is_the_plain_sum_where_no_term_is_negative(self):
+        rng = np.random.default_rng(36)
+        for lam in [rng.dirichlet([0.7] * 4) for _ in range(200)] + [[1.0, 0.0], [0.5, 0.5]]:
+            h = vn_entropy(lam)
+            assert h == float(plogp(np.sort(lam)).sum())
         assert abs(vn_entropy([1.0, -5e-11])) == 0.0
 
     def test_rejects_negative_eigenvalue(self):

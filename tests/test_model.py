@@ -67,6 +67,12 @@ class TestQubitEntropy:
                 h = qubit_entropy(tr, math.nextafter(tr, 2.0))
             assert math.isfinite(h) and h >= 0.0
 
+    def test_eigenvalue_rounded_above_one_adds_nothing(self):
+        # -x log2 x < 0 for x > 1: a pure qubit's rounded trace adds 0, not a negative
+        for tr in (math.nextafter(1.0, 2.0), 1.0 + 8 * math.ulp(1.0)):
+            h = qubit_entropy(tr, tr)
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
 
 def module_level_imports(tree):
     """Dotted names that the module's top level imports, outside any def or class."""

@@ -180,10 +180,12 @@ class TestClassify:
         assert not hasattr(err.value, "min_eigenvalue")
 
     def test_takes_only_the_partial_transposes_spectrum(self, monkeypatch):
-        # the copier domain is decided on j alone, so rho's own spectrum is never needed
+        # the copier domain is decided on j alone, so rho's own spectrum is never
+        # needed, and the library built the partial transpose, so it is not checked
         calls = []
-        eig_sym4 = hermat.eig_sym4
-        monkeypatch.setattr(hermat, "eig_sym4", lambda m: calls.append(m) or eig_sym4(m))
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        monkeypatch.setattr(hermat, "eig_sym4", lambda m: pytest.fail("eig_sym4 called"))
         classify(0.7, 0.22)
         assert len(calls) == 1
         assert np.array_equal(calls[0], partial_transpose_b(build_output_state(0.7, 0.22)))
