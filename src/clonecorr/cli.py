@@ -27,8 +27,8 @@ from .cloner import (_copier_state, _fidelity, build_output_batch, build_output_
 from .discord import (_discord_min, _surface, conditional_entropy_curve, discord_at,
                       discord_min, mutual_info_i, mutual_info_j)
 from .errors import DomainError
-from .separability import (_ppt_triple, _ppt_verdict, ppt_data, scan_grid, separable_intervals,
-                           w3_closed, w4_closed)
+from .separability import (_ppt_triple, _ppt_verdict, scan_grid, separable_intervals, w3_closed,
+                           w4_closed)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -503,10 +503,9 @@ def run_selftest(cfg, out_stream=None):
     ok = True
     for _ in range(500):
         alpha, j = rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5)
-        rho = build_output_state(alpha, j)
-        w3d, w4d, _ = ppt_data(rho)
-        ok &= abs(w3_closed(alpha, j) - w3d) <= 1e-12
-        ok &= abs(w4_closed(alpha, j) - w4d) <= 1e-12
+        sigma = hermat.partial_transpose_b(build_output_state(alpha, j)).tolist()
+        ok &= abs(w3_closed(alpha, j) - hermat._det3(sigma)) <= 1e-12
+        ok &= abs(w4_closed(alpha, j) - hermat._det4(sigma)) <= 1e-12
     check("closed-form determinants match direct minors", bool(ok))
 
     ok = True

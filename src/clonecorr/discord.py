@@ -44,7 +44,12 @@ clamp (only if some rad^2 can round below 0, _unclamped) and setting x- <=
 0 to 1 (only in a call where some x- is). A skipped pass is one that would
 change no entry, so every bit stays as with all three run (tests/oracles.py's
 conditional_entropy_curve_unselected). Every copier state skips the mask,
-since |r_b| = 1 - 2j <= 2/3 keeps p >= 1/6. A one-entry cache, keyed on
+since |r_b| = 1 - 2j <= 2/3 keeps p >= 1/6. The real family decides per
+call, on the entries it computed: its dead-branch mask runs only in a call
+where some p is at or below DEGENERATE_P, and its x <= 0 fix-up only where
+some x is (the bits of tests/oracles.py's curve_all_passes). The 721-angle
+grid of each of the 400 copier points of the points benchmark's seeds 0-3
+skips both. A one-entry cache, keyed on
 rho's and the distinct ts's shapes and bytes and on the angle rank, keeps
 the coefficients and choices across discord_min's block calls.
 It is a cache rather than a private entry point because those calls must
@@ -70,8 +75,10 @@ against 440-940 with the kernel on plain temporaries.
 
 discord_min's golden-section refinement calls a closure over rho's Bloch
 form (_conditional_entropy_at): the same quantity in scalar math, equal to
-rounding, at 1.5 us an angle against 55 us a one-angle kernel call (2-vCPU
-Xeon, numpy 2.4). The grids stay on the kernel until ROADMAP item 3
+rounding, at about 1.25 us an angle against 45 us a one-angle kernel call
+(2-vCPU Xeon, numpy 2.4). A closure takes the held angle's sine and cosine
+once, and writes the two outcomes out with + and - rather than products
+with sign = +-1, both exact. The grids stay on the kernel until ROADMAP item 3
 re-pins what depends on it: the sweep's sha256-pinned surface files and
 the benchmark's count of kernel angles per phase query.
 
@@ -238,13 +245,19 @@ def _curve(rho, ts, angles):
     np.hypot(np.multiply(np.subtract(q00, q11, out=scratch), 0.5, out=scratch),
              np.abs(q01, out=q01), out=rad)
     # x = (p/2 +- rad) / p. Dead branches skip the divide; they and every x <= 0
-    # are set to 1, where x log2(x) is +0.0, so the log2 needs no mask
+    # are set to 1, where x log2(x) is +0.0, so the log2 needs no mask. Each
+    # pass runs only in a call where it changes an entry
     dead = np.less_equal(p, DEGENERATE_P, out=flags[0])
     np.add(np.multiply(p, 0.5, out=x[1]), rad, out=x[0])
     x[1] -= rad
-    np.divide(x, p, out=x, where=np.logical_not(dead, out=flags[1]))
-    np.copyto(x, 1.0, where=dead)
-    np.copyto(x, 1.0, where=np.less_equal(x, 0.0, out=flags[1:]))
+    if dead.any():
+        np.divide(x, p, out=x, where=np.logical_not(dead, out=flags[1]))
+        np.copyto(x, 1.0, where=dead)
+    else:
+        np.divide(x, p, out=x)
+    low = np.less_equal(x, 0.0, out=flags[1:])
+    if low.any():
+        np.copyto(x, 1.0, where=low)
     return _entropy_sum(x, p, scratch)
 
 
@@ -408,19 +421,31 @@ def _conditional_entropy_at(bloch, t=None, phi=None):
     0; the two agree to rounding, not bitwise.
     """
     (_, bx, by, bz), (ax, xx, xy, xz), (ay, yx, yy, yz), (az, zx, zy, zz) = bloch.tolist()
+    # the held angle's trig, once per closure
+    if phi is None:
+        s2t, c2t = math.sin(2.0 * t), math.cos(2.0 * t)
+    else:
+        cp, sp = math.cos(phi), math.sin(phi)
 
     def h_at(x):
-        tx, px = (t, x) if phi is None else (x, phi)
-        s2 = math.sin(2.0 * tx)
-        mx, my, mz = s2 * math.cos(px), s2 * math.sin(px), math.cos(2.0 * tx)
+        if phi is None:
+            mx, my, mz = s2t * math.cos(x), s2t * math.sin(x), c2t
+        else:
+            s2 = math.sin(2.0 * x)
+            mx, my, mz = s2 * cp, s2 * sp, math.cos(2.0 * x)
         rb_m, tmx = bx * mx + by * my + bz * mz, xx * mx + xy * my + xz * mz
         tmy, tmz = yx * mx + yy * my + yz * mz, zx * mx + zy * my + zz * mz
+        # outcome +m, then -m, each skipped when p <= DEGENERATE_P (a NaN p is not)
         h = 0.0
-        for sign in (1.0, -1.0):
-            p = 0.5 + 0.5 * sign * rb_m
-            if p <= DEGENERATE_P:
-                continue
-            rad = 0.25 * math.hypot(ax + sign * tmx, ay + sign * tmy, az + sign * tmz)
+        p = 0.5 + 0.5 * rb_m
+        if not p <= DEGENERATE_P:
+            rad = 0.25 * math.hypot(ax + tmx, ay + tmy, az + tmz)
+            for lam in (0.5 * p + rad, 0.5 * p - rad):
+                if lam > 0.0:
+                    h -= lam * math.log2(lam / p)
+        p = 0.5 - 0.5 * rb_m
+        if not p <= DEGENERATE_P:
+            rad = 0.25 * math.hypot(ax - tmx, ay - tmy, az - tmz)
             for lam in (0.5 * p + rad, 0.5 * p - rad):
                 if lam > 0.0:
                     h -= lam * math.log2(lam / p)
@@ -456,7 +481,7 @@ def mutual_info_j(rho):
     """Unmeasured mutual information H(a) + H(b) - H(ab), in bits."""
     rho, spectrum = _admitted(rho)
     ha, hb = _marginal_entropies(_bloch(rho))
-    return ha + hb - hermat.vn_entropy(spectrum)
+    return ha + hb - hermat._vn_sum(spectrum)
 
 
 def mutual_info_i(rho, t, phi=0.0):
@@ -472,7 +497,7 @@ def discord_at(rho, t, phi=0.0):
     """
     rho, spectrum = _admitted(rho)
     _, hb = _marginal_entropies(_bloch(rho))
-    return hb - hermat.vn_entropy(spectrum) + _conditional_entropy(rho, t, phi)
+    return hb - hermat._vn_sum(spectrum) + _conditional_entropy(rho, t, phi)
 
 
 def discord_min(rho, *, scan_phase=False):
@@ -501,7 +526,7 @@ def _discord_min(rho, spectrum, scan_phase):
     """
     bloch = _bloch(rho)
     ha, hb = _marginal_entropies(bloch)
-    hab = hermat.vn_entropy(spectrum)
+    hab = hermat._vn_sum(spectrum)
 
     dt, dphi = (np.pi / 2) / GRID_POINTS, np.pi / GRID_POINTS
     # the real family is the phase grid's phi = 0 row

@@ -9,7 +9,8 @@ evaluates its agreement with the spectral check on every call and surfaces
 it in the verdict rather than assuming it. ppt_data computes W3, W4 (as
 cofactor determinants) and the minimum PPT eigenvalue for one state (LAPACK)
 or a whole stack of states (Jacobi) through _ppt_triple, which
-cli.surface_records and classify share; scan_grid goes through ppt_data.
+cli.surface_records shares; classify takes the same determinants of its one
+matrix as Python floats (hermat._det2), and scan_grid goes through ppt_data.
 
 separable_intervals needs neither spectra nor W3: W4 = (j/2) g(j) for a
 cubic g, and the separable window is the stretch between g's two roots in
@@ -69,7 +70,8 @@ def ppt_data(rhos):
 
 def _ppt_triple(sigmas, spectra):
     """ppt_data's (W3, W4, minimum eigenvalue) from partial transposes and their spectra."""
-    return hermat._det3(sigmas[..., :3, :3]), hermat._det4(sigmas), spectra[..., -1]
+    entries = np.moveaxis(sigmas, (-2, -1), (0, 1))
+    return hermat._det3(entries), hermat._det4(entries), spectra[..., -1]
 
 
 def classify(alpha, j):
@@ -86,11 +88,14 @@ def classify(alpha, j):
 def _ppt_verdict(rho):
     """classify's verdict for a copier state already admitted by _copier_state.
 
-    The library built rho, so its partial transpose's spectrum is eig_sym4's
-    without the checks.
+    The library built rho, so its partial transpose's least eigenvalue is
+    eig_sym4's without the checks. W3 and W4 take ppt_data's float operations
+    on Python floats, with the same bits.
     """
     sigma = hermat.partial_transpose_b(rho)
-    w3, w4, min_ppt = (float(x) for x in _ppt_triple(sigma, np.linalg.eigvalsh(sigma)[::-1]))
+    entries = sigma.tolist()
+    w3, w4 = hermat._det3(entries), hermat._det4(entries)
+    min_ppt = float(np.linalg.eigvalsh(sigma)[0])
     separable = min_ppt >= hermat.STATE_EIG_FLOOR
     det_separable = w3 >= 0.0 and w4 >= 0.0
     return SeparabilityVerdict(

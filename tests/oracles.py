@@ -23,6 +23,12 @@ that the package's entry-major one must reproduce bit for bit.
 conditional_entropy_curve_unselected is the package's kernel with every pass
 of its phase rows run, as before it decided once per query which passes a
 state can need; the package must reproduce it bit for bit.
+curve_all_passes is the real family (phi = 0) with its dead-branch mask and
+its x <= 0 fix-up run in every call, conditional_entropy_at_signed the scalar
+refinement evaluator with both angles' trig taken per call and the outcomes
+as products with sign = +-1, and det2_stacked, det3_stacked and det4_stacked
+the fancy-indexed stack determinants; the package's leaner forms must
+reproduce each bit for bit.
 """
 
 import json
@@ -32,8 +38,9 @@ import numpy as np
 
 from clonecorr._model import _amplitudes
 from clonecorr.cloner import WINDOW_TOL, build_output_batch
-from clonecorr.discord import (_PHASE_BUFSIZE, DEGENERATE_P, _curve, _distinct, _entropy_sum,
-                               _phase_coefficients, _workspace, conditional_entropy_curve)
+from clonecorr.discord import (_PHASE_BUFSIZE, _Q_ENTRIES, DEGENERATE_P, _distinct, _entropy_sum,
+                               _ket_products, _phase_coefficients, _workspace,
+                               conditional_entropy_curve)
 from clonecorr.errors import ConvergenceError
 from clonecorr.hermat import (JACOBI_MAX_SWEEPS, JACOBI_OFF_TOL, STATE_EIG_FLOOR, jacobi_eigvals,
                               plogp)
@@ -170,8 +177,8 @@ def conditional_entropy_curve_unselected(rho, ts, phi):
         total, needs = _phase_rows_unselected(rho, ts, angles, phi)
         real_rows = phi == 0.0
         if real_rows.any():
-            np.copyto(total, _curve(rho, ts, (1,) * (len(angles) - ts.ndim) + ts.shape),
-                      where=real_rows)
+            real, _ = curve_all_passes(rho, ts, (1,) * (len(angles) - ts.ndim) + ts.shape)
+            np.copyto(total, real, where=real_rows)
         return total, needs
     finally:
         np.setbufsize(bufsize)
@@ -204,6 +211,87 @@ def _phase_rows_unselected(rho, ts, angles, phi):
     any_low = bool(low.any())
     np.copyto(x[1], 1.0, where=low)
     return _entropy_sum(x, p, w[1]), (any_dead, negative, any_low)
+
+
+def curve_all_passes(rho, ts, angles):
+    """(the real family of a real float rho at ts broadcast to angles, needs), every pass run.
+
+    needs = (dead, low) says whether some branch probability is <=
+    DEGENERATE_P and some x is <= 0: the dead-branch mask and the x <= 0
+    fix-up change an entry only where the matching flag is true.
+    """
+    batch = rho.shape[:-2]
+    uu, uv, vv = _ket_products(ts, len(batch), len(angles))
+    w, flags = _workspace((2,) + batch + angles, 8, 3)
+    q, p, rad, x, scratch = w[:3], w[3], w[4], w[5:7], w[7]
+    r = rho.reshape(-1, 16).T[_Q_ENTRIES].reshape((4, 3, 1) + batch + (1,) * len(angles))
+    np.multiply(uu, r[0], out=q)
+    for k, ket in ((1, uv), (2, uv), (3, vv)):
+        q += np.multiply(ket, r[k], out=w[5:])
+    q00, q01, q11 = q
+    np.add(q00, q11, out=p)
+    np.hypot(np.multiply(np.subtract(q00, q11, out=scratch), 0.5, out=scratch),
+             np.abs(q01, out=q01), out=rad)
+    dead = np.less_equal(p, DEGENERATE_P, out=flags[0])
+    any_dead = bool(dead.any())
+    np.add(np.multiply(p, 0.5, out=x[1]), rad, out=x[0])
+    x[1] -= rad
+    np.divide(x, p, out=x, where=np.logical_not(dead, out=flags[1]))
+    np.copyto(x, 1.0, where=dead)
+    low = np.less_equal(x, 0.0, out=flags[1:])
+    any_low = bool(low.any())
+    np.copyto(x, 1.0, where=low)
+    return _entropy_sum(x, p, scratch), (any_dead, any_low)
+
+
+def conditional_entropy_at_signed(bloch, t=None, phi=None):
+    """discord._conditional_entropy_at with each outcome's terms as products with sign = +-1.
+
+    x -> H at (x, phi), or at (t, x) when phi is None; the sines and cosines
+    of both angles are taken at every call.
+    """
+    (_, bx, by, bz), (ax, xx, xy, xz), (ay, yx, yy, yz), (az, zx, zy, zz) = bloch.tolist()
+
+    def h_at(x):
+        tx, px = (t, x) if phi is None else (x, phi)
+        s2 = math.sin(2.0 * tx)
+        mx, my, mz = s2 * math.cos(px), s2 * math.sin(px), math.cos(2.0 * tx)
+        rb_m, tmx = bx * mx + by * my + bz * mz, xx * mx + xy * my + xz * mz
+        tmy, tmz = yx * mx + yy * my + yz * mz, zx * mx + zy * my + zz * mz
+        h = 0.0
+        for sign in (1.0, -1.0):
+            p = 0.5 + 0.5 * sign * rb_m
+            if p <= DEGENERATE_P:
+                continue
+            rad = 0.25 * math.hypot(ax + sign * tmx, ay + sign * tmy, az + sign * tmz)
+            for lam in (0.5 * p + rad, 0.5 * p - rad):
+                if lam > 0.0:
+                    h -= lam * math.log2(lam / p)
+        return h
+
+    return h_at
+
+
+# columns of the minors of row 0 in det4_stacked, minor k without column k
+_MINOR_COLS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def det2_stacked(m):
+    """Determinants of the top-left 2x2 blocks of a (..., n, n) stack."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def det3_stacked(m):
+    """Determinants of the top-left 3x3 blocks of a (..., n, n) stack."""
+    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
+
+
+def det4_stacked(m):
+    """Determinants of a (..., 4, 4) stack: one det3_stacked call on the four minors of row 0."""
+    terms = m[..., 0, :] * det3_stacked(np.moveaxis(m[..., 1:, _MINOR_COLS], -2, -3))
+    return (((0.0 + terms[..., 0]) - terms[..., 1]) + terms[..., 2]) - terms[..., 3]
 
 
 def phase_scan_loop(rho, grid_points, curve=conditional_entropy_curve):
@@ -465,6 +553,12 @@ def random_product_state(rng):
 def bell_phi_plus():
     v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     return np.outer(v, v)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def swap_qubits(m):

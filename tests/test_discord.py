@@ -17,10 +17,10 @@ from clonecorr.hermat import (eig_herm2, eig_sym4, jacobi_eigvals, partial_trace
                              validate_state, vn_entropy)
 from clonecorr.errors import DomainError, InvalidStateError
 from clonecorr.search import golden_min
-from oracles import (bell_phi_plus, conditional_entropy_curve_complex,
+from oracles import (bell_phi_plus, conditional_entropy_at_signed, conditional_entropy_curve_complex,
                      conditional_entropy_curve_unselected, conditional_entropy_projector,
-                     discord_grid_oracle, entropy_bits, phase_scan_loop, random_product_state,
-                     random_sym_state4, swap_qubits)
+                     curve_all_passes, discord_grid_oracle, entropy_bits, phase_scan_loop,
+                     random_product_state, random_sym_state4, same_bits, swap_qubits)
 
 # Regression constants, frozen from the projector-based oracles in oracles.py
 # (dense 20001-point t grid plus golden refinement, run once at development
@@ -41,12 +41,6 @@ def product_state():
     a = np.array([[0.7, 0.2], [0.2, 0.3]])
     b = np.array([[0.6, -0.1], [-0.1, 0.4]])
     return np.kron(a, b), a, b
-
-
-def same_bits(a, b):
-    """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def clamp_state():
@@ -485,6 +479,64 @@ class TestConditionalEntropy:
             t = rng.uniform(0, np.pi / 2)
             curve = conditional_entropy_curve(rho, [t, t + delta])
             assert abs(curve[1] - curve[0]) <= 100 * delta
+
+
+def lean_path_states():
+    """Copier points, random real states of ranks 1 to 4, pure products and edge states.
+
+    The pure products, the zero matrix and clamp_state have dead branches
+    (p <= DEGENERATE_P) or conditional eigenvalues x <= 0 at some angles.
+    """
+    rng = np.random.default_rng(37)
+    states = [build_output_state(alpha, j) for alpha in (0.0, 1.0, -1.0, 2 ** -0.5, 1e-5, 0.3, 0.7)
+              for j in (1 / 6, 0.22, 1 / 3, 0.5)]
+    for rank in range(1, 5):
+        for _ in range(6):
+            v = rng.standard_normal((4, rank))
+            states.append(v @ v.T / np.trace(v @ v.T))
+    for a, b in [(0.0, 0.0), (0.0, np.pi / 2), (np.pi / 4, 0.0)] + [tuple(rng.uniform(0, np.pi, 2))
+                                                                   for _ in range(4)]:
+        kets = [np.array([np.cos(x), np.sin(x)]) for x in (a, b)]
+        states.append(np.kron(*(np.outer(u, u) for u in kets)))
+    return states + [np.zeros((4, 4)), clamp_state()[0]]
+
+
+class TestLeanPointPaths:
+    """The point query's leaner paths equal the forms they replaced (tests/oracles.py) bit for bit."""
+
+    @staticmethod
+    def angles(grid, seed):
+        # every fifth grid angle, the grid's ends and random angles beyond its range
+        rng = np.random.default_rng(seed)
+        return np.r_[grid[::5], grid[-1], rng.uniform(-1.0, 4.0, 40)].tolist()
+
+    def test_scalar_evaluator_matches_signed_oracle(self):
+        ts = self.angles(discord_module._T_GRID, 61)
+        phis = self.angles(discord_module._PHI_GRID, 62)
+        blochs = [discord_module._bloch(rho) for rho in lean_path_states()]
+        # a NaN Bloch entry: p is NaN for both outcomes, and neither skips it (it adds nothing)
+        blochs.append(np.zeros((4, 4)))
+        blochs[-1][0, 0], blochs[-1][0, 3] = 1.0, np.nan
+        for k, bloch in enumerate(blochs):
+            for phi in (0.0, phis[7], phis[-3]):
+                got = discord_module._conditional_entropy_at(bloch, phi=phi)
+                want = conditional_entropy_at_signed(bloch, phi=phi)
+                assert same_bits([got(t) for t in ts], [want(t) for t in ts]), (k, phi)
+            for t in (ts[3], ts[-5]):
+                got = discord_module._conditional_entropy_at(bloch, t=t)
+                want = conditional_entropy_at_signed(bloch, t=t)
+                assert same_bits([got(phi) for phi in phis], [want(phi) for phi in phis]), (k, t)
+
+    def test_real_family_matches_all_passes_oracle(self):
+        ts = np.array(self.angles(discord_module._T_GRID, 63))
+        states = lean_path_states()
+        needs = set()
+        for k, rho in enumerate(states + [np.stack(states), np.stack(states[:28])]):
+            want, need = curve_all_passes(rho, ts, ts.shape)
+            needs.add(need)
+            assert same_bits(conditional_entropy_curve(rho, ts), want), k
+        # each pass is both needed and skipped somewhere: dead branches, x <= 0 entries
+        assert {dead for dead, _ in needs} == {low for _, low in needs} == {False, True}
 
 
 class TestMutualInformation:

@@ -10,8 +10,9 @@ from clonecorr.errors import ConvergenceError, InvalidStateError
 from clonecorr.hermat import (HERM_ATOL, eig_herm2, eig_sym4, jacobi_eigvals, partial_trace,
                              partial_transpose_b, plogp, principal_minor, validate_state,
                              vn_entropy)
-from oracles import (bell_phi_plus, charpoly_eigvals_sym4, jacobi_eigvals_row_major, random_herm2,
-                     random_sym4, swap_qubits)
+from oracles import (bell_phi_plus, charpoly_eigvals_sym4, det2_stacked, det3_stacked,
+                     det4_stacked, jacobi_eigvals_row_major, random_herm2, random_sym4,
+                     random_sym_state4, same_bits, swap_qubits)
 
 # regression constant: -(5/6)log2(5/6) - (1/6)log2(1/6)
 ENTROPY_5_6 = 0.6500224216483541
@@ -289,6 +290,18 @@ class TestVnEntropy:
     def test_pure(self):
         assert vn_entropy([1.0, 0.0]) == 0.0
 
+    def test_private_sum_equals_vn_entropy_on_admitted_spectra(self):
+        # discord's callers hand _vn_sum spectra that passed vn_entropy's checks
+        # (validate_state's, or a copier state's descending eigvalsh)
+        rng = np.random.default_rng(59)
+        spectra = [validate_state(random_sym_state4(rng)) for _ in range(50)]
+        spectra += [np.linalg.eigvalsh(build_output_state(alpha, j))[::-1]
+                    for alpha in (0.0, 1.0, 2 ** -0.5, 0.3, 0.7) for j in (1 / 6, 0.22, 1 / 3, 0.5)]
+        spectra += [np.array(lam) for lam in ([1.0 + 5e-11, -5e-11], [1.0, 0.0, 0.0, 0.0],
+                                             [0.5, 0.5, -5e-11, 5e-11], [0.25] * 4)]
+        for k, lam in enumerate(spectra):
+            assert same_bits(hermat._vn_sum(lam), vn_entropy(lam)), k
+
     def test_maximally_mixed(self):
         assert vn_entropy([0.5, 0.5]) == 1.0
 
@@ -467,6 +480,40 @@ class TestPrincipalMinor:
     def test_accepts_numpy_integer_order(self):
         sigma = partial_transpose_b(build_output_state(0.6, 0.2))
         assert principal_minor(sigma, np.int64(3)) == principal_minor(sigma, 3)
+
+
+class TestDeterminantEntries:
+    """_det2, _det3 and _det4 over entries equal the fancy-indexed stack forms bit for bit."""
+
+    @staticmethod
+    def stacks():
+        rng = np.random.default_rng(53)
+        m = rng.standard_normal((3, 400, 4, 4)) * 10.0 ** rng.uniform(-3, 3, (3, 400, 1, 1))
+        # entries in {-1, -0, +0, 1}, the lower triangle copied from the upper:
+        # some of these determinants are zeros whose sign the summation order sets
+        signed = rng.choice([-1.0, -0.0, 0.0, 1.0], (400, 4, 4))
+        for r, k in zip(*np.tril_indices(4, -1)):
+            signed[:, r, k] = signed[:, k, r]
+        # the sweep's partial transposes (alpha = 0.7, default j grid) and random symmetric stacks
+        return [partial_transpose_b(build_output_batch(0.7, RunConfig().j_grid())),
+                (m + np.swapaxes(m, -1, -2)) / 2, signed]
+
+    def test_stack_entry_major_view_matches_stacked_oracle(self):
+        for k, s in enumerate(self.stacks()):
+            entries = np.moveaxis(s, (-2, -1), (0, 1))
+            assert same_bits(hermat._det2(entries), det2_stacked(s)), k
+            assert same_bits(hermat._det3(entries), det3_stacked(s)), k
+            assert same_bits(hermat._det4(entries), det4_stacked(s)), k
+
+    def test_single_matrix_floats_match_stacked_oracle(self):
+        for k, s in enumerate(self.stacks()):
+            for m in s.reshape(-1, 4, 4):
+                entries = m.tolist()
+                assert same_bits(hermat._det2(entries), det2_stacked(m)), k
+                assert same_bits(hermat._det3(entries), det3_stacked(m)), k
+                assert same_bits(hermat._det4(entries), det4_stacked(m)), k
+                for order, det in ((2, det2_stacked), (3, det3_stacked), (4, det4_stacked)):
+                    assert same_bits(principal_minor(m, order), det(m)), (k, order)
 
 
 class TestSwapQubits:
