@@ -76,7 +76,6 @@ class RunConfig:
     t_points: int = 91
     output_format: str = "csv"
     output_path: str | None = None
-    enforce_psd: bool = False
     seed: int = 0
 
     def validate(self):
@@ -119,43 +118,30 @@ class RunConfig:
         return np.linspace(0.0, np.pi / 2, self.t_points)
 
 
-def _parse_bool(text):
-    low = text.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 def _alpha_list(text):
     return [float(x) for x in text.replace(",", " ").split()]
 
 
 # Each RunConfig field, which is also its flag's dest and its config-file key:
-# the flag, the config-file parser and the argparse keywords (a metavar names
-# the value after the flag where the field name differs).
+# the flag and its argparse keywords (a metavar names the value after the flag
+# where the field name differs). A config-file value goes through the flag's
+# type, or stays a string where the flag has none.
 OPTIONS = {
-    "alpha_list": ("--alpha", _alpha_list, {
-        "type": _alpha_list, "metavar": "ALPHA",
-        "help": "comma-separated input amplitudes (default 0.1..0.9)"}),
-    "j_min": ("--j-min", float, {"type": float}),
-    "j_max": ("--j-max", float, {"type": float}),
-    "j_step": ("--j-step", float, {"type": float}),
-    "t_points": ("--t-points", int, {"type": int}),
-    "output_format": ("--format", str, {"choices": ("csv", "json")}),
-    "output_path": ("--out", str, {
-        "metavar": "OUT", "help": "output directory, created if missing"}),
-    "enforce_psd": ("--enforce-psd", _parse_bool, {
-        "action": "store_true", "default": None,
-        "help": "drop rows where the state is not positive semidefinite"}),
-    "seed": ("--seed", int, {"type": int}),
+    "alpha_list": ("--alpha", {"type": _alpha_list, "metavar": "ALPHA",
+                               "help": "comma-separated input amplitudes (default 0.1..0.9)"}),
+    "j_min": ("--j-min", {"type": float}),
+    "j_max": ("--j-max", {"type": float}),
+    "j_step": ("--j-step", {"type": float}),
+    "t_points": ("--t-points", {"type": int}),
+    "output_format": ("--format", {"choices": ("csv", "json")}),
+    "output_path": ("--out", {"metavar": "OUT", "help": "output directory, created if missing"}),
+    "seed": ("--seed", {"type": int}),
 }
 
 # The fields each config-driven command reads: its flags and the file keys it applies.
 COMMAND_FIELDS = {
     "surface": ("alpha_list", "j_min", "j_max", "j_step", "t_points", "output_format",
-                "output_path", "enforce_psd"),
+                "output_path"),
     "table1": ("alpha_list", "output_format", "output_path"),
     "selftest": ("seed",),
 }
@@ -179,11 +165,8 @@ def load_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
         if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        _, parse, _ = OPTIONS[key]
         try:
-            out[key] = parse(value)
-        except ConfigError:
-            raise
+            out[key] = OPTIONS[key][1].get("type", str)(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
@@ -265,8 +248,6 @@ def records_to_json(grid):
     once, and each j row is one %-template, its objects in key order around
     a "%s" discord per t, filled with that row's discord texts in one call.
     """
-    if grid["discord"].size == 0:
-        return "[]\n"
     alpha = _json_float(grid["alpha"])
     ts = [_json_float(t) for t in grid["t"].tolist()]
     objects = []
@@ -288,8 +269,8 @@ def surface_records(alpha, cfg):
     Returns a grid record: "alpha" (float), "t" (T,), the per-j arrays
     "j", "w3", "w4", "min_ppt_eig", "physical" and "classification" (J,),
     and "discord" (J, T). Row (j, t) of the output files is
-    (alpha, j, t, discord[j, t], then the per-j fields). With enforce_psd
-    the unphysical j are dropped, so J may be 0.
+    (alpha, j, t, discord[j, t], then the per-j fields): a file holds the
+    whole grid, and neither axis may be empty.
 
     The states are built once, and they and their partial transposes take
     one jacobi_eigvals call; _surface and _ppt_triple then give
@@ -298,6 +279,8 @@ def surface_records(alpha, cfg):
     j_grid, t_grid = cfg.j_grid(), cfg.t_grid()
     if j_grid.size == 0:
         raise ConfigError("empty j grid")
+    if t_grid.size == 0:
+        raise ConfigError("empty t grid")
     rhos = build_output_batch(alpha, j_grid)
     sigmas = hermat.partial_transpose_b(rhos)
     spectra, ppt_spectra = hermat.jacobi_eigvals(np.stack([rhos, sigmas]))
@@ -306,9 +289,8 @@ def surface_records(alpha, cfg):
     classification = np.where(
         physical, np.where(min_ppt >= hermat.STATE_EIG_FLOOR, "Separable", "Entangled"),
         "Unphysical")
-    keep = physical if cfg.enforce_psd else slice(None)
     per_j = (j_grid, w3, w4, min_ppt, physical, classification, discord)
-    return {"alpha": float(alpha), "t": t_grid, **{k: v[keep] for k, v in zip(GRID_KEYS, per_j)}}
+    return {"alpha": float(alpha), "t": t_grid, **dict(zip(GRID_KEYS, per_j))}
 
 
 def run_surface(cfg, out_stream=None):
@@ -526,7 +508,7 @@ def _add_command(sub, command, summary):
     p = sub.add_parser(command, help=summary)
     p.add_argument("--config", help="flat key=value config file; flags override it")
     for name in COMMAND_FIELDS[command]:
-        flag, _, kwargs = OPTIONS[name]
+        flag, kwargs = OPTIONS[name]
         p.add_argument(flag, dest=name, **kwargs)
 
 

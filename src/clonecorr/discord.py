@@ -463,7 +463,7 @@ def _marginal_entropies(bloch):
 def _admitted(rho):
     """The one check of a user state: (rho as a real float 4x4 array, its descending spectrum)."""
     rho = hermat._require_real_symmetric(rho, "state")
-    return rho, hermat.validate_state(rho)
+    return rho, hermat._state_spectrum(rho)
 
 
 def _conditional_entropy(rho, t, phi):

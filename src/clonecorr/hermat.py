@@ -21,10 +21,10 @@ entry-major copy, whole contiguous columns and rows at a time, with the
 bits of the row-major loop that tests/oracles.py keeps. Every other 4x4
 spectrum is LAPACK, np.linalg.eigvalsh of one matrix, about 80x faster than
 a one-matrix Jacobi batch; on copier states and their partial transposes
-the two agree to about 2e-15. eig_sym4 checks a matrix that comes from
-outside (a user's state, through validate_state) before its spectrum; a
-matrix the library built, such as a point query's copier state and its
-partial transpose, goes straight to eigvalsh, with the same bits.
+the two agree to about 2e-15. eig_sym4 and validate_state check a matrix
+that comes from outside before its spectrum, each once; a matrix the
+library built, such as a point query's copier state and its partial
+transpose, goes straight to eigvalsh, with the same bits.
 The exact spectra planned in ROADMAP.md revise those pins and then delete
 Jacobi outright.
 
@@ -280,8 +280,13 @@ def validate_state(m):
     Returns the (descending) spectrum so callers can reuse it. Raises
     InvalidStateError on any violation, a shape other than 4x4 included.
     """
-    spectrum = eig_sym4(m)
-    tr = float(np.real(np.trace(m)))
+    return _state_spectrum(_require_real_symmetric(m))
+
+
+def _state_spectrum(m):
+    """validate_state of an m that passed _require_real_symmetric, without that check."""
+    spectrum = np.linalg.eigvalsh(m)[::-1]
+    tr = float(np.trace(m))
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidStateError(f"state has trace {tr!r}, expected 1")
     if spectrum[-1] < STATE_EIG_FLOOR:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import pathlib
 import statistics
 import subprocess
@@ -93,6 +94,8 @@ class TestConfig:
             RunConfig(j_max=0.7).validate()
         with pytest.raises(ConfigError):
             RunConfig(output_format="yaml").validate()
+        with pytest.raises(ConfigError, match="t_points must be >= 1, got 0"):
+            RunConfig(t_points=0).validate()
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -100,11 +103,14 @@ class TestConfig:
             "# sweep setup\n"
             "alpha_list = 0.2, 0.4\n"
             "j_step = 0.01   # coarse\n"
-            "enforce_psd = true\n"
-            "output_format = json\n")
+            "t_points = 7\n"
+            "output_format = json\n"
+            "output_path = runs/a b\n")
         values = load_config_file(path)
-        assert values == {"alpha_list": [0.2, 0.4], "j_step": 0.01,
-                          "enforce_psd": True, "output_format": "json"}
+        # each value through its flag's type, or kept as text where the flag has none
+        assert values == {"alpha_list": [0.2, 0.4], "j_step": 0.01, "t_points": 7,
+                          "output_format": "json", "output_path": "runs/a b"}
+        assert type(values["t_points"]) is int
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -125,7 +131,6 @@ class TestConfig:
             t_points = None
             output_format = None
             output_path = None
-            enforce_psd = None
             seed = None
 
         cfg = build_config(Args(), "surface")
@@ -180,6 +185,42 @@ class TestConfig:
                      "--t-points", "2", "--out", str(tmp_path / "out")]) == 0
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "surface_alpha-0.7.csv", "surface_alpha0.7.csv"]
+
+    @pytest.mark.parametrize("line,message", [
+        ("j_step 0.01", ":1: expected key=value, got 'j_step 0.01'"),
+        ("= 0.01", ":1: expected key=value, got '= 0.01'"),
+        ("t_points = five", ":1: bad value for t_points: invalid literal for int()"),
+        ("alpha_list = 0.2, x", ":1: bad value for alpha_list: could not convert"),
+        # the retired row filter's key is unknown like any other
+        ("enforce_psd = true", ":1: unknown key 'enforce_psd'"),
+    ])
+    @pytest.mark.parametrize("command", ["surface", "table1", "selftest"])
+    def test_malformed_config_line_exits_2(self, tmp_path, monkeypatch, capsys, command, line,
+                                           message):
+        monkeypatch.chdir(tmp_path)
+        pathlib.Path("bad.cfg").write_text(line + "\n")
+        assert main([command, "--config", "bad.cfg"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"error: bad.cfg{message}" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    def test_retired_enforce_psd_flag_exits_2(self, tmp_path, capsys):
+        # --j-min 0.17 keeps the copier rows that the flag kept on the default grid
+        with pytest.raises(SystemExit) as exc:
+            main(["surface", "--enforce-psd", "--out", str(tmp_path / "out")])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --enforce-psd" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert "enforce_psd" not in cli.OPTIONS
+        assert [f.name for f in dataclasses.fields(RunConfig)] == list(cli.OPTIONS)
+
+    def test_empty_t_grid_exits_2(self, tmp_path, capsys):
+        rc = main(["surface", "--t-points", "0", "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: t_points must be >= 1, got 0" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -280,7 +321,7 @@ class TestSurface:
             faults = [int(line) for line in proc.stdout.split()]
             assert len(faults) == 23 and statistics.median(faults[5:]) < 50, (length, faults)
 
-    @pytest.mark.parametrize("fmt,psd,digests", [
+    @pytest.mark.parametrize("fmt,copier_only,digests", [
         ("csv", False, {
             "surface_alpha0.3.csv": "a4f0a95defce95ef8844d9f791c5b89063233fa9c0b60bff2e7c94e456eb5bc2",
             "surface_alpha0.7.csv": "5559216c890f52e257691a81d3311c44ccfb080032075ce619a0ce5c2d986161"}),
@@ -294,32 +335,30 @@ class TestSurface:
             "surface_alpha0.3.json": "09a091b3f4424ce0f269cb14a7d4b6736c7c38a9782990182d28fbdc2d6835bc",
             "surface_alpha0.7.json": "ca5ae62ed479d485afd17e8aa16d887d3cc4fb0c0cbe4a02d14127501fc85d35"}),
     ])
-    def test_pinned_bytes(self, tmp_path, fmt, psd, digests):
-        # the grid reaches below the physical window (j < 1/6), so the
-        # unpruned files carry Unphysical rows and --enforce-psd drops them
+    def test_pinned_bytes(self, tmp_path, fmt, copier_only, digests):
+        # from j = 0.01 the grid reaches below the physical window (j < 1/6), so
+        # those files carry Unphysical rows; from j = 0.17 it holds copier rows only
         out = tmp_path / "out"
-        args = ["surface", "--alpha", "0.3,0.7", "--j-min", "0.01", "--j-max", "0.5",
-                "--j-step", "0.01", "--t-points", "13", "--format", fmt, "--out", str(out)]
-        assert main([*args, *(["--enforce-psd"] if psd else [])]) == 0
+        j_min = "0.17" if copier_only else "0.01"
+        assert main(["surface", "--alpha", "0.3,0.7", "--j-min", j_min, "--j-max", "0.5",
+                     "--j-step", "0.01", "--t-points", "13", "--format", fmt,
+                     "--out", str(out)]) == 0
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert got == digests
 
     @pytest.mark.parametrize("alpha,overrides", [
         (0.0, {}), (0.1, {}), (0.7, {}), (1.0, {}),
-        (0.7, {"enforce_psd": True}),
+        (0.7, {"j_min": 0.17}),
         (0.7, {"t_points": 1}),
         (0.7, {"j_min": 0.3, "j_max": 0.3}),
-        (0.7, {"j_max": 0.1, "enforce_psd": True}),
+        (0.7, {"j_min": 0.17, "j_max": 0.17}),
         (-0.7, {}),     # every line starts with "-"
     ])
     def test_writers_match_row_oracle(self, alpha, overrides):
         cfg = RunConfig(**overrides).validate()
         grid = cli.surface_records(alpha, cfg)
-        n_j = len(grid["j"])
-        if cfg.enforce_psd:
-            # the grid reaches below j = 1/6, so rows really are dropped
-            assert n_j < len(cfg.j_grid())
-        assert grid["discord"].shape == (n_j, cfg.t_points)
+        assert np.array_equal(grid["j"], cfg.j_grid())
+        assert grid["discord"].shape == (len(cfg.j_grid()), cfg.t_points)
         _assert_writers_match_row_oracle(grid)
 
     def test_writers_match_row_oracle_on_edge_values(self):
@@ -334,14 +373,31 @@ class TestSurface:
                 "discord": np.array([np.roll(edge, k) for k in range(n)])}
         _assert_writers_match_row_oracle(grid)
 
-    @pytest.mark.parametrize("fmt,text", [("csv", CSV_HEADER + "\n"), ("json", "[]\n")])
-    def test_enforce_psd_can_leave_no_rows(self, tmp_path, capsys, fmt, text):
-        out = tmp_path / "out"
-        rc = main(["surface", "--alpha", "0.7", "--j-max", "0.1", "--enforce-psd",
-                   "--format", fmt, "--out", str(out)])
-        assert rc == 0
-        assert (out / f"surface_alpha0.7.{fmt}").read_text() == text
-        assert "wrote 0 rows" in capsys.readouterr().out
+    @pytest.mark.parametrize("overrides,message", [
+        ({"j_min": 0.3, "j_max": 0.2}, "empty j grid"),
+        ({"t_points": 0}, "empty t grid"),
+    ])
+    def test_unvalidated_empty_axis_is_refused(self, overrides, message):
+        # validate() refuses both; surface_records refuses them too, so no
+        # writer ever sees an empty grid
+        with pytest.raises(ConfigError, match=message):
+            cli.surface_records(0.7, RunConfig(**overrides))
+
+    def test_j_min_file_is_the_default_files_rows_from_that_j(self, tmp_path):
+        # the default grid's j values from 0.17 on are those of a grid that
+        # starts there, so a copier-only file is the default file's tail, bit for bit
+        out_all, out_cut = tmp_path / "all", tmp_path / "cut"
+        assert main(["surface", "--out", str(out_all)]) == 0
+        assert main(["surface", "--j-min", "0.17", "--out", str(out_cut)]) == 0
+        names = sorted(p.name for p in out_all.iterdir())
+        assert names == sorted(p.name for p in out_cut.iterdir()) and len(names) == 9
+        for name in names:
+            header, *rows = (out_all / name).read_text().splitlines(True)
+            kept = [row for row in rows if float(row.split(",")[1]) >= 0.17]
+            assert any(",Unphysical" in row for row in rows), name
+            assert len(kept) == 67 * 91, name
+            same = (out_cut / name).read_text() == header + "".join(kept)
+            assert same, name
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 2 ** -0.5, 0.7, -0.3, 1.5e-10, 1e-6,
                                        1 - 1e-12])
@@ -426,18 +482,18 @@ class TestSurface:
                                    "min_ppt_eig", "physical", "classification"}
         assert payload[0]["physical"] is True
 
-    def test_enforce_psd_drops_unphysical_rows(self, tmp_path):
+    def test_j_min_in_the_copier_domain_drops_unphysical_rows(self, tmp_path):
         out_all = tmp_path / "all"
-        out_psd = tmp_path / "psd"
-        args = ["surface", "--alpha", "0.5", "--j-min", "0.1", "--j-max", "0.2",
-                "--j-step", "0.01", "--t-points", "2"]
-        assert main([*args, "--out", str(out_all)]) == 0
-        assert main([*args, "--enforce-psd", "--out", str(out_psd)]) == 0
+        out_cut = tmp_path / "cut"
+        args = ["surface", "--alpha", "0.5", "--j-max", "0.2", "--j-step", "0.01",
+                "--t-points", "2"]
+        assert main([*args, "--j-min", "0.1", "--out", str(out_all)]) == 0
+        assert main([*args, "--j-min", "0.17", "--out", str(out_cut)]) == 0
         rows_all = (out_all / "surface_alpha0.5.csv").read_text().splitlines()[1:]
-        rows_psd = (out_psd / "surface_alpha0.5.csv").read_text().splitlines()[1:]
+        rows_cut = (out_cut / "surface_alpha0.5.csv").read_text().splitlines()[1:]
         assert len(rows_all) == 11 * 2
-        assert len(rows_psd) < len(rows_all)
-        assert all(",true," in r for r in rows_psd)
+        assert len(rows_cut) < len(rows_all)
+        assert all(",true," in r for r in rows_cut)
         assert any(",false," in r for r in rows_all)
         assert any(",Unphysical" in r for r in rows_all)
 
@@ -716,6 +772,14 @@ class TestPoint:
 
 
 class TestSelftest:
+    def test_failing_property_group_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "w3_closed", lambda alpha, j: math.nan)
+        assert main(["selftest", "--seed", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count("[FAIL] closed-form determinants match direct minors") == 1
+        assert sum(line.startswith("[PASS] ") for line in lines) == 4
+        assert lines[-1] == "FAILED: 4 of 5 property groups passed"
+
     def test_selftest_passes(self, capsys):
         rc = main(["selftest", "--seed", "3"])
         out = capsys.readouterr().out

@@ -822,11 +822,32 @@ class TestUserStateAdmission:
 
     @pytest.mark.parametrize("name", USER_STATE_FUNCTIONS)
     def test_state_is_validated_once(self, monkeypatch, name):
-        calls = []
-        eig_sym4 = hermat.eig_sym4
-        monkeypatch.setattr(hermat, "eig_sym4", lambda m: calls.append(m) or eig_sym4(m))
+        # the check itself is counted, by the name it reports, and so is the one
+        # spectrum call: a second check of the admitted matrix would show as "matrix"
+        checks, spectra = [], []
+        check, eigvalsh = hermat._require_real_symmetric, np.linalg.eigvalsh
+        monkeypatch.setattr(hermat, "_require_real_symmetric",
+                            lambda m, what="matrix": checks.append(what) or check(m, what))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: spectra.append(m) or eigvalsh(m))
         USER_STATE_FUNCTIONS[name](build_output_state(0.7, 0.22))
-        assert len(calls) == 1
+        assert checks == ["state"]
+        assert len(spectra) == 1
+
+    @pytest.mark.parametrize("name", USER_STATE_FUNCTIONS)
+    @pytest.mark.parametrize("bad,message", [
+        (np.eye(4) / 2, "state has trace 2.0, expected 1"),
+        (np.diag([1.2, 0.0, 0.0, -0.2]), "state has eigenvalue -2.000000e-01 below -1e-10"),
+        (np.eye(4) / 4 + np.eye(4, k=1) * 1e-6, "state is not symmetric"),
+        (np.full((4, 4, 1), 1 / 16), "expected a 4x4 state, got shape (4, 4, 1)"),
+        (np.diag([0.25, 0.25, 0.25, np.nan]), "state has NaN or infinite entries"),
+        (np.diag([0.25, 0.25, 0.25, 0.25 + 1e-6j]), "state has complex entries"),
+    ])
+    def test_refusal_names_the_state(self, name, bad, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError) as exc:
+                USER_STATE_FUNCTIONS[name](bad)
+        assert str(exc.value) == message
 
 
 class TestNonFiniteAngles:

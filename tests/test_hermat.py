@@ -411,6 +411,12 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.eye(4) / 4, "c")
 
+    @pytest.mark.parametrize("shape", [(2, 2), (16,), (4, 3), (3, 4, 2)])
+    def test_rejects_wrong_shape(self, shape):
+        for keep in ("a", "b"):
+            with pytest.raises(InvalidStateError, match=r"expected \(\.\.\., 4, 4\), got shape"):
+                partial_trace(np.zeros(shape), keep)
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(31)
         stack = np.stack([random_sym4(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
@@ -425,6 +431,11 @@ class TestPartialTransposeB:
     def test_diagonal_fixed(self):
         d = np.diag([0.4, 0.3, 0.2, 0.1])
         assert np.array_equal(partial_transpose_b(d), d)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (16,), (4, 3), (3, 4, 2)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(InvalidStateError, match=r"expected \(\.\.\., 4, 4\), got shape"):
+            partial_transpose_b(np.zeros(shape))
 
     def test_bell_minimum_eigenvalue(self):
         sigma = partial_transpose_b(bell_phi_plus())

@@ -294,6 +294,11 @@ class TestScanConsistency:
         with pytest.raises(DomainError, match="scan_step"):
             scan_grid(0.7, scan_step=step)
 
+    def test_step_past_the_window_gives_empty_arrays(self):
+        # the first grid point, j = scan_step, already lies above 1/2
+        for x in scan_grid(0.7, scan_step=2.0):
+            assert x.shape == (0,)
+
     def test_at_most_one_negative_ppt_eigenvalue(self):
         for alpha in (0.25, 0.6, 0.85):
             js = np.round(np.arange(0.17, 0.5001, 0.005), 12)
