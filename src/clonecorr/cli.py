@@ -27,8 +27,8 @@ from .cloner import (_copier_state, _fidelity, build_output_batch, build_output_
 from .discord import (_discord_min, _surface, conditional_entropy_curve, discord_at,
                       discord_min, mutual_info_i, mutual_info_j)
 from .errors import DomainError
-from .separability import (_ppt_triple, _ppt_verdict, scan_grid, separable_intervals, w3_closed,
-                           w4_closed)
+from .separability import (JInterval, _ppt_triple, _ppt_verdict, scan_grid, separable_intervals,
+                           w3_closed, w4_closed)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,6 +106,8 @@ class RunConfig:
                               f"{MAX_GRID_ROWS} rows per alpha")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
+        if self.output_path == "":
+            raise ConfigError("output_path (--out) must not be empty")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         return self
@@ -187,16 +189,12 @@ def build_config(args, command):
 
 
 def _fmt(x):
-    """12 significant digits; empty string for missing values."""
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
+    """12 significant digits."""
     return format(x, ".12g")
 
 
 def _jnum(x):
-    return None if x is None else float(format(x, ".12g"))
+    return float(format(x, ".12g"))
 
 
 # repr's text of the non-finite floats -> json.dumps's
@@ -210,12 +208,17 @@ def _json_float(x):
 
 
 def _json_text(payload):
-    """Indented, key-sorted JSON text of payload with every float through _jnum."""
+    """Indented, key-sorted JSON text of payload with every float through _jnum.
+
+    Tuples are written as lists, and a JInterval as its [lo, hi].
+    """
     def walk(x):
         if isinstance(x, dict):
             return {k: walk(v) for k, v in x.items()}
-        if isinstance(x, list):
+        if isinstance(x, (list, tuple)):
             return [walk(v) for v in x]
+        if isinstance(x, JInterval):
+            return [_jnum(x.lo), _jnum(x.hi)]
         if isinstance(x, float):
             return _jnum(x)
         return x
@@ -312,34 +315,28 @@ def run_surface(cfg, out_stream=None):
 def table1_rows(cfg):
     """Computed separable intervals per alpha with reference comparison.
 
-    Returns (rows, any_mismatch); each row is a dict with keys alpha,
-    intervals, classification, expected, match (match is None for alphas
-    outside the reference table).
+    Returns (rows, any_mismatch). Each row is one record, which the text, CSV
+    and JSON writers all render: alpha, intervals (JIntervals),
+    classification, reference (the expected (lo, hi) window, or None where no
+    window is expected) and match (None for an alpha outside the reference
+    table; else whether the intervals are [reference], or [] where reference
+    is None, with each end within REFERENCE_TOL).
     """
     rows = []
-    any_mismatch = False
     for alpha in cfg.alpha_list:
         intervals = separable_intervals(alpha)
         key = next((k for k in REFERENCE_INTERVALS if abs(alpha - k) < 1e-9), None)
-        expected = REFERENCE_INTERVALS.get(key)
+        reference = REFERENCE_INTERVALS.get(key)
         match = None
         if key is not None:
-            if expected is None:
-                match = len(intervals) == 0
-            else:
-                match = (len(intervals) == 1
-                         and abs(intervals[0].lo - expected[0]) <= REFERENCE_TOL + 1e-12
-                         and abs(intervals[0].hi - expected[1]) <= REFERENCE_TOL + 1e-12)
-            if not match:
-                any_mismatch = True
-        rows.append({
-            "alpha": alpha,
-            "intervals": intervals,
-            "classification": "Separable" if intervals else "Inseparable",
-            "expected": expected,
-            "match": match,
-        })
-    return rows, any_mismatch
+            want = [reference] if reference else []
+            match = len(intervals) == len(want) and all(
+                max(abs(iv.lo - lo), abs(iv.hi - hi)) <= REFERENCE_TOL + 1e-12
+                for iv, (lo, hi) in zip(intervals, want))
+        rows.append({"alpha": alpha, "intervals": intervals,
+                     "classification": "Separable" if intervals else "Inseparable",
+                     "reference": reference, "match": match})
+    return rows, any(row["match"] is False for row in rows)
 
 
 def run_table1(cfg, out_stream=None):
@@ -347,36 +344,25 @@ def run_table1(cfg, out_stream=None):
     print(f"{'alpha':>6}  {'separable j':<22} {'verdict':<12} {'reference':<18} match",
           file=out_stream)
     for row in rows:
+        ref, match = row["reference"], row["match"]
         ivs = ", ".join(f"[{iv.lo:.3f}, {iv.hi:.3f}]" for iv in row["intervals"]) or "(none)"
-        if row["match"] is None:
-            ref, mark = "-", "-"
-        elif row["expected"] is None:
-            ref, mark = "(none)", "ok" if row["match"] else "MISMATCH"
-        else:
-            ref = f"[{row['expected'][0]:.3f}, {row['expected'][1]:.3f}]"
-            mark = "ok" if row["match"] else "MISMATCH"
-        print(f"{_fmt(row['alpha']):>6}  {ivs:<22} {row['classification']:<12} {ref:<18} {mark}",
-              file=out_stream)
+        ref_text = f"[{ref[0]:.3f}, {ref[1]:.3f}]" if ref else "-" if match is None else "(none)"
+        mark = {None: "-", True: "ok", False: "MISMATCH"}[match]
+        print(f"{_fmt(row['alpha']):>6}  {ivs:<22} {row['classification']:<12} {ref_text:<18} "
+              f"{mark}", file=out_stream)
 
     if cfg.output_path:
         if cfg.output_format == "json":
-            text = _json_text([{
-                "alpha": row["alpha"],
-                "intervals": [[iv.lo, iv.hi] for iv in row["intervals"]],
-                "classification": row["classification"],
-                "reference": (list(row["expected"]) if row["expected"] else None),
-                "match": row["match"],
-            } for row in rows])
+            text = _json_text(rows)
         else:
             lines = ["alpha,lo,hi,classification,reference_lo,reference_hi,match"]
             for row in rows:
-                ref_lo, ref_hi = row["expected"] or (None, None)
-                for iv in row["intervals"] or [None]:
-                    lines.append(",".join([
-                        _fmt(row["alpha"]), _fmt(iv and iv.lo), _fmt(iv and iv.hi),
-                        row["classification"], _fmt(ref_lo), _fmt(ref_hi),
-                        _fmt(row["match"]) if row["match"] is not None else "-",
-                    ]))
+                ref = row["reference"]
+                ref_cells = f"{_fmt(ref[0])},{_fmt(ref[1])}" if ref else ","
+                mark = {None: "-", True: "true", False: "false"}[row["match"]]
+                for ends in [f"{_fmt(iv.lo)},{_fmt(iv.hi)}" for iv in row["intervals"]] or [","]:
+                    lines.append(f"{_fmt(row['alpha'])},{ends},{row['classification']},"
+                                 f"{ref_cells},{mark}")
             text = "\n".join(lines) + "\n"
         os.makedirs(cfg.output_path, exist_ok=True)
         path = os.path.join(cfg.output_path, f"table1.{cfg.output_format}")

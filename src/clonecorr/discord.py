@@ -420,7 +420,9 @@ def _conditional_entropy_at(bloch, t=None, phi=None):
     kernel, branches with p <= DEGENERATE_P and eigenvalues <= 0 contribute
     0; the two agree to rounding, not bitwise.
     """
-    (_, bx, by, bz), (ax, xx, xy, xz), (ay, yx, yy, yz), (az, zx, zy, zz) = bloch.tolist()
+    # only the terms a real rho has, as in _phase_coefficients: r_b,y, r_a,y, T_xy,
+    # T_yx, T_yz and T_zy are +-0.0, and every rho that reaches here is real
+    (_, bx, _, bz), (ax, xx, _, xz), (_, _, yy, _), (az, zx, _, zz) = bloch.tolist()
     # the held angle's trig, once per closure
     if phi is None:
         s2t, c2t = math.sin(2.0 * t), math.cos(2.0 * t)
@@ -433,19 +435,18 @@ def _conditional_entropy_at(bloch, t=None, phi=None):
         else:
             s2 = math.sin(2.0 * x)
             mx, my, mz = s2 * cp, s2 * sp, math.cos(2.0 * x)
-        rb_m, tmx = bx * mx + by * my + bz * mz, xx * mx + xy * my + xz * mz
-        tmy, tmz = yx * mx + yy * my + yz * mz, zx * mx + zy * my + zz * mz
+        rb_m, tmx, tmy, tmz = bx * mx + bz * mz, xx * mx + xz * mz, yy * my, zx * mx + zz * mz
         # outcome +m, then -m, each skipped when p <= DEGENERATE_P (a NaN p is not)
         h = 0.0
         p = 0.5 + 0.5 * rb_m
         if not p <= DEGENERATE_P:
-            rad = 0.25 * math.hypot(ax + tmx, ay + tmy, az + tmz)
+            rad = 0.25 * math.hypot(ax + tmx, tmy, az + tmz)
             for lam in (0.5 * p + rad, 0.5 * p - rad):
                 if lam > 0.0:
                     h -= lam * math.log2(lam / p)
         p = 0.5 - 0.5 * rb_m
         if not p <= DEGENERATE_P:
-            rad = 0.25 * math.hypot(ax - tmx, ay - tmy, az - tmz)
+            rad = 0.25 * math.hypot(ax - tmx, tmy, az - tmz)
             for lam in (0.5 * p + rad, 0.5 * p - rad):
                 if lam > 0.0:
                     h -= lam * math.log2(lam / p)

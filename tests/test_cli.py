@@ -47,6 +47,27 @@ TABLE1_DIGESTS = {
     "csv": "aeeaaa5972648ab643c38afed676adc702fe63d72a3b011239db01f071cd82ff",
     "json": "58511265335dd5279f2ffa3e3545e06b36e6d2978a7b07b6d3253674b9141bce",
 }
+# table1 runs whose rows TABLE1_DIGESTS does not cover: (argv, the reference window
+# patched in at 0.6 or None, exit code). "unscored" has a row outside the reference
+# table beside two product rows; "mismatch" scores 0.6 against a wrong window.
+TABLE1_CASES = {
+    "unscored": (["--alpha", "0.65,0,1"], None, 0),
+    "mismatch": (["--alpha", "0.6,0.65,0.3"], (0.10, 0.15), 3),
+}
+# sha256 of each case's file, keyed by FMT, and of its printed table without the
+# "wrote" line, keyed by "table"
+TABLE1_CASE_DIGESTS = {
+    "unscored": {
+        "csv": "9baff19ca5c1b4fef6cff31c9fedf80dcc7d4975edd9b16fbfe4ec79f20f058a",
+        "json": "8f46c6f73637a14c612a4531efaf5e6de3ef19a1aefc882038dfb7791ae64fad",
+        "table": "368d44456676064c95d14c04bc57494e481085150d81640e7b6e0bd864d26675",
+    },
+    "mismatch": {
+        "csv": "d09d96c89a8604384028f3bfd1ef8b1ad2bf8dc4fff32b2245cf2de35f902701",
+        "json": "2b6d9905e0cd8f63cac54013184d14a240748e41f88f2e28dda49e08f2846b5b",
+        "table": "7cbc4fbfc9c917953824918b41e6712fb124aa93bc6e5db16e5ae5212da24fba",
+    },
+}
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[1] / "src"
 # minor page faults of each default surface file after 5 warm-up files, in a fresh process
@@ -221,6 +242,25 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "error: t_points must be >= 1, got 0" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", ["surface", "table1"])
+    def test_empty_output_path_exits_2(self, tmp_path, monkeypatch, capsys, command, source):
+        # an empty path names no directory: table1 would write no file, and surface
+        # would write into ./surface_out
+        monkeypatch.chdir(tmp_path)
+        if source == "flag":
+            argv = ["--out", ""]
+        else:
+            (tmp_path / "run.cfg").write_text("output_path =\n")
+            argv = ["--config", "run.cfg"]
+        grid = SMALL_SURFACE if command == "surface" else ["--alpha", "0.6"]
+        assert main([command, *grid, *argv]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "output_path (--out) must not be empty" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "surface_out").exists()
+        assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if source == "file" else [])
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -559,6 +599,15 @@ class TestTable1:
         assert a.lo == pytest.approx(b.lo, abs=2e-6)
         assert a.hi == pytest.approx(b.hi, abs=2e-6)
 
+    def test_rows_are_one_record(self):
+        # the record that the text, CSV and JSON writers all render
+        rows, mismatch = table1_rows(RunConfig(alpha_list=[0.65, 0.7, 0.3]))
+        keys = {"alpha", "intervals", "classification", "reference", "match"}
+        assert [set(row) for row in rows] == [keys] * 3
+        assert [(row["reference"], row["match"]) for row in rows] == [
+            (None, None), ((0.191, 0.250), True), (None, True)]
+        assert not mismatch
+
     def test_product_rows_are_inseparable(self, capsys):
         # alpha in {0, +-1}: g(j) = -2j^3 < 0 on [1/6, 1/2], so no copier output is
         # separable; the product state at j = 0 is no copier's
@@ -597,6 +646,23 @@ class TestTable1:
         assert main(["table1", "--alpha", "0.5,0.7", "--format", fmt, "--out", str(out)]) == 0
         digest = hashlib.sha256((out / f"table1.{fmt}").read_bytes()).hexdigest()
         assert digest == TABLE1_DIGESTS[fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", list(TABLE1_CASES))
+    def test_pinned_unscored_product_and_mismatch_rows(self, tmp_path, monkeypatch, capsys,
+                                                       case, fmt):
+        # match null/"-" and false, and reference "(none)" beside a score, in all three forms
+        argv, patched, code = TABLE1_CASES[case]
+        if patched:
+            monkeypatch.setitem(cli.REFERENCE_INTERVALS, 0.6, patched)
+        out = tmp_path / "out"
+        assert main(["table1", *argv, "--format", fmt, "--out", str(out)]) == code
+        path = out / f"table1.{fmt}"
+        *table, wrote = capsys.readouterr().out.splitlines(True)
+        assert wrote == f"wrote {path}\n"
+        digests = TABLE1_CASE_DIGESTS[case]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[fmt]
+        assert hashlib.sha256("".join(table).encode()).hexdigest() == digests["table"]
 
 
 class TestPoint:

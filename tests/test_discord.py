@@ -527,6 +527,13 @@ class TestLeanPointPaths:
                 want = conditional_entropy_at_signed(bloch, t=t)
                 assert same_bits([got(phi) for phi in phis], [want(phi) for phi in phis]), (k, t)
 
+    def test_real_states_have_no_y_cross_terms(self):
+        # r_b,y, r_a,y, T_xy, T_yx, T_yz and T_zy: _conditional_entropy_at reads none of
+        # them, as a real rho has each at +-0.0
+        rows, cols = [0, 2, 1, 2, 2, 3], [2, 0, 2, 1, 3, 2]
+        for k, rho in enumerate(lean_path_states() + oracle_states()):
+            assert np.all(discord_module._bloch(rho)[..., rows, cols] == 0.0), k
+
     def test_real_family_matches_all_passes_oracle(self):
         ts = np.array(self.angles(discord_module._T_GRID, 63))
         states = lean_path_states()
