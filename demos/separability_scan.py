@@ -17,7 +17,7 @@ for j in (0.18, 0.19, 0.20, 0.22, 0.24, 0.26, 0.30):
     verdict = classify(0.6, j)
     print(f"{j:7.3f} {w3:13.3e} {w4:13.3e} {verdict.classification:>12}")
 print("\nBoth determinants nonnegative <=> partial transpose positive:")
-print("the verdict column uses the PPT spectrum; agreement is checked per call.")
+print("the verdict column is the exact sign of W4, decided in integer arithmetic.")
 
 print("\n" + "=" * 70)
 print("Separable j windows per input amplitude")

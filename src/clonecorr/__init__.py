@@ -3,8 +3,9 @@
 The package builds the two-clone output state for a real-amplitude input
 and machine parameter j, computes the quantum discord between the clones
 by minimizing the measured conditional entropy over projective bases, and
-classifies separability through the Peres-Horodecki (PPT) criterion, both
-spectrally and via closed-form determinants of the partial transpose.
+classifies separability through the Peres-Horodecki (PPT) criterion: the
+exact sign of the partial transpose's determinant, which on the copier is
+that of a cubic g(j), decided in integers.
 
 The package namespace holds only what that question needs. The numerics
 helpers are imported from their modules: the eigensolvers, partial

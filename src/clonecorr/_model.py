@@ -18,7 +18,7 @@ where both of its j-dependent terms are <= 0, and strictly decreasing on
 negative. So the window is (lo, 1/2): lo is 0 when F(0) <= 0, i.e.
 k <= 2 (1 + eps) eps^2, and otherwise the one root of F in [0, 1/6].
 
-Separable window (separability.separable_intervals). The partial
+Separable window (separability.separable_intervals) and verdict. The partial
 transpose's leading 3x3 and full determinants are
 
     W3 = (alpha^2 j n / 2) (2j - beta^2 n)                    (w3_closed)
@@ -47,12 +47,22 @@ to 0.8352). For 27/128 <= k <= 1/4, m = 0 and m = 1 give y in
 [8/3, 1 + sqrt 5] and [2, 8/3], i.e. r1 = 1/(2 + y) in
 [(3 - sqrt 5)/4, 3/14] and r2 in [3/14, 1/4]; m = 2 gives y < 0.
 Whether k >= 27/128 is decided exactly, on the rational k of the float
-alpha (_exact_k). Each root then takes one Newton step on g from its
-Viete value, with g's value at that float j computed exactly in integer
-arithmetic and rounded once (_g_exact), so the step corrects the Viete
-value's rounding. The step is kept only when it stays in the root's
-bracket, [1/6, 3/14] or [3/14, 1/3], so it never reorders the roots and
-never raises.
+alpha (_exact_k).
+
+The verdict (_separable) is W4 >= 0, decided exactly: for j > 0 that is
+g(j) >= 0, the sign of an integer built from the rationals k and j (the
+float j itself, not a rounded g), and at j = 0, W4 = 0. classify, the
+point report, the surface's classification column and the window ends
+all read it. Each window end (_g_roots) is the outermost float where
+g >= 0, so its outward float neighbour has g < 0. The search
+(_outermost) starts from the Viete value clamped into the root's
+bracket, [1/6, 3/14] or [3/14, 1/3], which is usually within a few ulp
+of the end but up to about 2.9e6 ulp off at the onset floats; it
+doubles its step from one ulp until the exact sign flips, and then
+bisects on floats until the two probes are adjacent, so it needs a
+number of exact signs logarithmic in that distance (at most 90 at the
+onset floats). The probes never leave the bracket, so the two ends stay
+ordered and the search never raises.
 
 Qubit entropy (qubit_entropy). r.sigma is traceless and squares to |r|^2 I,
 so a qubit's (tr I + r.sigma)/2 has the spectrum ((tr - |r|)/2, (tr + |r|)/2)
@@ -63,8 +73,9 @@ import math
 
 from .errors import DomainError
 
-# g's roots in (1/6, 1/3) lie either side of 3/14, where y = (1 - 2j)/j = 8/3
-_ROOT_BRACKETS = ((1.0 / 6.0, 3.0 / 14.0), (3.0 / 14.0, 1.0 / 3.0))
+# g's roots in (1/6, 1/3) lie either side of 3/14, where y = (1 - 2j)/j = 8/3: each
+# root's bracket (lo, hi) and its outward direction, -1 toward lo or 1 toward hi
+_ROOT_BRACKETS = ((1.0 / 6.0, 3.0 / 14.0, -1), (3.0 / 14.0, 1.0 / 3.0, 1))
 
 
 def _amplitudes(alpha):
@@ -108,32 +119,53 @@ def w4_closed(alpha, j):
     return 0.5 * (a2 * b2 * j * n * n * (6.0 * j - 1.0) - 2.0 * j ** 4)
 
 
-def _g_exact(kn, kd, j):
-    """g(j) for k = kn / kd and a float j, exact in integers and rounded once."""
+def _separable(kn, kd, j):
+    """The separability verdict at k = kn / kd and a float j >= 0: W4 = (j/2) g(j) >= 0, exactly.
+
+    g's one formula: with j = q / dj, g(j) kd dj^3 is the integer
+    kn (dj - 2q)^2 (6q - dj) - 2 kd q^3, compared with 0 exactly.
+    """
     q, dj = j.as_integer_ratio()
-    return (kn * (dj - 2 * q) ** 2 * (6 * q - dj) - 2 * kd * q ** 3) / (kd * dj ** 3)
+    n = dj - 2 * q
+    return q == 0 or kn * n * n * (6 * q - dj) >= 2 * kd * q * q * q
 
 
 def _g_roots(alpha):
-    """The stretches of j in [1/6, 1/2] where g >= 0, as a list of 0 or 1 (r1, r2) pairs.
+    """The stretches of j in (0, 1/2] where g >= 0, as a list of 0 or 1 (r1, r2) pairs.
 
     alpha is a float. k < 27/128, k = 0 included, gives [], and otherwise
-    the pair is g's two roots in (1/6, 1/3), r1 <= r2.
+    r1 <= r2 are the outermost floats in (1/6, 1/3) where g >= 0.
     """
     kn, kd = _exact_k(alpha)
     if 128 * kn < 27 * kd:
         return []
     k = kn / kd
     theta = math.acos(max(1.0 - 27.0 / (64.0 * k), -1.0)) / 3.0
-    roots = []
-    for t, (a, b) in zip((theta, theta - 2.0 * math.pi / 3.0), _ROOT_BRACKETS):
-        # one Newton step from the Viete value clamped into [a, b], kept if it stays there
-        j = min(max(1.0 / (10.0 / 3.0 + 8.0 / 3.0 * math.cos(t)), a), b)
-        n = 1.0 - 2.0 * j
-        slope = k * n * (10.0 - 36.0 * j) - 6.0 * j * j
-        step = j - _g_exact(kn, kd, j) / slope if slope != 0.0 else j
-        roots.append(step if a <= step <= b else j)
-    return [tuple(roots)]
+    ends = []
+    for t, bracket in zip((theta, theta - 2.0 * math.pi / 3.0), _ROOT_BRACKETS):
+        ends.append(_outermost(kn, kd, 1.0 / (10.0 / 3.0 + 8.0 / 3.0 * math.cos(t)), *bracket))
+    return [tuple(ends)]
+
+
+def _outermost(kn, kd, j, lo, hi, outward):
+    """The float e in [lo, hi] with g(e) >= 0 whose next float outward has g < 0, searched from j.
+
+    outward is -1 (toward lo) or 1 (toward hi); g < 0 at that end of the
+    bracket, and g >= 0 between the other end and the root. j is clamped
+    into the bracket; probes at 1, 2, 4, ... ulp(j) from it go outward while
+    g >= 0 there, or inward while g < 0, stopping at the bracket's end,
+    until g's sign flips; float bisection then closes the last two probes
+    to adjacent floats.
+    """
+    j = near = min(max(j, lo), hi)
+    side = _separable(kn, kd, j)
+    step = math.ulp(j) * (outward if side else -outward)
+    while (far := min(max(j + step, lo), hi)) != near and _separable(kn, kd, far) == side:
+        near, step = far, 2.0 * step
+    inside, outside = (near, far) if side else (far, near)
+    while (mid := (inside + outside) / 2.0) not in (inside, outside):
+        inside, outside = (mid, outside) if _separable(kn, kd, mid) else (inside, mid)
+    return inside
 
 
 def qubit_entropy(tr, r):

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hermat
+from ._model import _g_roots
 from .cloner import (_copier_state, _fidelity, build_output_batch, build_output_state,
                      clone_fidelity, valid_j_range)
 from .discord import (_discord_min, _surface, conditional_entropy_curve, discord_at,
@@ -277,7 +278,9 @@ def surface_records(alpha, cfg):
 
     The states are built once, and they and their partial transposes take
     one jacobi_eigvals call; _surface and _ppt_triple then give
-    discord_surface's and ppt_data's bits.
+    discord_surface's and ppt_data's bits. A physical row is Separable
+    where classify's exact test holds: at j = 0 (W4 = 0) or between the
+    window ends of _model._g_roots, the outermost floats where g >= 0.
     """
     j_grid, t_grid = cfg.j_grid(), cfg.t_grid()
     if j_grid.size == 0:
@@ -289,9 +292,11 @@ def surface_records(alpha, cfg):
     spectra, ppt_spectra = hermat.jacobi_eigvals(np.stack([rhos, sigmas]))
     discord, physical = _surface(rhos, spectra, t_grid)
     w3, w4, min_ppt = _ppt_triple(sigmas, ppt_spectra)
-    classification = np.where(
-        physical, np.where(min_ppt >= hermat.STATE_EIG_FLOOR, "Separable", "Entangled"),
-        "Unphysical")
+    separable = j_grid == 0.0
+    for r1, r2 in _g_roots(float(alpha)):
+        separable |= (j_grid >= r1) & (j_grid <= r2)
+    classification = np.where(physical, np.where(separable, "Separable", "Entangled"),
+                              "Unphysical")
     per_j = (j_grid, w3, w4, min_ppt, physical, classification, discord)
     return {"alpha": float(alpha), "t": t_grid, **dict(zip(GRID_KEYS, per_j))}
 
@@ -325,7 +330,8 @@ def table1_rows(cfg):
     rows = []
     for alpha in cfg.alpha_list:
         intervals = separable_intervals(alpha)
-        key = next((k for k in REFERENCE_INTERVALS if abs(alpha - k) < 1e-9), None)
+        # the window depends on alpha^2 only, so -alpha is scored as alpha
+        key = next((k for k in REFERENCE_INTERVALS if abs(abs(alpha) - k) < 1e-9), None)
         reference = REFERENCE_INTERVALS.get(key)
         match = None
         if key is not None:
@@ -380,7 +386,7 @@ def point_report(alpha, j, scan_phase=False):
     # (eig_sym4's spectrum without its checks), and only classify's PPT half remains
     rho = _copier_state(alpha, j)
     result = _discord_min(rho, np.linalg.eigvalsh(rho)[::-1], scan_phase=scan_phase)
-    verdict = _ppt_verdict(rho)
+    verdict = _ppt_verdict(alpha, j, rho)
     return {
         "alpha": alpha,
         "j": j,
@@ -413,8 +419,8 @@ def run_point(alpha, j, output_format="text", scan_phase=False, out_stream=None)
     print(f"  mutual information:  J={d['mutual_info_j']:.9f} I={d['mutual_info_i']:.9f}",
           file=out_stream)
     print(f"  separability:        {s['classification']} "
-          f"(W3={s['w3']:.6g}, W4={s['w4']:.6g}, min PPT eig={s['min_ppt_eigenvalue']:.6g}, "
-          f"tests agree: {s['agreement']})", file=out_stream)
+          f"(W3={s['w3']:.6g}, W4={s['w4']:.6g}, min PPT eig={s['min_ppt_eigenvalue']:.6g})",
+          file=out_stream)
     if report["discordant_but_separable"]:
         print(f"  {DISCORD_BANNER}", file=out_stream)
     return EXIT_OK

@@ -1,20 +1,23 @@
 """Peres-Horodecki separability analysis of the copier output.
 
 For two qubits, positivity of the partial transpose is necessary and
-sufficient for separability, so the sign of the smallest eigenvalue of the
-partially transposed state is the ground truth here. The closed-form
-determinants of that matrix, W3 and W4 (w3_closed, w4_closed in _model),
-give an equivalent shortcut test (both nonnegative <=> separable). classify
-evaluates its agreement with the spectral check on every call and surfaces
-it in the verdict rather than assuming it. ppt_data computes W3, W4 (as
-cofactor determinants) and the minimum PPT eigenvalue for one state (LAPACK)
-or a whole stack of states (Jacobi) through _ppt_triple, which
-cli.surface_records shares; classify takes the same determinants of its one
-matrix as Python floats (hermat._det2), and scan_grid goes through ppt_data.
+sufficient for separability, and its determinant W4 is negative exactly
+when one of its eigenvalues is. On the copier W4 = (j/2) g(j) for a cubic
+g, so the verdict is the exact sign of g at the float j and the rational
+k of the float alpha (_model._separable), decided in integers: classify,
+the point report, the surface's classification column (through the window
+ends) and separable_intervals all read that one test. The closed-form
+determinants W3 and W4 (w3_closed, w4_closed in _model), their cofactor
+values and the minimum PPT eigenvalue are printed quantities, not tests.
+ppt_data computes W3, W4 (as cofactor determinants) and the minimum PPT
+eigenvalue for one state (LAPACK) or a whole stack of states (Jacobi)
+through _ppt_triple, which cli.surface_records shares; classify takes the
+same determinants of its one matrix as Python floats (hermat._det2), and
+scan_grid goes through ppt_data.
 
-separable_intervals needs neither spectra nor W3: W4 = (j/2) g(j) for a
-cubic g, and the separable window is the stretch between g's two roots in
-(1/6, 1/3), which _model derives and computes in scalar floating point.
+separable_intervals needs no spectra: the separable window is the stretch
+between g's two roots in (1/6, 1/3), whose ends _model finds as the
+outermost floats where g >= 0.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import hermat
 # w3_closed and w4_closed stay importable from separability
-from ._model import _g_roots, w3_closed, w4_closed  # noqa: F401
+from ._model import _exact_k, _g_roots, _separable, w3_closed, w4_closed  # noqa: F401
 from .cloner import _copier_state, build_output_batch, valid_j_range
 from .errors import DomainError
 # unused; bench/test_bench.py::test_every_binding_is_traced_and_restored checks this binding
@@ -36,15 +39,14 @@ class SeparabilityVerdict:
     w3: float
     w4: float
     min_ppt_eigenvalue: float
-    classification: str   # "Separable" | "Entangled"
-    agreement: bool       # determinant test vs spectral PPT test
+    classification: str   # "Separable" | "Entangled", the exact sign of g
 
 
 @dataclass(frozen=True)
 class JInterval:
     """Closed interval of machine parameters.
 
-    separable_intervals puts its endpoints within a few ulp of g's roots.
+    separable_intervals puts its endpoints at the outermost floats where g >= 0.
     """
     lo: float
     hi: float
@@ -78,15 +80,15 @@ def classify(alpha, j):
     """Separable/Entangled verdict for the output state at (alpha, j).
 
     Refuses a j outside FEASIBLE_J = [1/6, 1/2], where no copier exists,
-    with a DomainError. The classification follows the PPT minimum
-    eigenvalue; the determinant shortcut is evaluated alongside and any
-    disagreement is reported in the verdict's agreement flag.
+    with a DomainError. The classification is the exact sign of g at the
+    float j (see _model); W3, W4 and the minimum PPT eigenvalue are
+    reported beside it.
     """
-    return _ppt_verdict(_copier_state(alpha, j))
+    return _ppt_verdict(alpha, j, _copier_state(alpha, j))
 
 
-def _ppt_verdict(rho):
-    """classify's verdict for a copier state already admitted by _copier_state.
+def _ppt_verdict(alpha, j, rho):
+    """classify's verdict at (alpha, j) for its copier state rho, admitted by _copier_state.
 
     The library built rho, so its partial transpose's least eigenvalue is
     eig_sym4's without the checks. W3 and W4 take ppt_data's float operations
@@ -94,15 +96,11 @@ def _ppt_verdict(rho):
     """
     sigma = hermat.partial_transpose_b(rho)
     entries = sigma.tolist()
-    w3, w4 = hermat._det3(entries), hermat._det4(entries)
-    min_ppt = float(np.linalg.eigvalsh(sigma)[0])
-    separable = min_ppt >= hermat.STATE_EIG_FLOOR
-    det_separable = w3 >= 0.0 and w4 >= 0.0
+    separable = _separable(*_exact_k(float(alpha)), float(j))
     return SeparabilityVerdict(
-        w3=w3, w4=w4, min_ppt_eigenvalue=min_ppt,
-        classification="Separable" if separable else "Entangled",
-        agreement=(separable == det_separable),
-    )
+        w3=hermat._det3(entries), w4=hermat._det4(entries),
+        min_ppt_eigenvalue=float(np.linalg.eigvalsh(sigma)[0]),
+        classification="Separable" if separable else "Entangled")
 
 
 def scan_grid(alpha, scan_step=1e-4):
@@ -128,9 +126,10 @@ def separable_intervals(alpha):
 
     alpha is a number in [-1, 1]. With k = alpha^2 beta^2, a copier output
     is separable exactly where the cubic g of _model is >= 0. The result is
-    [JInterval(r1, r2)] when g has two real roots r1 <= r2 in (1/6, 1/3),
-    i.e. k >= 27/128 (clipped to the PSD window of one valid_j_range call,
-    which contains them), and [] otherwise, alpha in {0, +-1} included.
+    [JInterval(r1, r2)] when g has two real roots in (1/6, 1/3), i.e.
+    k >= 27/128, with r1 <= r2 the outermost floats where g >= 0 (clipped
+    to the PSD window of one valid_j_range call, which contains them), and
+    [] otherwise, alpha in {0, +-1} included.
     """
     lo, hi = valid_j_range(alpha)
     return [JInterval(lo=max(r1, lo), hi=min(r2, hi)) for r1, r2 in _g_roots(float(alpha))]

@@ -8,6 +8,7 @@ import pathlib
 import statistics
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import clonecorr.cli as cli
 from clonecorr import (build_output_state, classify, clone_fidelity, cloner, discord, discord_at,
                        discord_min, discord_surface, hermat, separability, valid_j_range,
                        w3_closed, w4_closed)
+from clonecorr._model import _exact_k, _separable
 from clonecorr.cli import (CSV_HEADER, ConfigError, RunConfig, build_config,
                            load_config_file, main, table1_rows)
 from clonecorr.errors import DomainError
@@ -36,11 +38,11 @@ REPORT_POINTS += zip(_RNG.uniform(-1.0, 1.0, 32).tolist(), _RNG.uniform(1 / 6, 0
 # sha256 of `point ALPHA J --format json`, keyed by (ALPHA, J); the digests
 # are not in the test ids, so a re-pin keeps each test's name
 POINT_JSON_DIGESTS = {
-    ("0.7", "0.22"): "c5ece35466d03999fd86d7f70f04d99ecc1c887c7cf27a7fc26c0198628126fe",
-    ("1.0", "0.3"): "668f427c506c51ea20294e7290f2f3f7cea6a166f431b76f1c0cf8909eb7197e",
-    ("0.5", "0.5"): "1c3bf504a4293c80a25b1705f73eb1f9eb41aa7afea5bf6aece6f113e4ccec91",
-    ("0.9", "0.19"): "24002a3e1c7469a42a7d09b37194bb40964e9480c5bd0e02946aa80ad838d4b1",
-    ("0.0", "0.3"): "5a3db82a2dc5e03c9368aa64fb3c345b69022a16b7e2624e8d6a6f70ae137cf1",
+    ("0.7", "0.22"): "2edfb5ec0896cdd93d22de74cfe25ba360131d1b32e560de8c95cf3934434e46",
+    ("1.0", "0.3"): "9d7745d617c990679f955884f75589e83500fce2d52c6ef984e71aabc3c62861",
+    ("0.5", "0.5"): "ed1d4737103817bf3f981572458f71be5466fdebb30be4b45f597f53a695a90f",
+    ("0.9", "0.19"): "d6db4a29585d31801db2ec5896592a465934854f67f7f05db78a1af2f4251662",
+    ("0.0", "0.3"): "4bfe835fb2ff25e12192c3985d051aba5e3841da50eb90ade831ce3de70d7588",
 }
 # sha256 of `table1 --alpha 0.5,0.7 --format FMT`'s file, keyed by FMT, likewise
 TABLE1_DIGESTS = {
@@ -478,6 +480,40 @@ class TestSurface:
         assert builds == [n_j]
         assert spectra == [(2, n_j, 4, 4)]
 
+    def test_classification_is_classify_across_both_window_ends(self):
+        # rows at, beside and just outside each end at alpha = 0.7, where a
+        # floored PPT spectrum calls rows outside the window Separable
+        [iv] = separability.separable_intervals(0.7)
+        js = [0.17, 0.22, 0.3]
+        for end in (iv.lo, iv.hi):
+            j = end
+            for _ in range(3):
+                j = math.nextafter(j, 0.0)
+            for _ in range(7):
+                js.append(j)
+                j = math.nextafter(j, 1.0)
+            js += [end + d for d in (-1e-10, -1e-12, 1e-12, 1e-10)]
+        grid_cfg = SimpleNamespace(j_grid=lambda: np.array(sorted(js)),
+                                   t_grid=lambda: np.array([0.0, 0.5]))
+        grid = cli.surface_records(0.7, grid_cfg)
+        want = [classify(0.7, j).classification for j in grid["j"].tolist()]
+        assert grid["classification"].tolist() == want
+        # 0.22, and at each end the end, three floats and two offsets inside it
+        assert want == ["Separable" if iv.lo <= j <= iv.hi else "Entangled" for j in sorted(js)]
+        assert want.count("Separable") == 13
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5e-10, 0.6, 0.7, 2 ** -0.5, -0.8,
+                                       0.5498705722617608])
+    def test_classification_is_the_exact_test_on_every_physical_row(self, alpha):
+        # j = 0 included, where W4 = 0: the product state at alpha in {0, 1} is Separable
+        cfg = RunConfig(j_min=0.0, j_step=0.0013, t_points=2).validate()
+        grid = cli.surface_records(alpha, cfg)
+        kn, kd = _exact_k(alpha)
+        exact = ["Separable" if _separable(kn, kd, j) else "Entangled" for j in grid["j"].tolist()]
+        want = np.where(grid["physical"], exact, "Unphysical")
+        assert grid["classification"].tolist() == want.tolist()
+        assert grid["physical"][0] == (alpha in (0.0, 1.0))
+
     def test_negative_alpha_mirrors_positive(self):
         cfg = RunConfig().validate()
         neg, pos = cli.surface_records(-0.7, cfg), cli.surface_records(0.7, cfg)
@@ -608,6 +644,16 @@ class TestTable1:
             (None, None), ((0.191, 0.250), True), (None, True)]
         assert not mismatch
 
+    def test_negative_alpha_is_scored_as_its_positive(self, capsys):
+        # the window depends on alpha^2 only
+        rows, mismatch = table1_rows(RunConfig(alpha_list=[-0.7, 0.7, -0.9]))
+        assert [(row["reference"], row["match"]) for row in rows] == [
+            ((0.191, 0.250), True), ((0.191, 0.250), True), (None, True)]
+        assert rows[0]["intervals"] == rows[1]["intervals"] and not mismatch
+        assert main(["table1", "--alpha=-0.7,0.7,-0.9"]) == 0
+        table = capsys.readouterr().out.splitlines()[1:]
+        assert len(table) == 3 and all(line.endswith(" ok") for line in table)
+
     def test_product_rows_are_inseparable(self, capsys):
         # alpha in {0, +-1}: g(j) = -2j^3 < 0 on [1/6, 1/2], so no copier output is
         # separable; the product state at j = 0 is no copier's
@@ -705,6 +751,13 @@ class TestPoint:
         report = cli.point_report(alpha, j)
         assert report["separability"] == dataclasses.asdict(classify(alpha, j))
 
+    def test_window_end_and_the_float_past_it(self, capsys):
+        # the full-precision end, not table1's 12 digits (0.249949969966 lies past it)
+        [iv] = separability.separable_intervals(0.7)
+        for j, want in ((iv.hi, "Separable"), (math.nextafter(iv.hi, 1.0), "Entangled")):
+            assert main(["point", "0.7", repr(j)]) == 0
+            assert f"  separability:        {want} (" in capsys.readouterr().out
+
     @pytest.mark.parametrize("alpha,j", list(POINT_JSON_DIGESTS))
     def test_pinned_json_bytes(self, capsys, alpha, j):
         # plain queries only: a phase query's last digits move with any
@@ -726,11 +779,11 @@ class TestPoint:
             assert "j in [1/6, 1/2]" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv,digest", [
-        pytest.param([], "29c77a8c487fd47580d8d5cb79ef0cbbaa838ff1e22a2cb9a428f66e2b34dbb2",
+        pytest.param([], "c925c1df4ca879190bd6a8af27551c4792f1fb536c39ba5f4f7c734c83bcddce",
                      id="plain"),
         # a phase query's last digits move with the phase kernel; re-pin with it
         pytest.param(["--scan-phase"],
-                     "93e7815890819fa78253459cd272e542afabc72923fd7e09a5599c4313eb966e",
+                     "fc44b5a5ebb3f4d910a12e8668837464ee73bc091c6b8dd7c58cd6c3e5d62833",
                      id="scan-phase"),
     ])
     def test_pinned_text_bytes(self, capsys, argv, digest):

@@ -1,4 +1,5 @@
-"""The copier's closed forms in clonecorr._model: the exact g and the module's imports."""
+"""The copier's closed forms in clonecorr._model: the exact verdict, the window ends and
+the module's imports."""
 
 import ast
 import math
@@ -7,8 +8,10 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from clonecorr._model import _exact_k, _g_exact, _g_roots, qubit_entropy
+from clonecorr import _model
+from clonecorr._model import _exact_k, _g_roots, _separable, qubit_entropy
 
 MODEL_PATH = pathlib.Path(__file__).resolve().parents[1] / "src" / "clonecorr" / "_model.py"
 
@@ -20,10 +23,10 @@ EDGE_POINTS = [(alpha, j) for alpha in (0.0, 1.0, -1.0, 1e-5)
 
 
 def g_fraction(alpha, j):
-    """g(j) = k (1 - 2j)^2 (6j - 1) - 2j^3 in Fraction arithmetic, rounded once."""
+    """g(j) = k (1 - 2j)^2 (6j - 1) - 2j^3 in Fraction arithmetic, exact."""
     a, j = Fraction(alpha), Fraction(j)
     k = a * a * (1 - a * a)
-    return float(k * (1 - 2 * j) ** 2 * (6 * j - 1) - 2 * j ** 3)
+    return k * (1 - 2 * j) ** 2 * (6 * j - 1) - 2 * j ** 3
 
 
 def near_roots(alpha):
@@ -37,18 +40,34 @@ def near_roots(alpha):
 
 
 class TestExactG:
-    def test_equals_fraction_arithmetic_rounded_once(self):
+    def test_verdict_is_the_sign_of_fraction_arithmetic(self):
+        # g >= 0 for j > 0, and W4 = (j/2) g = 0 at j = 0
         points = SEEDED_POINTS + EDGE_POINTS + [(0.7, j) for j in near_roots(0.7)]
         for alpha, j in points:
-            kn, kd = _exact_k(alpha)
-            assert _g_exact(kn, kd, j) == g_fraction(alpha, j), (alpha, j)
+            assert _separable(*_exact_k(alpha), j) == (j == 0.0 or g_fraction(alpha, j) >= 0), (
+                alpha, j)
 
     def test_changes_sign_across_each_root(self):
         # the near-root points above straddle the roots: g < 0 outside [r1, r2], > 0 inside
         kn, kd = _exact_k(0.7)
         (r1, r2), = _g_roots(0.7)
         for r, outside in ((r1, -1e-9), (r2, 1e-9)):
-            assert _g_exact(kn, kd, r + outside) < 0.0 < _g_exact(kn, kd, r - outside)
+            assert not _separable(kn, kd, r + outside) and _separable(kn, kd, r - outside)
+
+
+class TestWindowEnds:
+    @pytest.mark.parametrize("alpha", [0.5498705722617608, 0.8352498750437043])
+    def test_end_search_at_the_onset_floats_is_logarithmic(self, monkeypatch, alpha):
+        # the Viete values lie about 1e6 and 3e6 ulp from these ends; a walk of
+        # one ulp at a time would take millions of exact signs
+        calls = []
+        separable = _model._separable
+        monkeypatch.setattr(_model, "_separable", lambda *a: calls.append(a) or separable(*a))
+        (r1, r2), = _g_roots(alpha)
+        assert 2 <= len(calls) <= 100
+        kn, kd = _exact_k(alpha)
+        assert separable(kn, kd, r1) and not separable(kn, kd, math.nextafter(r1, 0.0))
+        assert separable(kn, kd, r2) and not separable(kn, kd, math.nextafter(r2, 1.0))
 
 
 class TestQubitEntropy:

@@ -17,6 +17,11 @@ from oracles import bell_phi_plus, separable_intervals_scan
 REFERENCE = {0.6: (0.196, 0.238), 0.7: (0.191, 0.250), 0.8: (0.196, 0.238)}
 # alpha^2 (1 - alpha^2) = 27/128 at the two onsets of the separable window
 ONSETS = tuple(math.sqrt((1 + s * math.sqrt(5 / 32)) / 2) for s in (-1, 1))
+# the floats nearest the onsets that have a window, where the Viete values lie
+# about 1e6 and 3e6 ulp from the window ends
+ONSET_FLOATS = (0.5498705722617608, 0.8352498750437043)
+# floats one past the upper window end, where a floored PPT spectrum still says Separable
+PAST_HI_ENDS = ((0.7, 0.2499499699659475), (0.8, 0.238670494559087), (2 ** -0.5, 0.25))
 
 
 def exact_k(alpha):
@@ -160,13 +165,54 @@ class TestClassify:
         assert verdict.classification == "Separable"
         assert verdict.min_ppt_eigenvalue >= -1e-10
         assert verdict.w3 >= 0.0 and verdict.w4 >= 0.0
-        assert verdict.agreement
 
     def test_alpha_half_always_entangled(self):
         for j in (0.17, 0.2, 0.3, 0.4, 0.5):
             verdict = classify(0.5, j)
             assert verdict.classification == "Entangled"
-            assert verdict.agreement
+
+    @pytest.mark.parametrize("alpha,j", PAST_HI_ENDS)
+    def test_just_outside_the_window_is_entangled(self, alpha, j):
+        # exact g < 0 there, by about 1e-18 (1e-33 at 2^-1/2), yet the least PPT
+        # eigenvalue clears the -1e-10 floor
+        assert exact_g(exact_k(alpha), j) < 0
+        verdict = classify(alpha, j)
+        assert verdict.min_ppt_eigenvalue >= -1e-10
+        assert verdict.classification == "Entangled"
+
+    def test_floor_band_outside_each_root_is_entangled(self):
+        # j outside a root by 1e-12: the least PPT eigenvalue lies in [-1e-10, 0),
+        # where a floored spectral test says Separable. One float outside, it
+        # rounds to about +3e-17, and g < 0 there too.
+        [iv] = separable_intervals(0.7)
+        for end, out in ((iv.lo, 0.0), (iv.hi, 1.0)):
+            verdict = classify(0.7, end + math.copysign(1e-12, out - end))
+            assert -1e-10 <= verdict.min_ppt_eigenvalue < 0.0
+            assert verdict.classification == "Entangled"
+            assert classify(0.7, math.nextafter(end, out)).classification == "Entangled"
+            assert classify(0.7, end).classification == "Separable"
+
+    def test_exact_verdict_is_the_floored_ppt_and_determinant_verdict_away_from_roots(self):
+        # 2,000 seeded copier points, half in the band of alpha and j where
+        # windows lie, each with |g| > 1e-9: the exact sign of g, the floored
+        # PPT spectrum and the determinant test W3 >= 0 and W4 >= 0 all agree
+        rng = np.random.default_rng(61)
+        points = list(zip(rng.uniform(-1.0, 1.0, 1000), rng.uniform(1 / 6, 0.5, 1000)))
+        points += zip(rng.choice([-1.0, 1.0], 1000) * rng.uniform(0.54, 0.84, 1000),
+                      rng.uniform(0.18, 0.26, 1000))
+        checked = separable = 0
+        for alpha, j in points:
+            g = exact_g(exact_k(alpha), j)
+            if abs(g) <= 1e-9:
+                continue
+            verdict = classify(alpha, j)
+            want = "Separable" if g >= 0 else "Entangled"
+            assert verdict.classification == want, (alpha, j)
+            assert (verdict.min_ppt_eigenvalue >= -1e-10) == (g >= 0), (alpha, j)
+            assert (verdict.w3 >= 0.0 and verdict.w4 >= 0.0) == (g >= 0), (alpha, j)
+            checked += 1
+            separable += g >= 0
+        assert checked >= 1990 and 300 <= separable <= checked - 300
 
     def test_alpha_one_entangled(self):
         verdict = classify(1.0, 0.3)
@@ -264,20 +310,29 @@ class TestSeparableIntervals:
                 assert 1 / 6 < iv.lo <= iv.hi < 1 / 3, (alpha, iv)
 
     def test_endpoints_within_a_few_ulp_of_exact_roots(self):
-        # exact g, at the exact k of the float alpha, changes sign within
-        # m ulp of every endpoint; m = 4, 16 or 128 as the window narrows.
-        # Alphas above the onset at 0.8352 have no window.
+        # each end is the outermost float where the exact g, at the exact k of
+        # the float alpha, is >= 0: g < 0 at its outward float neighbour. Exact
+        # g also changes sign within m ulp of every end; m = 4, 16 or 128 as
+        # the window narrows. Alphas above the onset at 0.8352 have no window.
         rng = np.random.default_rng(21)
-        alphas = 0.55 + 0.29 * (np.arange(200) + rng.uniform(size=200)) / 200
-        windows = [(alpha, iv) for alpha in alphas.tolist() for iv in separable_intervals(alpha)]
-        assert len(windows) == np.count_nonzero(alphas < ONSETS[1])
+        seeded = (0.55 + 0.29 * (np.arange(200) + rng.uniform(size=200)) / 200).tolist()
+        alphas = seeded + [0.6, 0.7, 0.8, 2 ** -0.5, *ONSET_FLOATS]
+        windows = [(alpha, iv) for alpha in alphas for iv in separable_intervals(alpha)]
+        assert len(windows) == np.count_nonzero(np.array(seeded) < ONSETS[1]) + 6
         for alpha, iv in windows:
             width = iv.hi - iv.lo
             m = 4 if width >= 0.03 else 16 if width >= 0.01 else 128
             k = exact_k(alpha)
-            for e in (iv.lo, iv.hi):
+            for e, out in ((iv.lo, 0.0), (iv.hi, 1.0)):
+                assert exact_g(k, e) >= 0 > exact_g(k, math.nextafter(e, out)), (alpha, e)
                 step = m * math.ulp(e)
                 assert exact_g(k, e - step) * exact_g(k, e + step) <= 0, (alpha, e, m)
+
+    def test_onset_floats_are_the_first_with_a_window(self):
+        # the float past each onset float, away from the window band, has no window
+        for alpha, out in zip(ONSET_FLOATS, (0.0, 1.0)):
+            assert exact_k(alpha) >= Fraction(27, 128) > exact_k(math.nextafter(alpha, out))
+            assert separable_intervals(math.nextafter(alpha, out)) == []
 
 
 class TestScanConsistency:
